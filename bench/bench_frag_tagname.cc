@@ -13,14 +13,18 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/fragment_impl.h"
+#include "core/staircase_impl.h"
+#include "storage/paged_accessor.h"
 #include "storage/paged_tags.h"
 
 namespace sj::bench {
 namespace {
 
 using storage::BufferPool;
+using storage::PagedDocAccessor;
 using storage::PagedDocTable;
-using storage::PagedStaircaseJoinView;
+using storage::PagedFragmentCursor;
 using storage::PagedTagIndex;
 using storage::SimulatedDisk;
 
@@ -81,16 +85,35 @@ double ColdBestOfMillis(BufferPool* pool, F&& f) {
   return best;
 }
 
+/// One descendant step of the generic staircase join through a fresh
+/// paged accessor (its pages are unpinned on return, between steps).
+NodeSequence PagedDescendant(const PagedDocTable& paged, BufferPool* pool,
+                             const NodeSequence& context) {
+  PagedDocAccessor acc(paged, pool);
+  return internal::StaircaseJoinOver(acc, context, Axis::kDescendant, {},
+                                     nullptr)
+      .value();
+}
+
+/// One descendant step of the generic fragment join over `tag`'s paged
+/// fragment, likewise through fresh cursors.
+NodeSequence PagedFragmentDescendant(const PagedTagIndex& tags, TagId tag,
+                                     const PagedDocTable& paged,
+                                     BufferPool* pool,
+                                     const NodeSequence& context) {
+  PagedFragmentCursor frag(tags.fragment(tag), pool);
+  PagedDocAccessor acc(paged, pool);
+  return internal::FragmentStaircaseJoinOver(frag, acc, context,
+                                             Axis::kDescendant, {}, nullptr)
+      .value();
+}
+
 size_t Q1PagedFullDoc(const Workload& w, const PagedDocTable& paged,
                       BufferPool* pool) {
   const DocTable& doc = *w.doc;
-  NodeSequence s1 =
-      storage::PagedStaircaseJoin(paged, pool, {doc.root()}, Axis::kDescendant)
-          .value();
+  NodeSequence s1 = PagedDescendant(paged, pool, {doc.root()});
   NodeSequence profiles = FilterTag(doc, s1, w.Tag("profile"));
-  NodeSequence s2 =
-      storage::PagedStaircaseJoin(paged, pool, profiles, Axis::kDescendant)
-          .value();
+  NodeSequence s2 = PagedDescendant(paged, pool, profiles);
   NodeSequence educations = FilterTag(doc, s2, w.Tag("education"));
   if (educations.empty()) std::abort();
   return educations.size();
@@ -99,14 +122,10 @@ size_t Q1PagedFullDoc(const Workload& w, const PagedDocTable& paged,
 size_t Q1PagedFragments(const Workload& w, const PagedDocTable& paged,
                         const PagedTagIndex& tags, BufferPool* pool) {
   const DocTable& doc = *w.doc;
-  NodeSequence profiles =
-      PagedStaircaseJoinView(tags, w.Tag("profile"), paged, pool,
-                             {doc.root()}, Axis::kDescendant)
-          .value();
-  NodeSequence educations =
-      PagedStaircaseJoinView(tags, w.Tag("education"), paged, pool, profiles,
-                             Axis::kDescendant)
-          .value();
+  NodeSequence profiles = PagedFragmentDescendant(tags, w.Tag("profile"),
+                                                  paged, pool, {doc.root()});
+  NodeSequence educations = PagedFragmentDescendant(
+      tags, w.Tag("education"), paged, pool, profiles);
   if (educations.empty()) std::abort();
   return educations.size();
 }

@@ -95,9 +95,9 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
   // image must carry the digest of THIS document's columns. A stale
   // image (rebuilt document, image of a different document) is rejected
   // here with the failing column set named -- not lazily on the first
-  // paged query. The digests are computed exactly once per image set
-  // and travel to every session (EvalOptions::doc_digest), so neither
-  // session creation nor the first query repeats the pass.
+  // paged query. The digests are computed exactly once per image set,
+  // and sessions get the validated images through one image handle, so
+  // neither session creation nor any query repeats the pass.
   if (img->paged_doc != nullptr) {
     if (img->disk == nullptr) {
       return Status::InvalidArgument(
@@ -344,28 +344,27 @@ Result<xpath::EvalOptions> Database::MakeEvalOptions(
   eval.pushdown_selectivity = options.hints.pushdown_selectivity;
   eval.cost_model = options.hints.cost_model;
   eval.num_threads = options.num_threads;
-  eval.backend = options.backend;
-  eval.tag_index = img.tag_index.get();
-  eval.doc_digest = img.doc_digest;
   // Planner statistics describe the BASE document; under an overlay the
   // estimator layers merged per-tag counts on top (see MakeEstimator).
   eval.doc_stats = img.doc_stats.get();
 
+  // The one image handle: the backend's images, already digest-checked
+  // against this document when the image set was built (BuildImages),
+  // plus the pool its reads are charged to.
   std::unique_ptr<storage::BufferPool> pool;
-  if (xpath::BackendDispatch::UsesPool(options.backend)) {
-    SJ_RETURN_NOT_OK(xpath::BackendDispatch::WireBackend(
-        &eval, img.paged_doc.get(), img.paged_tags.get(),
-        img.compressed_doc.get(), img.compressed_tags.get()));
-    eval.frag_digest = img.frag_digest;
-    if (options.private_pool_pages > 0) {
-      pool = std::make_unique<storage::BufferPool>(
-          img.disk.get(), options.private_pool_pages);
-      pool->set_prefetch_enabled(prefetch_);
-      eval.pool = pool.get();
-    } else {
-      eval.pool = img.pool.get();
-    }
-  }
+  auto session_pool = [&]() -> storage::BufferPool* {
+    if (options.private_pool_pages == 0) return img.pool.get();
+    pool = std::make_unique<storage::BufferPool>(img.disk.get(),
+                                                 options.private_pool_pages);
+    pool->set_prefetch_enabled(prefetch_);
+    return pool.get();
+  };
+  SJ_ASSIGN_OR_RETURN(
+      eval.image,
+      xpath::BackendDispatch::MakeImage(
+          options.backend, img.tag_index.get(), img.paged_doc.get(),
+          img.paged_tags.get(), img.compressed_doc.get(),
+          img.compressed_tags.get(), session_pool));
   eval.snapshot_epoch = snap->epoch();
   if (snap->edited()) {
     eval.overlay = snap->overlay();
@@ -411,6 +410,12 @@ Status Database::Compact() {
   SJ_ASSIGN_OR_RETURN(
       std::shared_ptr<const DatabaseImages> built,
       BuildImages(std::move(images), options_, /*build_missing=*/true));
+  // The rebuilt images sit on a fresh disk; it keeps simulating the
+  // device the old one did.
+  if (built->disk != nullptr && cur->images().disk != nullptr) {
+    built->disk->set_read_latency_micros(
+        cur->images().disk->read_latency_micros());
+  }
   PublishSnapshot(std::make_shared<DatabaseSnapshot>(
                       cur->epoch() + 1, std::move(built), /*overlay=*/nullptr,
                       cur->document_roots(), options_.build),

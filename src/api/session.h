@@ -182,7 +182,9 @@ class Session {
   /// (SessionOptions::private_pool_pages), or nullptr on the memory
   /// backend. Exposed for experiment control (cold starts, fault
   /// accounting) -- queries never need it.
-  storage::BufferPool* pool() const { return eval_options_.pool; }
+  storage::BufferPool* pool() const {
+    return xpath::ImagePool(eval_options_.image);
+  }
 
  private:
   friend class Database;
@@ -241,8 +243,8 @@ class Session {
   /// (cleared wholesale when full; refilling costs one shared lookup
   /// per key).
   std::unordered_map<std::string, PlanMemoEntry> plan_memo_;
-  /// Non-null iff private_pool_pages was set; eval_options_.pool then
-  /// points here (heap-allocated, so moving the session keeps it valid).
+  /// Non-null iff private_pool_pages was set; the image handle's pool
+  /// then points here (heap-allocated, so moving the session keeps it valid).
   std::unique_ptr<storage::BufferPool> private_pool_;
   xpath::EvalOptions eval_options_;
   /// The internal engine; owns the per-session EXPLAIN state.

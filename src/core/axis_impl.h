@@ -4,10 +4,11 @@
 // This header holds the ONE implementation of the child / parent /
 // attribute / following-sibling / preceding-sibling / self axis steps,
 // parameterized over a DocAccessor (core/doc_accessor.h) exactly like
-// the staircase kernels of core/kernels.h. The public entry points are
-// AxisCursorStep (core/axis_step.cc, in-memory backend) and
-// storage::PagedAxisCursorStep (storage/paged_doc.cc, buffer-pool
-// backend); baselines/naive.h remains as the per-context oracle only.
+// the staircase kernels of core/kernels.h. The public entry point is
+// AxisCursorStep (core/axis_step.cc, in-memory backend); the evaluator
+// runs the same kernels over every backend's accessor
+// (xpath/backend_dispatch.h); baselines/naive.h remains as the
+// per-context oracle only.
 //
 // The three sibling-shaped axes (child, following-sibling,
 // preceding-sibling) reduce to the same sorted-context merge: each
@@ -267,8 +268,7 @@ NodeSequence FilterSequenceOver(A& acc, const NodeSequence& nodes,
 
 /// The non-staircase axis step over any backend: validation, frame
 /// construction with covered-context pruning, the merge scan, stats.
-/// AxisCursorStep and PagedAxisCursorStep are thin shims around this
-/// function.
+/// AxisCursorStep is a thin shim around this function.
 template <DocAccessor A>
 Result<NodeSequence> AxisStepOver(A& acc, const NodeSequence& context,
                                   Axis axis, const AxisNodeTest& test,

@@ -12,11 +12,4 @@ Result<NodeSequence> AxisCursorStep(const DocTable& doc,
   return internal::AxisStepOver(acc, context, axis, test, stats);
 }
 
-NodeSequence FilterByTestSequence(const DocTable& doc,
-                                  const NodeSequence& nodes,
-                                  const AxisNodeTest& test) {
-  MemoryDocAccessor acc(doc);
-  return internal::FilterSequenceOver(acc, nodes, test);
-}
-
 }  // namespace sj

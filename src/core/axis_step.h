@@ -11,8 +11,8 @@
 // step's node test folded into the scan so no per-node post-filter over
 // resident columns remains. The kernel bodies live in core/axis_impl.h
 // (internal, backend-generic); AxisCursorStep below instantiates them
-// with the in-memory backend, storage::PagedAxisCursorStep with the
-// buffer-pool backend.
+// with the in-memory backend, the evaluator (xpath/backend_dispatch.h)
+// with the session image's accessor.
 
 #ifndef STAIRJOIN_CORE_AXIS_STEP_H_
 #define STAIRJOIN_CORE_AXIS_STEP_H_
@@ -90,14 +90,6 @@ Result<NodeSequence> AxisCursorStep(const DocTable& doc,
                                     const NodeSequence& context, Axis axis,
                                     const AxisNodeTest& test = {},
                                     JoinStats* stats = nullptr);
-
-/// \brief Keeps the nodes of a document-order sequence that satisfy
-/// `test`, reading kind/tag through the in-memory columns (the
-/// set-at-a-time replacement for per-node FilterByTest loops after a
-/// staircase-axis join).
-NodeSequence FilterByTestSequence(const DocTable& doc,
-                                  const NodeSequence& nodes,
-                                  const AxisNodeTest& test);
 
 }  // namespace sj
 

@@ -188,8 +188,7 @@ void FragJoinPreceding(F& frag, A& acc, NodeId big, SkipMode mode,
 /// The fragment staircase join over any backend pair: validation, pruning
 /// (Algorithm 1 over the *document* accessor -- context nodes are doc
 /// rows), the per-axis fragment drivers above, stats. StaircaseJoinView
-/// (core/tag_view.cc) and PagedStaircaseJoinView (storage/paged_tags.cc)
-/// are thin shims around this function.
+/// (core/tag_view.cc) is a thin shim around this function.
 ///
 /// -or-self semantics: a context node contributes itself iff it is a
 /// member of the fragment (found by binary search on the pre column), so

@@ -2,8 +2,9 @@
 // over the storage backend (core/doc_accessor.h).
 //
 // This header is internal to the library: the stable entry points are
-// StaircaseJoin (core/staircase_join.h), ParallelStaircaseJoin
-// (core/parallel.h) and their paged twins (storage/paged_doc.h). The
+// StaircaseJoin (core/staircase_join.h) and ParallelStaircaseJoin
+// (core/parallel.h); the evaluator drives the same joins over every
+// backend's accessor (xpath/backend_dispatch.h). The
 // kernels are exposed here so that the join drivers, the parallel workers
 // and the micro benchmarks all instantiate exactly the same loops.
 

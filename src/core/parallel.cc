@@ -32,12 +32,6 @@ Result<NodeSequence> ParallelStaircaseJoin(const DocTable& doc,
                                            const StaircaseOptions& options,
                                            unsigned num_threads,
                                            JoinStats* stats) {
-  const bool desc =
-      axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
-  const bool anc = axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
-  if ((!desc && !anc) || num_threads < 2 || context.size() < 2) {
-    return StaircaseJoin(doc, context, axis, options, stats);
-  }
   return internal::ParallelStaircaseJoinOver(
       [&doc] { return MemoryDocAccessor(doc); }, context, axis, options,
       num_threads, stats);

@@ -8,8 +8,8 @@
 //
 // The partitioned driver itself is backend-generic
 // (core/staircase_impl.h); this entry point instantiates it with
-// MemoryDocAccessor, storage/paged_doc.h's ParallelPagedStaircaseJoin
-// with the buffer-pool cursor.
+// MemoryDocAccessor, the evaluator (xpath/backend_dispatch.h) with the
+// session image's accessor.
 
 #ifndef STAIRJOIN_CORE_PARALLEL_H_
 #define STAIRJOIN_CORE_PARALLEL_H_

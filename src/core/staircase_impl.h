@@ -256,8 +256,8 @@ void MergeLostAttributeSelves(A& acc, const NodeSequence& context,
 }
 
 /// The staircase join over any backend: validation, pruning, partition
-/// scans, -or-self repair, stats. The public StaircaseJoin and
-/// PagedStaircaseJoin are thin shims around this function.
+/// scans, -or-self repair, stats. The public StaircaseJoin is a thin
+/// shim around this function over the in-memory columns.
 template <DocAccessor A>
 Result<NodeSequence> StaircaseJoinOver(A& acc, const NodeSequence& context,
                                        Axis axis,
@@ -381,26 +381,41 @@ void ParallelWorkerAnc(A& acc, const NodeSequence& kept, size_t lo, size_t hi,
 /// per worker (for a paged backend each cursor holds its own pinned
 /// pages over a shared, thread-safe buffer pool).
 ///
-/// Only called for the descendant/ancestor (+ -or-self) axes with
-/// num_threads >= 2 and |context| >= 2; the public wrappers delegate the
-/// remaining cases to the serial join.
+/// The gate lives here, once for every backend: only the descendant/
+/// ancestor (+ -or-self) axes with at least two workers and |context| >=
+/// 2 run partitioned; everything else runs the serial join over one
+/// accessor. `pool_capacity` (0: no pool) caps the workers so each can
+/// hold its column pages pinned at once: the staircase kernels read only
+/// the post/kind/level columns (three pinned pages per worker), and the
+/// driver's own pruning accessor holds one more.
 template <typename Factory>
 Result<NodeSequence> ParallelStaircaseJoinOver(Factory&& make_accessor,
                                                const NodeSequence& context,
                                                Axis axis,
                                                const StaircaseOptions& options,
                                                unsigned num_threads,
-                                               JoinStats* stats) {
+                                               JoinStats* stats,
+                                               size_t pool_capacity = 0) {
+  const bool desc =
+      axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
+  const bool anc = axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
+  unsigned workers = num_threads;
+  if (pool_capacity > 0) {
+    workers = std::min(workers, std::max(1u, static_cast<unsigned>(
+                                                 (pool_capacity - 1) / 3)));
+  }
+  if ((!desc && !anc) || workers < 2 || context.size() < 2) {
+    auto acc = make_accessor();
+    return StaircaseJoinOver(acc, context, axis, options, stats);
+  }
+
   auto main_acc = make_accessor();
   SJ_RETURN_NOT_OK(ValidateContext(main_acc, context));
 
   NodeSequence kept = PruneContextOver(main_acc, context, axis);
   if (!main_acc.ok()) return main_acc.status();
-  unsigned workers = num_threads;
   if (workers > kept.size()) workers = static_cast<unsigned>(kept.size());
 
-  const bool desc =
-      axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
   const bool or_self =
       axis == Axis::kDescendantOrSelf || axis == Axis::kAncestorOrSelf;
 

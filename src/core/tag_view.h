@@ -62,7 +62,8 @@ class TagIndex {
 ///
 /// A thin shim over the backend-generic fragment join
 /// (core/fragment_impl.h) instantiated with MemoryFragmentCursor; the
-/// paged twin is storage::PagedStaircaseJoinView.
+/// pool-backed backends run the same body through the evaluator's
+/// cursors (xpath/backend_dispatch.h).
 ///
 /// Supports the staircase axes. Skipping uses binary search on the
 /// projection's pre column instead of pre-rank arithmetic. The context is

@@ -43,6 +43,7 @@
 #define STAIRJOIN_CORE_TWIG_IMPL_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/doc_accessor.h"
@@ -245,6 +246,31 @@ Result<NodeSequence> TwigJoinOver(const std::vector<F*>& cursors, A& acc,
   if (stats != nullptr) *stats = local;
   if (level_stats != nullptr) *level_stats = std::move(per_level);
   return result;
+}
+
+/// TwigJoinOver with cursors it builds and owns: `make_cursor(tag)`
+/// returns one level's cursor by value, `make_accessor()` the accessor,
+/// built after the cursors. Cursors may hold PageGuards (pinned state,
+/// non-movable), so each is constructed in place on the heap and the
+/// join borrows raw pointers.
+template <typename MakeCursor, typename MakeAccessor>
+Result<NodeSequence> TwigJoinWithOwnedCursors(
+    MakeCursor&& make_cursor, MakeAccessor&& make_accessor,
+    const NodeSequence& context, const std::vector<TwigLevel>& levels,
+    const StaircaseOptions& options, JoinStats* stats,
+    std::vector<TwigLevelStats>* level_stats) {
+  using Cursor = decltype(make_cursor(TagId{}));
+  std::vector<std::unique_ptr<Cursor>> owned;
+  std::vector<Cursor*> cursors;
+  owned.reserve(levels.size());
+  cursors.reserve(levels.size());
+  for (const TwigLevel& level : levels) {
+    owned.emplace_back(new Cursor(make_cursor(level.tag)));
+    cursors.push_back(owned.back().get());
+  }
+  auto acc = make_accessor();
+  return TwigJoinOver(cursors, acc, context, levels, options, stats,
+                      level_stats);
 }
 
 }  // namespace sj::internal

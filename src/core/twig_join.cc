@@ -1,7 +1,5 @@
 #include "core/twig_join.h"
 
-#include <memory>
-
 #include "core/doc_accessor.h"
 #include "core/fragment_cursor.h"
 #include "core/twig_impl.h"
@@ -16,18 +14,10 @@ Result<NodeSequence> TwigJoin(const DocTable& doc, const TagIndex& tags,
                               const StaircaseOptions& options,
                               JoinStats* stats,
                               std::vector<TwigLevelStats>* level_stats) {
-  std::vector<std::unique_ptr<MemoryFragmentCursor>> owned;
-  std::vector<MemoryFragmentCursor*> cursors;
-  owned.reserve(levels.size());
-  cursors.reserve(levels.size());
-  for (const TwigLevel& level : levels) {
-    owned.push_back(
-        std::make_unique<MemoryFragmentCursor>(tags.view(level.tag)));
-    cursors.push_back(owned.back().get());
-  }
-  MemoryDocAccessor acc(doc);
-  return internal::TwigJoinOver(cursors, acc, context, levels, options, stats,
-                                level_stats);
+  return internal::TwigJoinWithOwnedCursors(
+      [&tags](TagId tag) { return MemoryFragmentCursor(tags.view(tag)); },
+      [&doc] { return MemoryDocAccessor(doc); }, context, levels, options,
+      stats, level_stats);
 }
 
 }  // namespace sj

@@ -14,8 +14,8 @@
 //
 // One backend-generic implementation lives in core/twig_impl.h; this
 // header holds the shared plan/stats types and the in-memory shim. The
-// buffer-pool twins are storage::PagedTwigJoin (storage/paged_tags.h)
-// and storage::CompressedTwigJoin (storage/compressed_tags.h).
+// evaluator runs the same body over every backend's fragment cursors
+// (xpath/backend_dispatch.h).
 
 #ifndef STAIRJOIN_CORE_TWIG_JOIN_H_
 #define STAIRJOIN_CORE_TWIG_JOIN_H_

@@ -55,7 +55,8 @@ std::vector<Segment> RemoveRun(std::vector<Segment>& segs, uint64_t pos,
   return removed;
 }
 
-uint64_t TotalCount(const std::vector<Segment>& segs) {
+/// Only an assert reads this, so NDEBUG builds leave it unused.
+[[maybe_unused]] uint64_t TotalCount(const std::vector<Segment>& segs) {
   uint64_t n = 0;
   for (const Segment& s : segs) n += s.count;
   return n;

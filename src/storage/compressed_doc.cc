@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "core/axis_impl.h"
-#include "core/staircase_impl.h"
-#include "storage/compressed_accessor.h"
 #include "storage/paged_doc.h"
 
 namespace sj::storage {
@@ -179,68 +176,6 @@ Status CompressedDocTable::ValidateImage(const SimulatedDisk& disk) const {
   SJ_RETURN_NOT_OK(ValidateCompressedColumn(disk, parent_, "parent column"));
   SJ_RETURN_NOT_OK(ValidateCompressedColumn(disk, tag_, "tag column"));
   return Status::OK();
-}
-
-Result<NodeSequence> CompressedStaircaseJoin(const CompressedDocTable& doc,
-                                             BufferPool* pool,
-                                             const NodeSequence& context,
-                                             Axis axis,
-                                             const StaircaseOptions& options,
-                                             JoinStats* stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  CompressedDocAccessor acc(doc, pool);
-  return internal::StaircaseJoinOver(acc, context, axis, options, stats);
-}
-
-Result<NodeSequence> ParallelCompressedStaircaseJoin(
-    const CompressedDocTable& doc, BufferPool* pool,
-    const NodeSequence& context, Axis axis, const StaircaseOptions& options,
-    unsigned num_threads, JoinStats* stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  const bool desc =
-      axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
-  const bool anc = axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
-  // Same pin budget as the paged parallel join: the staircase kernels
-  // read only post/kind/level, so each worker holds at most three pinned
-  // pages, plus one for the driver's pruning accessor.
-  unsigned max_workers = static_cast<unsigned>((pool->capacity() - 1) / 3);
-  unsigned workers = std::min(num_threads, std::max(1u, max_workers));
-  if ((!desc && !anc) || workers < 2 || context.size() < 2) {
-    return CompressedStaircaseJoin(doc, pool, context, axis, options, stats);
-  }
-  return internal::ParallelStaircaseJoinOver(
-      [&doc, pool] { return CompressedDocAccessor(doc, pool); }, context,
-      axis, options, workers, stats);
-}
-
-Result<NodeSequence> CompressedAxisCursorStep(const CompressedDocTable& doc,
-                                              BufferPool* pool,
-                                              const NodeSequence& context,
-                                              Axis axis,
-                                              const AxisNodeTest& test,
-                                              JoinStats* stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  CompressedDocAccessor acc(doc, pool);
-  return internal::AxisStepOver(acc, context, axis, test, stats);
-}
-
-Result<NodeSequence> CompressedFilterByTest(const CompressedDocTable& doc,
-                                            BufferPool* pool,
-                                            const NodeSequence& nodes,
-                                            const AxisNodeTest& test) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  CompressedDocAccessor acc(doc, pool);
-  NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-  if (!acc.ok()) return acc.status();
-  return out;
 }
 
 }  // namespace sj::storage

@@ -1,12 +1,13 @@
-// Compressed document columns and the compressed staircase/axis shims.
+// Compressed document columns.
 //
 // CompressedDocTable lays the doc encoding's post/kind/level/parent/tag
 // columns out as block-wise FOR/delta images (encoding/block_codec.h) on
 // disk pages behind a BufferPool: the third DocAccessor backend the
-// cursor abstractions were built for. The join algorithms themselves
-// live ONCE in core/ (core/staircase_impl.h, core/axis_impl.h), generic
-// over the DocAccessor concept; the shims below instantiate those
-// kernels with CompressedDocAccessor (storage/compressed_accessor.h).
+// cursor abstractions were built for. The join algorithms live ONCE in
+// core/ (core/staircase_impl.h, core/axis_impl.h), generic over the
+// DocAccessor concept, and read this image through
+// CompressedDocAccessor (storage/compressed_accessor.h), built at the
+// evaluator's one accessor-construction site (xpath/backend_dispatch.h).
 // Because a compressed column occupies a fraction of the pages of its
 // uncompressed image, the same staircase scan faults strictly fewer
 // pages at equal page size -- skipping saves *compressed* pages never
@@ -28,8 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/axis_step.h"
-#include "core/staircase_join.h"
 #include "encoding/block_codec.h"
 #include "encoding/doc_table.h"
 #include "storage/buffer_pool.h"
@@ -135,41 +134,6 @@ class CompressedDocTable {
   CompressedColumn parent_;
   CompressedColumn tag_;
 };
-
-/// \brief Staircase join over compressed columns.
-///
-/// A shim over the backend-generic staircase join (core/staircase_impl.h)
-/// instantiated with CompressedDocAccessor. Semantics identical to
-/// StaircaseJoin / PagedStaircaseJoin for every staircase axis; `stats`
-/// counts touched nodes as usual while the pool's PoolStats counts
-/// compressed-page pins/faults.
-Result<NodeSequence> CompressedStaircaseJoin(
-    const CompressedDocTable& doc, BufferPool* pool,
-    const NodeSequence& context, Axis axis,
-    const StaircaseOptions& options = {}, JoinStats* stats = nullptr);
-
-/// \brief Partitioned parallel staircase join over compressed columns
-/// (descendant/ancestor axes; other cases delegate to the serial join).
-Result<NodeSequence> ParallelCompressedStaircaseJoin(
-    const CompressedDocTable& doc, BufferPool* pool,
-    const NodeSequence& context, Axis axis,
-    const StaircaseOptions& options = {}, unsigned num_threads = 1,
-    JoinStats* stats = nullptr);
-
-/// \brief Set-at-a-time non-staircase axis step over compressed columns
-/// (the compressed twin of AxisCursorStep / PagedAxisCursorStep).
-Result<NodeSequence> CompressedAxisCursorStep(
-    const CompressedDocTable& doc, BufferPool* pool,
-    const NodeSequence& context, Axis axis, const AxisNodeTest& test = {},
-    JoinStats* stats = nullptr);
-
-/// \brief Node-test filter over compressed columns: keeps the nodes of a
-/// document-order sequence that satisfy `test`, reading kind/tag through
-/// `pool`.
-Result<NodeSequence> CompressedFilterByTest(const CompressedDocTable& doc,
-                                            BufferPool* pool,
-                                            const NodeSequence& nodes,
-                                            const AxisNodeTest& test);
 
 }  // namespace sj::storage
 

@@ -3,9 +3,7 @@
 #include <memory>
 #include <string>
 
-#include "core/fragment_impl.h"
 #include "core/tag_view.h"
-#include "core/twig_impl.h"
 #include "storage/paged_tags.h"
 
 namespace sj::storage {
@@ -50,44 +48,6 @@ Status CompressedTagIndex::ValidateImage(const SimulatedDisk& disk) const {
         disk, frag.post, "fragment post column of tag " + tag));
   }
   return Status::OK();
-}
-
-Result<NodeSequence> CompressedStaircaseJoinView(
-    const CompressedTagIndex& tags, TagId tag, const CompressedDocTable& doc,
-    BufferPool* pool, const NodeSequence& context, Axis axis,
-    const StaircaseOptions& options, JoinStats* stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  CompressedFragmentCursor frag(tags.fragment(tag), pool);
-  CompressedDocAccessor acc(doc, pool);
-  return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                             options, stats);
-}
-
-Result<NodeSequence> CompressedTwigJoin(
-    const CompressedTagIndex& tags, const CompressedDocTable& doc,
-    BufferPool* pool, const NodeSequence& context,
-    const std::vector<TwigLevel>& levels, const StaircaseOptions& options,
-    JoinStats* stats, std::vector<TwigLevelStats>* level_stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  // Cursors hold pinned pages and decoded-block frames (non-movable),
-  // so they live behind unique_ptrs and the generic body borrows raw
-  // pointers.
-  std::vector<std::unique_ptr<CompressedFragmentCursor>> owned;
-  std::vector<CompressedFragmentCursor*> cursors;
-  owned.reserve(levels.size());
-  cursors.reserve(levels.size());
-  for (const TwigLevel& level : levels) {
-    owned.push_back(std::make_unique<CompressedFragmentCursor>(
-        tags.fragment(level.tag), pool));
-    cursors.push_back(owned.back().get());
-  }
-  CompressedDocAccessor acc(doc, pool);
-  return internal::TwigJoinOver(cursors, acc, context, levels, options, stats,
-                                level_stats);
 }
 
 }  // namespace sj::storage

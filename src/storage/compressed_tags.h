@@ -6,10 +6,10 @@
 // (encoding/block_codec.h) behind the shared BufferPool; a fragment's
 // strictly monotone pre list is the codec's best case (small positive
 // deltas). CompressedFragmentCursor implements the FragmentCursor
-// concept (core/fragment_cursor.h) over one such fragment, and
-// CompressedStaircaseJoinView instantiates the ONE fragment join body
-// (core/fragment_impl.h) with it -- the compressed twin of
-// StaircaseJoinView / PagedStaircaseJoinView. Name-test pushdown then
+// concept (core/fragment_cursor.h) over one such fragment; the
+// evaluator builds it at its one fragment-cursor construction site
+// (xpath/backend_dispatch.h) for the ONE fragment and twig join bodies
+// (core/fragment_impl.h, core/twig_impl.h). Name-test pushdown then
 // faults compressed fragment pages: strictly fewer of them than the
 // paged fragments at equal page size.
 //
@@ -26,8 +26,6 @@
 #include <vector>
 
 #include "core/fragment_cursor.h"
-#include "core/staircase_join.h"
-#include "core/twig_join.h"
 #include "encoding/doc_table.h"
 #include "storage/buffer_pool.h"
 #include "storage/compressed_accessor.h"
@@ -205,34 +203,6 @@ class CompressedFragmentCursor {
 };
 
 static_assert(FragmentCursor<CompressedFragmentCursor>);
-
-/// \brief Staircase join over a compressed tag fragment: the compressed
-/// name-test pushdown path.
-///
-/// A shim over the backend-generic fragment join (core/fragment_impl.h)
-/// instantiated with CompressedFragmentCursor + CompressedDocAccessor.
-/// Semantics identical to StaircaseJoinView / PagedStaircaseJoinView;
-/// fragment slot reads AND context postorder reads go through `pool`.
-/// `doc` and `tags` must be built over the same disk as `pool`.
-Result<NodeSequence> CompressedStaircaseJoinView(
-    const CompressedTagIndex& tags, TagId tag, const CompressedDocTable& doc,
-    BufferPool* pool, const NodeSequence& context, Axis axis,
-    const StaircaseOptions& options = {}, JoinStats* stats = nullptr);
-
-/// \brief Holistic twig join over compressed tag fragments.
-///
-/// A shim over the backend-generic twig body (core/twig_impl.h)
-/// instantiated with one CompressedFragmentCursor per level plus a
-/// CompressedDocAccessor. Semantics identical to TwigJoin /
-/// PagedTwigJoin; the same merge faults compressed fragment blocks --
-/// strictly fewer pages than the paged fragments at equal page size.
-/// `doc` and `tags` must be built over the same disk as `pool`.
-Result<NodeSequence> CompressedTwigJoin(
-    const CompressedTagIndex& tags, const CompressedDocTable& doc,
-    BufferPool* pool, const NodeSequence& context,
-    const std::vector<TwigLevel>& levels, const StaircaseOptions& options = {},
-    JoinStats* stats = nullptr,
-    std::vector<TwigLevelStats>* level_stats = nullptr);
 
 }  // namespace sj::storage
 

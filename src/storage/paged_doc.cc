@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "core/axis_impl.h"
-#include "core/staircase_impl.h"
-#include "storage/paged_accessor.h"
 
 namespace sj::storage {
 namespace {
@@ -95,70 +92,6 @@ Result<uint32_t> PagedDocTable::PostAt(BufferPool* pool, NodeId v) const {
               sizeof(uint32_t));
   SJ_RETURN_NOT_OK(pool->Unpin(PostPage(v)));
   return value;
-}
-
-Result<NodeSequence> PagedStaircaseJoin(const PagedDocTable& doc,
-                                        BufferPool* pool,
-                                        const NodeSequence& context, Axis axis,
-                                        const StaircaseOptions& options,
-                                        JoinStats* stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  PagedDocAccessor acc(doc, pool);
-  return internal::StaircaseJoinOver(acc, context, axis, options, stats);
-}
-
-Result<NodeSequence> ParallelPagedStaircaseJoin(const PagedDocTable& doc,
-                                                BufferPool* pool,
-                                                const NodeSequence& context,
-                                                Axis axis,
-                                                const StaircaseOptions& options,
-                                                unsigned num_threads,
-                                                JoinStats* stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  const bool desc =
-      axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
-  const bool anc = axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
-  // Each worker holds up to three pinned pages (the staircase kernels
-  // read only the post/kind/level columns, never parent/tag), and the
-  // driver's own accessor holds one more during pruning; leave room so
-  // no worker starves the pool.
-  unsigned max_workers = static_cast<unsigned>((pool->capacity() - 1) / 3);
-  unsigned workers = std::min(num_threads, std::max(1u, max_workers));
-  if ((!desc && !anc) || workers < 2 || context.size() < 2) {
-    return PagedStaircaseJoin(doc, pool, context, axis, options, stats);
-  }
-  return internal::ParallelStaircaseJoinOver(
-      [&doc, pool] { return PagedDocAccessor(doc, pool); }, context, axis,
-      options, workers, stats);
-}
-
-Result<NodeSequence> PagedAxisCursorStep(const PagedDocTable& doc,
-                                         BufferPool* pool,
-                                         const NodeSequence& context, Axis axis,
-                                         const AxisNodeTest& test,
-                                         JoinStats* stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  PagedDocAccessor acc(doc, pool);
-  return internal::AxisStepOver(acc, context, axis, test, stats);
-}
-
-Result<NodeSequence> PagedFilterByTest(const PagedDocTable& doc,
-                                       BufferPool* pool,
-                                       const NodeSequence& nodes,
-                                       const AxisNodeTest& test) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  PagedDocAccessor acc(doc, pool);
-  NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-  if (!acc.ok()) return acc.status();
-  return out;
 }
 
 }  // namespace sj::storage

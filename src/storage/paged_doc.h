@@ -1,23 +1,20 @@
-// Paged document columns and the paged staircase/axis join shims.
+// Paged document columns.
 //
 // PagedDocTable lays the doc encoding's post/kind/level/parent/tag
 // columns out in disk pages (column-wise, 2048 ranks or 8192 kind/level
-// bytes per page) behind a BufferPool. The join algorithms themselves
-// live ONCE in core/ (core/staircase_impl.h for the staircase axes,
-// core/axis_impl.h for the remaining axes), generic over the
-// DocAccessor cursor concept; PagedStaircaseJoin,
-// ParallelPagedStaircaseJoin and PagedAxisCursorStep below are thin
-// shims that instantiate those kernels with the PagedDocAccessor
-// backend (storage/paged_accessor.h). Skipping then turns the paper's
-// "nodes never touched" directly into disk pages never read.
+// bytes per page) behind a BufferPool. This file holds the image only:
+// the join algorithms live ONCE in core/ (core/staircase_impl.h,
+// core/axis_impl.h), generic over the DocAccessor concept, and read the
+// image through PagedDocAccessor (storage/paged_accessor.h), which the
+// evaluator builds at its one accessor-construction site
+// (xpath/backend_dispatch.h). Skipping then turns the paper's "nodes
+// never touched" directly into disk pages never read.
 
 #ifndef STAIRJOIN_STORAGE_PAGED_DOC_H_
 #define STAIRJOIN_STORAGE_PAGED_DOC_H_
 
 #include <memory>
 
-#include "core/axis_step.h"
-#include "core/staircase_join.h"
 #include "encoding/doc_table.h"
 #include "storage/buffer_pool.h"
 
@@ -95,52 +92,6 @@ class PagedDocTable {
   std::vector<PageId> parent_pages_;
   std::vector<PageId> tag_pages_;
 };
-
-/// \brief Staircase join over paged columns.
-///
-/// A shim over the backend-generic staircase join (core/staircase_impl.h)
-/// instantiated with PagedDocAccessor. Semantics identical to
-/// StaircaseJoin for every staircase axis; `stats` counts touched nodes
-/// as usual while the pool's PoolStats counts page pins/faults. Context
-/// node ranks are read through the pool as well (they are doc rows, as
-/// the paper stresses).
-Result<NodeSequence> PagedStaircaseJoin(const PagedDocTable& doc,
-                                        BufferPool* pool,
-                                        const NodeSequence& context, Axis axis,
-                                        const StaircaseOptions& options = {},
-                                        JoinStats* stats = nullptr);
-
-/// \brief Partitioned parallel staircase join over paged columns.
-///
-/// Each worker runs the shared partition kernels through its own
-/// PagedDocAccessor over the (thread-safe) pool. The worker count is
-/// capped so every worker can hold its column pages pinned concurrently
-/// (three pages per worker); descendant/ancestor axes only, other
-/// staircase axes and num_threads < 2 delegate to PagedStaircaseJoin.
-Result<NodeSequence> ParallelPagedStaircaseJoin(
-    const PagedDocTable& doc, BufferPool* pool, const NodeSequence& context,
-    Axis axis, const StaircaseOptions& options = {}, unsigned num_threads = 1,
-    JoinStats* stats = nullptr);
-
-/// \brief Set-at-a-time non-staircase axis step over paged columns.
-///
-/// A shim over the backend-generic axis kernels (core/axis_impl.h)
-/// instantiated with PagedDocAccessor: the IO-conscious twin of
-/// AxisCursorStep (core/axis_step.h). Every post/kind/level/parent/tag
-/// read -- including the folded node test -- is charged to `pool`.
-Result<NodeSequence> PagedAxisCursorStep(const PagedDocTable& doc,
-                                         BufferPool* pool,
-                                         const NodeSequence& context, Axis axis,
-                                         const AxisNodeTest& test = {},
-                                         JoinStats* stats = nullptr);
-
-/// \brief Node-test filter over paged columns: keeps the nodes of a
-/// document-order sequence that satisfy `test`, reading kind/tag through
-/// `pool` (the IO-conscious twin of FilterByTest's per-node reads).
-Result<NodeSequence> PagedFilterByTest(const PagedDocTable& doc,
-                                       BufferPool* pool,
-                                       const NodeSequence& nodes,
-                                       const AxisNodeTest& test);
 
 }  // namespace sj::storage
 

@@ -1,10 +1,6 @@
 #include "storage/paged_tags.h"
 
-#include <memory>
-
-#include "core/fragment_impl.h"
 #include "core/tag_view.h"
-#include "core/twig_impl.h"
 
 namespace sj::storage {
 
@@ -55,49 +51,6 @@ uint64_t PagedTagIndex::directory_bytes() const {
              frag.fence_pre.capacity() * sizeof(NodeId);
   }
   return bytes;
-}
-
-Result<NodeSequence> PagedStaircaseJoinView(const PagedTagIndex& tags,
-                                            TagId tag,
-                                            const PagedDocTable& doc,
-                                            BufferPool* pool,
-                                            const NodeSequence& context,
-                                            Axis axis,
-                                            const StaircaseOptions& options,
-                                            JoinStats* stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  PagedFragmentCursor frag(tags.fragment(tag), pool);
-  PagedDocAccessor acc(doc, pool);
-  return internal::FragmentStaircaseJoinOver(frag, acc, context, axis, options,
-                                             stats);
-}
-
-Result<NodeSequence> PagedTwigJoin(const PagedTagIndex& tags,
-                                   const PagedDocTable& doc, BufferPool* pool,
-                                   const NodeSequence& context,
-                                   const std::vector<TwigLevel>& levels,
-                                   const StaircaseOptions& options,
-                                   JoinStats* stats,
-                                   std::vector<TwigLevelStats>* level_stats) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("pool must not be null");
-  }
-  // Cursors hold PageGuards (pinned state, non-movable), so they live
-  // behind unique_ptrs and the generic body borrows raw pointers.
-  std::vector<std::unique_ptr<PagedFragmentCursor>> owned;
-  std::vector<PagedFragmentCursor*> cursors;
-  owned.reserve(levels.size());
-  cursors.reserve(levels.size());
-  for (const TwigLevel& level : levels) {
-    owned.push_back(std::make_unique<PagedFragmentCursor>(
-        tags.fragment(level.tag), pool));
-    cursors.push_back(owned.back().get());
-  }
-  PagedDocAccessor acc(doc, pool);
-  return internal::TwigJoinOver(cursors, acc, context, levels, options, stats,
-                                level_stats);
 }
 
 }  // namespace sj::storage

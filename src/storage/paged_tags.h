@@ -4,9 +4,10 @@
 // (core/tag_view.h) out in disk pages behind the shared BufferPool, with
 // a per-fragment page directory. PagedFragmentCursor implements the
 // FragmentCursor concept (core/fragment_cursor.h) over one such
-// fragment, and PagedStaircaseJoinView instantiates the ONE fragment
-// join body (core/fragment_impl.h) with it -- the IO-conscious twin of
-// StaircaseJoinView. Name-test pushdown (paper Section 4.4) then turns
+// fragment; the evaluator builds it at its one fragment-cursor
+// construction site (xpath/backend_dispatch.h) and hands it to the ONE
+// fragment join body (core/fragment_impl.h) and twig body
+// (core/twig_impl.h). Name-test pushdown (paper Section 4.4) then turns
 // "nodes never touched" into fragment pages never read, instead of
 // silently bypassing the pool through the memory-resident TagIndex.
 //
@@ -23,8 +24,6 @@
 #include <vector>
 
 #include "core/fragment_cursor.h"
-#include "core/staircase_join.h"
-#include "core/twig_join.h"
 #include "encoding/doc_table.h"
 #include "storage/buffer_pool.h"
 #include "storage/paged_accessor.h"
@@ -231,37 +230,6 @@ class PagedFragmentCursor {
 };
 
 static_assert(FragmentCursor<PagedFragmentCursor>);
-
-/// \brief Staircase join over a paged tag fragment: the IO-conscious
-/// name-test pushdown path.
-///
-/// A shim over the backend-generic fragment join (core/fragment_impl.h)
-/// instantiated with PagedFragmentCursor + PagedDocAccessor. Semantics
-/// identical to StaircaseJoinView; fragment slot reads AND context
-/// postorder reads go through `pool` (context nodes are doc rows, as the
-/// paper stresses), so PoolStats charges the whole pushed-down step.
-/// `doc` and `tags` must be built over the same disk as `pool`.
-Result<NodeSequence> PagedStaircaseJoinView(
-    const PagedTagIndex& tags, TagId tag, const PagedDocTable& doc,
-    BufferPool* pool, const NodeSequence& context, Axis axis,
-    const StaircaseOptions& options = {}, JoinStats* stats = nullptr);
-
-/// \brief Holistic twig join over paged tag fragments: the IO-conscious
-/// chain-collapse path.
-///
-/// A shim over the backend-generic twig body (core/twig_impl.h)
-/// instantiated with one PagedFragmentCursor per level plus a
-/// PagedDocAccessor. Semantics identical to TwigJoin; every fragment
-/// slot read AND every context/candidate postorder or level read is
-/// charged to `pool`, and leapfrogged slots become fragment pages never
-/// faulted. Holds up to 2k + 5 pinned pages at once (two per cursor,
-/// five for the accessor) -- the pool must have at least that many
-/// frames. `doc` and `tags` must be built over the same disk as `pool`.
-Result<NodeSequence> PagedTwigJoin(
-    const PagedTagIndex& tags, const PagedDocTable& doc, BufferPool* pool,
-    const NodeSequence& context, const std::vector<TwigLevel>& levels,
-    const StaircaseOptions& options = {}, JoinStats* stats = nullptr,
-    std::vector<TwigLevelStats>* level_stats = nullptr);
 
 }  // namespace sj::storage
 

@@ -1,79 +1,209 @@
 // The ONE backend-selection point of the engine (internal header).
 //
-// Every per-backend shim family a step can run through -- staircase
-// join, name-test pushdown join, axis cursor, node-test filter, twig
-// join, fragment statistics, wiring validation -- dispatches here as an
-// exhaustive switch over StorageBackend with no default case, so a new
-// backend (or a new operation) that misses a site is a -Wswitch warning
-// at compile time instead of a silent fall-through to the memory path.
+// Every kernel is written once over the DocAccessor / FragmentCursor
+// concepts (core/*_impl.h); what differs per session is only WHICH
+// cursors a step reads through. The session's image handle
+// (EvalOptions::image, one BackendImage variant) names them, and this
+// class turns it into cursors at exactly two construction sites:
 //
-// This file is the only place allowed to compare or switch on
-// StorageBackend: sj-lint (tools/lint/sj_lint.py, rule backend-dispatch)
-// fails on a comparison or switch anywhere else under src/, which is
-// what keeps the dispatch exhaustive-by-construction promise honest as
-// the ROADMAP's mmap and sharded-collection backends land.
+//   StepBackend::MakeAccessor()  the step's DocAccessor over the image,
+//                                wrapped in delta::DeltaDocAccessor when
+//                                the snapshot carries a delta overlay;
+//   StepBackend::MakeCursor(tag) one tag's FragmentCursor, wrapped in
+//                                delta::DeltaFragmentCursor likewise.
+//
+// Each operation hands them straight to its generic kernel, so the
+// memory, paged and compressed backends -- pristine or overlaid -- run
+// the same template instantiations through the same lines. The only
+// per-backend knowledge is the ImageTraits table below (cursor types,
+// constructor arguments, EXPLAIN labels, page-cost unit).
+//
+// This file is also the only place allowed to compare or switch on
+// StorageBackend (MakeImage): sj-lint (tools/lint/sj_lint.py, rule
+// backend-dispatch) fails on a comparison or switch anywhere else under
+// src/, and on a storage or delta cursor constructed outside src/storage/,
+// src/delta/ and this file -- so per-backend shims cannot grow back.
 
 #ifndef STAIRJOIN_XPATH_BACKEND_DISPATCH_H_
 #define STAIRJOIN_XPATH_BACKEND_DISPATCH_H_
 
-#include <memory>
-#include <optional>
+#include <tuple>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/axis_impl.h"
-#include "core/axis_step.h"
 #include "core/fragment_impl.h"
 #include "core/staircase_impl.h"
 #include "core/twig_impl.h"
 #include "delta/delta_accessor.h"
 #include "storage/compressed_accessor.h"
+#include "storage/compressed_tags.h"
 #include "storage/paged_accessor.h"
+#include "storage/paged_tags.h"
 #include "xpath/evaluator.h"
 #include "xpath/explain_strings.h"
 
 namespace sj::xpath {
 
+/// Per-image cursor types and constructor arguments. The argument
+/// tuples only NAME what a cursor is built from; construction happens
+/// in StepBackend alone.
+template <typename Image>
+struct ImageTraits;
+
+template <>
+struct ImageTraits<MemoryImage> {
+  using Accessor = MemoryDocAccessor;
+  using Cursor = MemoryFragmentCursor;
+  static constexpr const char* kLabel = explain::kLabelMemory;
+  static constexpr const char* kOverlayLabel = explain::kLabelOverlayMemory;
+  static constexpr double kPageCost = kMemoryPageCost;
+  static auto AccessorArgs(const DocTable& doc, const MemoryImage&) {
+    return std::forward_as_tuple(doc);
+  }
+  static auto CursorArgs(const MemoryImage& img, TagId tag) {
+    return std::forward_as_tuple(img.tags->view(tag));
+  }
+};
+
+template <>
+struct ImageTraits<PagedImage> {
+  using Accessor = storage::PagedDocAccessor;
+  using Cursor = storage::PagedFragmentCursor;
+  static constexpr const char* kLabel = explain::kLabelPaged;
+  static constexpr const char* kOverlayLabel = explain::kLabelOverlayPaged;
+  static constexpr double kPageCost = kPagedPageCost;
+  static auto AccessorArgs(const DocTable&, const PagedImage& img) {
+    return std::forward_as_tuple(*img.doc, img.pool);
+  }
+  static auto CursorArgs(const PagedImage& img, TagId tag) {
+    return std::forward_as_tuple(img.tags->fragment(tag), img.pool);
+  }
+};
+
+template <>
+struct ImageTraits<CompressedImage> {
+  using Accessor = storage::CompressedDocAccessor;
+  using Cursor = storage::CompressedFragmentCursor;
+  static constexpr const char* kLabel = explain::kLabelCompressed;
+  static constexpr const char* kOverlayLabel =
+      explain::kLabelOverlayCompressed;
+  static constexpr double kPageCost = kCompressedPageCost;
+  static auto AccessorArgs(const DocTable&, const CompressedImage& img) {
+    return std::forward_as_tuple(*img.doc, img.pool);
+  }
+  static auto CursorArgs(const CompressedImage& img, TagId tag) {
+    return std::forward_as_tuple(img.tags->fragment(tag), img.pool);
+  }
+};
+
+/// \brief The cursors one step reads through: the image's backend
+/// cursors, wrapped in the merging delta cursors when `kOverlay`. Both
+/// factories return by value -- paged cursors own non-movable
+/// PageGuards, so callers rely on guaranteed copy elision.
+template <typename Image, bool kOverlay>
+class StepBackend {
+  using Traits = ImageTraits<Image>;
+
+ public:
+  static constexpr bool kOverlaid = kOverlay;
+  using Accessor =
+      std::conditional_t<kOverlay,
+                         delta::DeltaDocAccessor<typename Traits::Accessor>,
+                         typename Traits::Accessor>;
+  using Cursor = std::conditional_t<
+      kOverlay, delta::DeltaFragmentCursor<typename Traits::Cursor>,
+      typename Traits::Cursor>;
+
+  StepBackend(const DocTable& doc, const Image& image,
+              const delta::Overlay* overlay)
+      : doc_(doc), image_(image), overlay_(overlay) {}
+
+  /// Construction site 1: the step's DocAccessor.
+  Accessor MakeAccessor() const {
+    return std::apply(
+        [this](const auto&... args) {
+          if constexpr (kOverlay) {
+            return Accessor(*overlay_, args...);
+          } else {
+            return Accessor(args...);
+          }
+        },
+        Traits::AccessorArgs(doc_, image_));
+  }
+
+  /// Construction site 2: the FragmentCursor of `tag`; requires the
+  /// image's fragment index.
+  Cursor MakeCursor(TagId tag) const {
+    return std::apply(
+        [this, tag](const auto&... args) {
+          if constexpr (kOverlay) {
+            return Cursor(*overlay_, tag, args...);
+          } else {
+            return Cursor(args...);
+          }
+        },
+        Traits::CursorArgs(image_, tag));
+  }
+
+ private:
+  const DocTable& doc_;
+  const Image& image_;
+  const delta::Overlay* overlay_;
+};
+
+/// True when `opt`'s snapshot carries a non-empty delta overlay: every
+/// join then runs over the merged document via the delta cursors (base
+/// reads still charge the pool; delta reads are resident).
+inline bool Overlaid(const EvalOptions& opt) {
+  return opt.overlay != nullptr && !opt.overlay->empty();
+}
+
+/// Calls `fn` with the StepBackend of `opt`'s image, overlaid or not:
+/// the one place the image handle and the snapshot overlay pick the
+/// cursor types a step reads through.
+template <typename Fn>
+auto VisitStepBackend(const DocTable& doc, const EvalOptions& opt, Fn&& fn) {
+  return std::visit(
+      [&](const auto& img) {
+        using Image = std::decay_t<decltype(img)>;
+        if (Overlaid(opt)) {
+          return fn(StepBackend<Image, true>(doc, img, opt.overlay));
+        }
+        return fn(StepBackend<Image, false>(doc, img, nullptr));
+      },
+      opt.image);
+}
+
 class BackendDispatch {
  public:
-  /// `doc` and `opt` are borrowed; the EvalOptions wiring (which
-  /// tables/pools/fragment images serve a query) must have been
-  /// validated via ValidateWiring before the join methods run.
+  /// `doc` and `opt` are borrowed. The image handle was filled from one
+  /// coherent image set by sj::Database (or is the default memory image).
   BackendDispatch(const DocTable& doc, const EvalOptions& opt)
       : doc_(doc), opt_(opt) {}
 
-  /// True when sessions of backend `b` charge reads to a buffer pool.
-  static bool UsesPool(StorageBackend b) {
-    switch (b) {
+  /// Facade wiring (sj::Database): the image handle of `backend`, or a
+  /// failure when the database holds no such image. `pool()` is called
+  /// once, for the pool-backed backends only (shared vs session-private
+  /// is the caller's choice).
+  template <typename PoolFn>
+  static Result<BackendImage> MakeImage(
+      StorageBackend backend, const TagIndex* tag_index,
+      const storage::PagedDocTable* paged_doc,
+      const storage::PagedTagIndex* paged_tags,
+      const storage::CompressedDocTable* compressed_doc,
+      const storage::CompressedTagIndex* compressed_tags, PoolFn&& pool) {
+    switch (backend) {
       case StorageBackend::kMemory:
-        return false;
-      case StorageBackend::kPaged:
-      case StorageBackend::kCompressed:
-        return true;
-    }
-    return false;
-  }
-
-  /// Facade wiring (sj::Database::CreateSession): points `eval` at the
-  /// backend images its chosen backend reads, or fails when the database
-  /// holds no such image. The pool is wired by the caller (shared vs
-  /// session-private), guarded by UsesPool.
-  static Status WireBackend(EvalOptions* eval,
-                            const storage::PagedDocTable* paged_doc,
-                            const storage::PagedTagIndex* paged_tags,
-                            const storage::CompressedDocTable* compressed_doc,
-                            const storage::CompressedTagIndex* compressed_tags) {
-    switch (eval->backend) {
-      case StorageBackend::kMemory:
-        return Status::OK();
+        return BackendImage(MemoryImage{tag_index});
       case StorageBackend::kPaged:
         if (paged_doc == nullptr) {
           return Status::InvalidArgument(
               "session requests the paged backend but the database was "
               "opened without a paged image (DatabaseOptions::build_paged)");
         }
-        eval->paged_doc = paged_doc;
-        eval->paged_tags = paged_tags;
-        return Status::OK();
+        return BackendImage(PagedImage{paged_doc, paged_tags, pool()});
       case StorageBackend::kCompressed:
         if (compressed_doc == nullptr) {
           return Status::InvalidArgument(
@@ -81,400 +211,132 @@ class BackendDispatch {
               "opened without a compressed image "
               "(DatabaseOptions::build_compressed)");
         }
-        eval->compressed_doc = compressed_doc;
-        eval->compressed_tags = compressed_tags;
-        return Status::OK();
+        return BackendImage(
+            CompressedImage{compressed_doc, compressed_tags, pool()});
     }
     return Status::Internal("unreachable");
-  }
-
-  /// True when the session's snapshot carries a non-empty delta overlay:
-  /// every join then runs over the merged document via the delta cursors
-  /// (base reads still charge the pool; delta reads are resident).
-  bool Overlaid() const {
-    return opt_.overlay != nullptr && !opt_.overlay->empty();
   }
 
   /// EXPLAIN label prefix of the backend ("", "paged ", "compressed ";
   /// overlay variants when a delta overlay is active).
   const char* Label() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return Overlaid() ? explain::kLabelOverlayMemory
-                          : explain::kLabelMemory;
-      case StorageBackend::kPaged:
-        return Overlaid() ? explain::kLabelOverlayPaged : explain::kLabelPaged;
-      case StorageBackend::kCompressed:
-        return Overlaid() ? explain::kLabelOverlayCompressed
-                          : explain::kLabelCompressed;
-    }
-    return explain::kLabelMemory;
+    return std::visit(
+        [this](const auto& img) {
+          using Traits = ImageTraits<std::decay_t<decltype(img)>>;
+          return Overlaid(opt_) ? Traits::kOverlayLabel : Traits::kLabel;
+        },
+        opt_.image);
   }
+
+  /// The pool the steps charge their reads to; null on the memory
+  /// backend.
+  storage::BufferPool* Pool() const { return ImagePool(opt_.image); }
 
   /// Whether steps charge their reads to a buffer pool (EXPLAIN suffix).
-  bool Pooled() const { return UsesPool(opt_.backend); }
+  bool Pooled() const { return Pool() != nullptr; }
 
-  /// The pool-backed backend's name for digest-mismatch Statuses.
-  const char* DigestName() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return "memory";
-      case StorageBackend::kPaged:
-        return "paged";
-      case StorageBackend::kCompressed:
-        return "compressed";
-    }
-    return "memory";
-  }
-
-  /// Fails when the options name a backend whose tables or pool are not
-  /// wired. The join methods below assume this passed.
-  Status ValidateWiring() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return Status::OK();
-      case StorageBackend::kPaged:
-        if (opt_.paged_doc == nullptr || opt_.pool == nullptr) {
-          return Status::InvalidArgument(
-              "paged backend requires EvalOptions::paged_doc and pool");
-        }
-        return Status::OK();
-      case StorageBackend::kCompressed:
-        if (opt_.compressed_doc == nullptr || opt_.pool == nullptr) {
-          return Status::InvalidArgument(
-              "compressed backend requires EvalOptions::compressed_doc and "
-              "pool");
-        }
-        return Status::OK();
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// Node count of the pool-backed image (0 on the memory backend);
-  /// requires ValidateWiring().
-  size_t ImageSize() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return doc_.size();
-      case StorageBackend::kPaged:
-        return opt_.paged_doc->size();
-      case StorageBackend::kCompressed:
-        return opt_.compressed_doc->size();
-    }
-    return 0;
-  }
-
-  /// DocColumnsDigest the pool-backed image was built from; requires
-  /// ValidateWiring() and Pooled().
-  uint64_t ImageDocDigest() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return 0;
-      case StorageBackend::kPaged:
-        return opt_.paged_doc->source_digest();
-      case StorageBackend::kCompressed:
-        return opt_.compressed_doc->source_digest();
-    }
-    return 0;
-  }
-
-  /// FragmentColumnsDigest of the backend's fragment index; nullopt when
-  /// the backend has none wired.
-  std::optional<uint64_t> ImageFragDigest() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return std::nullopt;
-      case StorageBackend::kPaged:
-        return opt_.paged_tags != nullptr
-                   ? std::optional<uint64_t>(opt_.paged_tags->source_digest())
-                   : std::nullopt;
-      case StorageBackend::kCompressed:
-        return opt_.compressed_tags != nullptr
-                   ? std::optional<uint64_t>(
-                         opt_.compressed_tags->source_digest())
-                   : std::nullopt;
-    }
-    return std::nullopt;
-  }
-
-  /// Whether the active backend has a fragment index wired. Pushdown and
-  /// twig both require it; each pool-backed backend only qualifies with
-  /// its own fragment image -- a memory-resident TagIndex would silently
-  /// bypass the buffer pool and charge no faults.
+  /// Whether the image has a fragment index. Pushdown and twig both
+  /// require it; each pool-backed backend only qualifies with its own
+  /// fragment image -- a memory-resident TagIndex would silently bypass
+  /// the buffer pool and charge no faults.
   bool HasFragments() const {
     // Under an overlay the merged per-tag fragments must exist too (they
     // are built from the resident TagIndex at commit time).
-    if (Overlaid() && !opt_.overlay->has_fragments()) return false;
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return opt_.tag_index != nullptr;
-      case StorageBackend::kPaged:
-        return opt_.paged_tags != nullptr;
-      case StorageBackend::kCompressed:
-        return opt_.compressed_tags != nullptr;
-    }
-    return false;
+    if (Overlaid(opt_) && !opt_.overlay->has_fragments()) return false;
+    return std::visit([](const auto& img) { return img.tags != nullptr; },
+                      opt_.image);
   }
 
   /// Fragment size of `tag` (the pushdown cost model's selectivity);
   /// requires HasFragments().
   uint64_t TagCount(TagId tag) const {
     // Merged count: base survivors plus delta elements of the tag.
-    if (Overlaid()) return opt_.overlay->tag_count(tag);
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return opt_.tag_index->tag_count(tag);
-      case StorageBackend::kPaged:
-        return opt_.paged_tags->tag_count(tag);
-      case StorageBackend::kCompressed:
-        return opt_.compressed_tags->tag_count(tag);
-    }
-    return 0;
+    if (Overlaid(opt_)) return opt_.overlay->tag_count(tag);
+    return std::visit(
+        [tag](const auto& img) -> uint64_t { return img.tags->tag_count(tag); },
+        opt_.image);
   }
 
-  /// Staircase join over the whole document (parallel when configured).
-  /// Overlaid snapshots run the same generic kernels over the merging
-  /// accessors -- serially: the partitioned parallel driver's chunk math
-  /// is pristine-image-specific, and the delta is expected to be small
+  /// The cost model's per-page unit of the active backend (cost_model.h
+  /// constants; the backend choice lives here, not in the estimator).
+  double PageCostUnit() const {
+    return std::visit(
+        [](const auto& img) {
+          return ImageTraits<std::decay_t<decltype(img)>>::kPageCost;
+        },
+        opt_.image);
+  }
+
+  /// Staircase join over the whole document. Pristine snapshots run the
+  /// partitioned parallel driver, which itself falls back to the serial
+  /// join when parallelism does not apply (one thread, small contexts,
+  /// degenerate axes, undersized pools). Overlaid snapshots run the
+  /// serial join: the parallel driver's chunk math is
+  /// pristine-image-specific, and the delta is expected to be small
   /// until compaction folds it (EXPLAIN drops the parallel prefix).
   Result<NodeSequence> Staircase(const NodeSequence& context, Axis axis,
                                  JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::StaircaseJoinOver(acc, context, axis,
-                                             opt_.staircase, stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::StaircaseJoinOver(acc, context, axis,
-                                             opt_.staircase, stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::StaircaseJoinOver(acc, context, axis,
-                                             opt_.staircase, stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    const bool parallel = opt_.num_threads > 1;
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return parallel ? ParallelStaircaseJoin(doc_, context, axis,
-                                                opt_.staircase,
-                                                opt_.num_threads, stats)
-                        : StaircaseJoin(doc_, context, axis, opt_.staircase,
-                                        stats);
-      case StorageBackend::kPaged:
-        return parallel ? storage::ParallelPagedStaircaseJoin(
-                              *opt_.paged_doc, opt_.pool, context, axis,
-                              opt_.staircase, opt_.num_threads, stats)
-                        : storage::PagedStaircaseJoin(*opt_.paged_doc,
-                                                      opt_.pool, context, axis,
-                                                      opt_.staircase, stats);
-      case StorageBackend::kCompressed:
-        return parallel ? storage::ParallelCompressedStaircaseJoin(
-                              *opt_.compressed_doc, opt_.pool, context, axis,
-                              opt_.staircase, opt_.num_threads, stats)
-                        : storage::CompressedStaircaseJoin(
-                              *opt_.compressed_doc, opt_.pool, context, axis,
-                              opt_.staircase, stats);
-    }
-    return Status::Internal("unreachable");
+    return VisitStepBackend(
+        doc_, opt_, [&](const auto& backend) -> Result<NodeSequence> {
+          if constexpr (std::decay_t<decltype(backend)>::kOverlaid) {
+            auto acc = backend.MakeAccessor();
+            return internal::StaircaseJoinOver(acc, context, axis,
+                                               opt_.staircase, stats);
+          } else {
+            storage::BufferPool* pool = Pool();
+            return internal::ParallelStaircaseJoinOver(
+                [&backend] { return backend.MakeAccessor(); }, context, axis,
+                opt_.staircase, opt_.num_threads, stats,
+                pool != nullptr ? pool->capacity() : 0);
+          }
+        });
   }
 
-  /// Name-test pushdown: staircase join over one tag fragment.
+  /// Name-test pushdown: staircase join over one tag fragment; requires
+  /// HasFragments().
   Result<NodeSequence> PushdownView(TagId tag, const NodeSequence& context,
                                     Axis axis, JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaFragmentCursor<MemoryFragmentCursor> frag(
-              *opt_.overlay, tag, opt_.tag_index->view(tag));
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                                     opt_.staircase, stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaFragmentCursor<storage::PagedFragmentCursor> frag(
-              *opt_.overlay, tag, opt_.paged_tags->fragment(tag), opt_.pool);
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                                     opt_.staircase, stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaFragmentCursor<storage::CompressedFragmentCursor> frag(
-              *opt_.overlay, tag, opt_.compressed_tags->fragment(tag),
-              opt_.pool);
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                                     opt_.staircase, stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return StaircaseJoinView(doc_, opt_.tag_index->view(tag), context,
-                                 axis, opt_.staircase, stats);
-      case StorageBackend::kPaged:
-        return storage::PagedStaircaseJoinView(*opt_.paged_tags, tag,
-                                               *opt_.paged_doc, opt_.pool,
-                                               context, axis, opt_.staircase,
-                                               stats);
-      case StorageBackend::kCompressed:
-        return storage::CompressedStaircaseJoinView(
-            *opt_.compressed_tags, tag, *opt_.compressed_doc, opt_.pool,
-            context, axis, opt_.staircase, stats);
-    }
-    return Status::Internal("unreachable");
+    return VisitStepBackend(doc_, opt_, [&](const auto& backend) {
+      auto frag = backend.MakeCursor(tag);
+      auto acc = backend.MakeAccessor();
+      return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
+                                                 opt_.staircase, stats);
+    });
   }
 
   /// Non-staircase axis step with the node test folded into the scan.
   Result<NodeSequence> AxisCursor(const NodeSequence& context, Axis axis,
                                   const AxisNodeTest& test,
                                   JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::AxisStepOver(acc, context, axis, test, stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::AxisStepOver(acc, context, axis, test, stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::AxisStepOver(acc, context, axis, test, stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return AxisCursorStep(doc_, context, axis, test, stats);
-      case StorageBackend::kPaged:
-        return storage::PagedAxisCursorStep(*opt_.paged_doc, opt_.pool,
-                                            context, axis, test, stats);
-      case StorageBackend::kCompressed:
-        return storage::CompressedAxisCursorStep(*opt_.compressed_doc,
-                                                 opt_.pool, context, axis,
-                                                 test, stats);
-    }
-    return Status::Internal("unreachable");
+    return VisitStepBackend(doc_, opt_, [&](const auto& backend) {
+      auto acc = backend.MakeAccessor();
+      return internal::AxisStepOver(acc, context, axis, test, stats);
+    });
   }
 
   /// Set-at-a-time positional axis step: per-context groups for rank
-  /// predicates, every read charged to the backend (the replacement for
-  /// the per-context fallback that bypassed the pool).
+  /// predicates, every read charged to the backend.
   Result<internal::PositionalGroups> PositionalAxis(
       const NodeSequence& context, Axis axis, const AxisNodeTest& test,
       JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                  stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                  stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                  stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory: {
-        MemoryDocAccessor acc(doc_);
-        return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                stats);
-      }
-      case StorageBackend::kPaged: {
-        storage::PagedDocAccessor acc(*opt_.paged_doc, opt_.pool);
-        return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                stats);
-      }
-      case StorageBackend::kCompressed: {
-        storage::CompressedDocAccessor acc(*opt_.compressed_doc, opt_.pool);
-        return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                stats);
-      }
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// The cost model's per-page unit of the active backend (cost_model.h
-  /// constants; the backend switch lives here, not in the estimator).
-  double PageCostUnit() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return kMemoryPageCost;
-      case StorageBackend::kPaged:
-        return kPagedPageCost;
-      case StorageBackend::kCompressed:
-        return kCompressedPageCost;
-    }
-    return kPagedPageCost;
+    return VisitStepBackend(doc_, opt_, [&](const auto& backend) {
+      auto acc = backend.MakeAccessor();
+      return internal::PositionalAxisStepOver(acc, context, axis, test,
+                                              stats);
+    });
   }
 
   /// Node-test filter pass over a join result (kind/tag reads are
   /// charged to the step's backend, like every other read).
   Result<NodeSequence> Filter(const NodeSequence& nodes,
                               const AxisNodeTest& test) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
+    return VisitStepBackend(
+        doc_, opt_, [&](const auto& backend) -> Result<NodeSequence> {
+          auto acc = backend.MakeAccessor();
           NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
           if (!acc.ok()) return acc.status();
           return out;
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-          if (!acc.ok()) return acc.status();
-          return out;
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-          if (!acc.ok()) return acc.status();
-          return out;
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return FilterByTestSequence(doc_, nodes, test);
-      case StorageBackend::kPaged:
-        return storage::PagedFilterByTest(*opt_.paged_doc, opt_.pool, nodes,
-                                          test);
-      case StorageBackend::kCompressed:
-        return storage::CompressedFilterByTest(*opt_.compressed_doc,
-                                               opt_.pool, nodes, test);
-    }
-    return Status::Internal("unreachable");
+        });
   }
 
   /// Holistic twig join over the backend's fragment cursors; requires
@@ -483,81 +345,15 @@ class BackendDispatch {
                             const std::vector<TwigLevel>& levels,
                             JoinStats* stats,
                             std::vector<TwigLevelStats>* level_stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return OverlayTwig<MemoryFragmentCursor>(
-              acc, context, levels, stats, level_stats, [this](TagId tag) {
-                return std::make_unique<
-                    delta::DeltaFragmentCursor<MemoryFragmentCursor>>(
-                    *opt_.overlay, tag, opt_.tag_index->view(tag));
-              });
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return OverlayTwig<storage::PagedFragmentCursor>(
-              acc, context, levels, stats, level_stats, [this](TagId tag) {
-                return std::make_unique<
-                    delta::DeltaFragmentCursor<storage::PagedFragmentCursor>>(
-                    *opt_.overlay, tag, opt_.paged_tags->fragment(tag),
-                    opt_.pool);
-              });
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return OverlayTwig<storage::CompressedFragmentCursor>(
-              acc, context, levels, stats, level_stats, [this](TagId tag) {
-                return std::make_unique<delta::DeltaFragmentCursor<
-                    storage::CompressedFragmentCursor>>(
-                    *opt_.overlay, tag, opt_.compressed_tags->fragment(tag),
-                    opt_.pool);
-              });
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return TwigJoin(doc_, *opt_.tag_index, context, levels,
-                        opt_.staircase, stats, level_stats);
-      case StorageBackend::kPaged:
-        return storage::PagedTwigJoin(*opt_.paged_tags, *opt_.paged_doc,
-                                      opt_.pool, context, levels,
-                                      opt_.staircase, stats, level_stats);
-      case StorageBackend::kCompressed:
-        return storage::CompressedTwigJoin(*opt_.compressed_tags,
-                                           *opt_.compressed_doc, opt_.pool,
-                                           context, levels, opt_.staircase,
-                                           stats, level_stats);
-    }
-    return Status::Internal("unreachable");
+    return VisitStepBackend(doc_, opt_, [&](const auto& backend) {
+      return internal::TwigJoinWithOwnedCursors(
+          [&backend](TagId tag) { return backend.MakeCursor(tag); },
+          [&backend] { return backend.MakeAccessor(); }, context, levels,
+          opt_.staircase, stats, level_stats);
+    });
   }
 
  private:
-  /// Twig body shared by the three overlay branches: builds one delta
-  /// fragment cursor per level (heap-allocated -- paged cursors own
-  /// non-movable PageGuards) and runs the generic k-way join.
-  template <typename BaseCursor, typename Acc, typename MakeCursor>
-  Result<NodeSequence> OverlayTwig(
-      Acc& acc, const NodeSequence& context,
-      const std::vector<TwigLevel>& levels, JoinStats* stats,
-      std::vector<TwigLevelStats>* level_stats, MakeCursor make_cursor) const {
-    using Cursor = delta::DeltaFragmentCursor<BaseCursor>;
-    std::vector<std::unique_ptr<Cursor>> owned;
-    std::vector<Cursor*> cursors;
-    owned.reserve(levels.size());
-    cursors.reserve(levels.size());
-    for (const TwigLevel& level : levels) {
-      owned.push_back(make_cursor(level.tag));
-      cursors.push_back(owned.back().get());
-    }
-    return internal::TwigJoinOver(cursors, acc, context, levels,
-                                  opt_.staircase, stats, level_stats);
-  }
-
   const DocTable& doc_;
   const EvalOptions& opt_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "baselines/naive.h"
 #include "core/axis_step.h"
@@ -47,24 +48,7 @@ AxisNodeTest MakeAxisNodeTest(const Step& step,
 }  // namespace
 
 Evaluator::Evaluator(const DocTable& doc, EvalOptions options)
-    : doc_(doc),
-      options_(options),
-      doc_digest_(options.doc_digest),
-      frag_digest_(options.frag_digest) {
-  // Paid up front so the O(doc) digest passes never land inside a timed
-  // query (Evaluate would otherwise compute them lazily). A facade that
-  // already validated the images at open time passes the digests in via
-  // EvalOptions and skips the passes entirely.
-  const BackendDispatch dispatch(doc_, options_);
-  if (dispatch.Pooled()) {
-    if (!doc_digest_.has_value()) {
-      doc_digest_ = storage::DocColumnsDigest(doc_);
-    }
-    if (dispatch.HasFragments() && !frag_digest_.has_value()) {
-      frag_digest_ = storage::FragmentColumnsDigest(doc_, *doc_digest_);
-    }
-  }
-}
+    : doc_(doc), options_(std::move(options)) {}
 
 Result<NodeSequence> Evaluator::Evaluate(const LocationPath& path,
                                          const NodeSequence& context) {
@@ -72,9 +56,7 @@ Result<NodeSequence> Evaluator::Evaluate(const LocationPath& path,
   return EvaluateKeepTrace(path, context);
 }
 
-bool Evaluator::Overlaid() const {
-  return options_.overlay != nullptr && !options_.overlay->empty();
-}
+bool Evaluator::Overlaid() const { return xpath::Overlaid(options_); }
 
 size_t Evaluator::LogicalSize() const {
   return Overlaid() ? options_.overlay->logical_size() : doc_.size();
@@ -94,43 +76,9 @@ Result<const DocTable*> Evaluator::EffectiveDoc() {
   return options_.overlay_doc();
 }
 
-Status Evaluator::CheckImageDigests(size_t image_size,
-                                    uint64_t image_doc_digest,
-                                    std::optional<uint64_t> image_frag_digest,
-                                    const char* backend_name) {
-  // Size alone cannot identify the document (two documents can share a
-  // node count); compare column digests, computed once per evaluator.
-  if (!doc_digest_.has_value()) {
-    doc_digest_ = storage::DocColumnsDigest(doc_);
-  }
-  if (image_size != doc_.size() || image_doc_digest != *doc_digest_) {
-    return Status::InvalidArgument(
-        std::string(backend_name) +
-        " table does not image the evaluator's document");
-  }
-  if (image_frag_digest.has_value()) {
-    if (!frag_digest_.has_value()) {
-      frag_digest_ = storage::FragmentColumnsDigest(doc_, *doc_digest_);
-    }
-    if (*image_frag_digest != *frag_digest_) {
-      return Status::InvalidArgument(
-          std::string(backend_name) +
-          " tag index does not image the evaluator's document");
-    }
-  }
-  return Status::OK();
-}
-
 Result<NodeSequence> Evaluator::EvaluateKeepTrace(const LocationPath& path,
                                                   const NodeSequence& context,
                                                   const PlannedPath* planned) {
-  const BackendDispatch dispatch(doc_, options_);
-  if (dispatch.Pooled()) {
-    SJ_RETURN_NOT_OK(dispatch.ValidateWiring());
-    SJ_RETURN_NOT_OK(CheckImageDigests(
-        dispatch.ImageSize(), dispatch.ImageDocDigest(),
-        dispatch.ImageFragDigest(), dispatch.DigestName()));
-  }
   NodeSequence start = context;
   if (path.absolute) {
     start = doc_.empty() ? NodeSequence{} : NodeSequence{doc_.root()};
@@ -422,9 +370,8 @@ Result<NodeSequence> Evaluator::EvalTwigRun(const std::vector<Step>& steps,
   JoinStats stats;
   std::vector<TwigLevelStats> level_stats;
   const BackendDispatch dispatch(doc_, options_);
-  const bool count_faults = dispatch.Pooled() && options_.pool != nullptr;
-  const uint64_t faults_before =
-      count_faults ? options_.pool->stats().faults : 0;
+  storage::BufferPool* const pool = dispatch.Pool();
+  const uint64_t faults_before = pool != nullptr ? pool->stats().faults : 0;
   SJ_ASSIGN_OR_RETURN(NodeSequence result,
                       dispatch.Twig(context, plan.twig_levels, &stats,
                                     &level_stats));
@@ -460,8 +407,8 @@ Result<NodeSequence> Evaluator::EvalTwigRun(const std::vector<Step>& steps,
     trace.millis = timer.ElapsedMillis();
     trace.op = StepOperator::kTwig;
     trace.estimated_rows = plan.estimated_rows;
-    if (count_faults) {
-      trace.pool_faults = options_.pool->stats().faults - faults_before;
+    if (pool != nullptr) {
+      trace.pool_faults = pool->stats().faults - faults_before;
     }
     trace_.push_back(std::move(trace));
     for (size_t s = 1; s < plan.twig_consumed; ++s) {
@@ -684,9 +631,8 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
   NodeSequence result;
 
   const BackendDispatch dispatch(doc_, options_);
-  const bool count_faults = dispatch.Pooled() && options_.pool != nullptr;
-  const uint64_t faults_before =
-      count_faults ? options_.pool->stats().faults : 0;
+  storage::BufferPool* const pool = dispatch.Pool();
+  const uint64_t faults_before = pool != nullptr ? pool->stats().faults : 0;
 
   if (plan.positional && options_.engine != EngineMode::kStaircase) {
     // Naive engine: the per-context oracle path, whole-node reads over
@@ -763,8 +709,8 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
       trace.millis = timer.ElapsedMillis();
       trace.op = plan.op;
       trace.estimated_rows = plan.estimated_rows;
-      if (count_faults) {
-        trace.pool_faults = options_.pool->stats().faults - faults_before;
+      if (pool != nullptr) {
+        trace.pool_faults = pool->stats().faults - faults_before;
       }
       trace_.push_back(std::move(trace));
     }
@@ -773,7 +719,7 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
     if (plan.pushdown) {
       // The unified fragment join over the backend's cursor: the
       // pushed-down step's fragment reads AND its context postorder
-      // reads are charged to the step's backend (options_.pool when
+      // reads are charged to the step's backend (the image's pool when
       // pool-backed). The fragment already applies the name test.
       SJ_ASSIGN_OR_RETURN(
           result, dispatch.PushdownView(*tag, context, step.axis, &stats));
@@ -826,8 +772,8 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
     trace.millis = timer.ElapsedMillis();
     trace.op = plan.op;
     trace.estimated_rows = plan.estimated_rows;
-    if (count_faults) {
-      trace.pool_faults = options_.pool->stats().faults - faults_before;
+    if (pool != nullptr) {
+      trace.pool_faults = pool->stats().faults - faults_before;
     }
     trace_.push_back(std::move(trace));
   }

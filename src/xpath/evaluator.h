@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/parallel.h"
@@ -69,6 +70,42 @@ enum class TwigMode : uint8_t {
   kNever,  ///< strict step-at-a-time evaluation
 };
 
+/// The memory backend's image: the evaluator's own DocTable columns
+/// plus the resident tag fragments (null: no pushdown, no twig).
+struct MemoryImage {
+  const TagIndex* tags = nullptr;
+  /// Resident reads charge no pool.
+  static constexpr storage::BufferPool* pool = nullptr;
+};
+
+/// The paged backend's image: paged doc columns and (null: no pushdown,
+/// no twig) paged tag fragments, every read charged to `pool`.
+struct PagedImage {
+  const storage::PagedDocTable* doc = nullptr;
+  const storage::PagedTagIndex* tags = nullptr;
+  storage::BufferPool* pool = nullptr;
+};
+
+/// The compressed backend's image: block-compressed doc columns and
+/// (null: no pushdown, no twig) fragments behind `pool`.
+struct CompressedImage {
+  const storage::CompressedDocTable* doc = nullptr;
+  const storage::CompressedTagIndex* tags = nullptr;
+  storage::BufferPool* pool = nullptr;
+};
+
+/// \brief The one image handle of an evaluator: which backend serves
+/// every step, holding exactly the pointers that backend reads, so the
+/// backend and its images cannot disagree. sj::Database fills it once
+/// per session from one coherent, open-time-validated image set
+/// (xpath/backend_dispatch.h builds the step cursors from it).
+using BackendImage = std::variant<MemoryImage, PagedImage, CompressedImage>;
+
+/// The pool the image charges its reads to; null for the memory image.
+inline storage::BufferPool* ImagePool(const BackendImage& image) {
+  return std::visit([](const auto& img) { return img.pool; }, image);
+}
+
 /// Evaluator configuration.
 struct EvalOptions {
   EngineMode engine = EngineMode::kStaircase;
@@ -76,15 +113,10 @@ struct EvalOptions {
   PushdownMode pushdown = PushdownMode::kAuto;
   /// Whether eligible step runs (consecutive predicate-free name-test
   /// child/descendant(-or-self) steps) are evaluated as one holistic
-  /// twig join instead of step-at-a-time. Requires the active backend's
-  /// fragment index (tag_index / paged_tags / compressed_tags);
-  /// ineligible runs and missing indexes silently fall back to
+  /// twig join instead of step-at-a-time. Requires the image's fragment
+  /// index; ineligible runs and missing indexes silently fall back to
   /// step-at-a-time. EXPLAIN shows the collapse.
   TwigMode twig = TwigMode::kAuto;
-  /// Tag fragments for pushdown on the memory backend (pass null to
-  /// disable). Never consulted on the paged backend -- a memory-resident
-  /// fragment would silently bypass the buffer pool; see `paged_tags`.
-  const TagIndex* tag_index = nullptr;
   /// kAuto pushes a name test down iff the tag's node count is below this
   /// fraction of the document size ("selective name tests only"). Only
   /// consulted when `cost_model` is kOff -- under kAuto the estimator's
@@ -101,36 +133,13 @@ struct EvalOptions {
   const DocStatistics* doc_stats = nullptr;
   /// >1 runs the partitioned parallel staircase join with this many workers.
   unsigned num_threads = 1;
-  /// Storage backend for the axis-step joins. With kPaged, every step --
-  /// staircase joins, the non-staircase axis cursors, positional rank
-  /// joins AND the node-test filters -- reads post/kind/level/parent/tag
-  /// through `pool`; `paged_doc` and `pool` are then required and must
-  /// image the same document the evaluator is bound to.
-  StorageBackend backend = StorageBackend::kMemory;
-  const storage::PagedDocTable* paged_doc = nullptr;
-  storage::BufferPool* pool = nullptr;
-  /// Paged tag fragments for pushdown on the paged backend (pass null to
-  /// disable pushdown there). Must image the same document as the
-  /// evaluator (digest-checked) and share `pool`'s disk. Pushed-down
-  /// steps then charge their fragment page reads to `pool` instead of
-  /// diving into the memory-resident TagIndex.
-  const storage::PagedTagIndex* paged_tags = nullptr;
-  /// With kCompressed, every step reads the block-compressed columns
-  /// through `pool`; `compressed_doc` and `pool` are then required and
-  /// must image the same document the evaluator is bound to
-  /// (digest-checked, like the paged pair).
-  const storage::CompressedDocTable* compressed_doc = nullptr;
-  /// Compressed tag fragments for pushdown on the compressed backend
-  /// (pass null to disable pushdown there); same contract as
-  /// `paged_tags`.
-  const storage::CompressedTagIndex* compressed_tags = nullptr;
-  /// Facade wiring (sj::Database): the DocColumnsDigest /
-  /// FragmentColumnsDigest of the bound document, already computed and
-  /// verified against the paged images at Database open time. When set,
-  /// the evaluator trusts them instead of running its own O(doc) digest
-  /// passes, so creating a session stays cheap.
-  std::optional<uint64_t> doc_digest;
-  std::optional<uint64_t> frag_digest;
+  /// The image every step reads (default: the memory backend without
+  /// tag fragments). With a pool-backed image every step -- staircase
+  /// joins, the non-staircase axis cursors, positional rank joins AND
+  /// the node-test filters -- reads post/kind/level/parent/tag through
+  /// its pool; the image must image the document the evaluator is bound
+  /// to (sj::Database validates that at open time).
+  BackendImage image;
   /// Snapshot overlay (updatable documents). When set and non-empty,
   /// every join runs over the merged (base + delta) document in dense
   /// logical pre ranks: base reads keep charging the backend's pool,
@@ -227,13 +236,6 @@ class Evaluator {
   Result<NodeSequence> EvaluateUnion(const UnionExpr& expr,
                                      const std::vector<PlannedPath>* planned,
                                      const NodeSequence& context);
-  /// Shared identity check of the pool-backed backends: the bound image
-  /// (and, when present, its fragment index) must carry this document's
-  /// column digests. `image_frag_digest` is nullopt when the backend
-  /// has no fragment index configured.
-  Status CheckImageDigests(size_t image_size, uint64_t image_doc_digest,
-                           std::optional<uint64_t> image_frag_digest,
-                           const char* backend_name);
   Result<NodeSequence> EvalSteps(const std::vector<Step>& steps, size_t first,
                                  NodeSequence context, bool top_level,
                                  const PlannedPath* planned = nullptr);
@@ -310,13 +312,6 @@ class Evaluator {
   const DocTable& doc_;
   EvalOptions options_;
   std::vector<StepTrace> trace_;
-  /// Lazily computed DocColumnsDigest of doc_, used to check that a
-  /// paged backend images the same document (computed on first paged
-  /// query).
-  std::optional<uint64_t> doc_digest_;
-  /// Lazily computed FragmentColumnsDigest of doc_, the matching check
-  /// for EvalOptions::paged_tags.
-  std::optional<uint64_t> frag_digest_;
 };
 
 }  // namespace sj::xpath

@@ -15,7 +15,9 @@
 #include "api/database.h"
 #include "baselines/naive.h"
 #include "bat/operators.h"
+#include "core/axis_impl.h"
 #include "core/axis_step.h"
+#include "storage/compressed_accessor.h"
 #include "storage/compressed_doc.h"
 #include "storage/paged_accessor.h"
 #include "storage/paged_doc.h"
@@ -40,6 +42,17 @@ bool BytesEqual(const NodeSequence& a, const NodeSequence& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(NodeId)) == 0);
+}
+
+/// The generic axis kernels over a fresh `Acc` on `table` and `pool` (its
+/// pages are unpinned on return, as between two query steps).
+template <typename Acc, typename Table>
+Result<NodeSequence> AxisStepVia(const Table& table, BufferPool* pool,
+                                 const NodeSequence& ctx, Axis axis,
+                                 const AxisNodeTest& test = {},
+                                 JoinStats* stats = nullptr) {
+  Acc acc(table, pool);
+  return internal::AxisStepOver(acc, ctx, axis, test, stats);
 }
 
 /// Context union its ancestor closure: nested context nodes are the
@@ -125,13 +138,13 @@ TEST_P(AxisBackendEquivalenceTest, CursorStepsAreByteIdenticalAcrossBackends) {
         JoinStats mem_stats, io_stats, zip_stats;
         auto expected = AxisCursorStep(*doc, *ctx, axis, {}, &mem_stats);
         ASSERT_TRUE(expected.ok()) << expected.status();
-        auto got = PagedAxisCursorStep(*paged, &pool, *ctx, axis, {},
-                                       &io_stats);
+        auto got = AxisStepVia<PagedDocAccessor>(*paged, &pool, *ctx, axis,
+                                                 {}, &io_stats);
         ASSERT_TRUE(got.ok()) << got.status();
         EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
             << AxisName(axis) << " seed " << seed << " shape " << shape;
-        auto zip = CompressedAxisCursorStep(*compressed, &pool, *ctx, axis,
-                                            {}, &zip_stats);
+        auto zip = AxisStepVia<CompressedDocAccessor>(
+            *compressed, &pool, *ctx, axis, {}, &zip_stats);
         ASSERT_TRUE(zip.ok()) << zip.status();
         EXPECT_TRUE(BytesEqual(zip.value(), expected.value()))
             << "compressed " << AxisName(axis) << " seed " << seed
@@ -192,9 +205,10 @@ TEST(AxisCursorTest, DeepChainsStressTheFrameMerge) {
     ASSERT_TRUE(expected.ok());
     auto mem = AxisCursorStep(*doc, ctx, axis);
     ASSERT_TRUE(mem.ok()) << mem.status();
-    auto io = PagedAxisCursorStep(*paged, &pool, ctx, axis);
+    auto io = AxisStepVia<PagedDocAccessor>(*paged, &pool, ctx, axis);
     ASSERT_TRUE(io.ok()) << io.status();
-    auto zip = CompressedAxisCursorStep(*compressed, &pool, ctx, axis);
+    auto zip =
+        AxisStepVia<CompressedDocAccessor>(*compressed, &pool, ctx, axis);
     ASSERT_TRUE(zip.ok()) << zip.status();
     EXPECT_TRUE(BytesEqual(mem.value(), expected.value())) << AxisName(axis);
     EXPECT_TRUE(BytesEqual(io.value(), expected.value())) << AxisName(axis);
@@ -279,7 +293,7 @@ TEST(PagedAxisCursorTest, ColdPoolStepsChargeFaults) {
     AxisNodeTest test = AxisNodeTest::OfKindAndTag(
         axis == Axis::kAttribute ? NodeKind::kAttribute : NodeKind::kElement,
         *t0);
-    auto r = PagedAxisCursorStep(*paged, &pool, ctx, axis, test);
+    auto r = AxisStepVia<PagedDocAccessor>(*paged, &pool, ctx, axis, test);
     ASSERT_TRUE(r.ok()) << AxisName(axis) << ": " << r.status();
     EXPECT_GT(pool.stats().faults, 0u)
         << AxisName(axis) << " read no pages on a cold pool";
@@ -302,11 +316,12 @@ TEST(CompressedAxisCursorTest, ColdPoolStepsChargeFaultsButFewerThanPaged) {
         axis == Axis::kAttribute ? NodeKind::kAttribute : NodeKind::kElement,
         *t0);
     BufferPool paged_pool(&disk, 16);
-    auto r = PagedAxisCursorStep(*paged, &paged_pool, ctx, axis, test);
+    auto r =
+        AxisStepVia<PagedDocAccessor>(*paged, &paged_pool, ctx, axis, test);
     ASSERT_TRUE(r.ok()) << AxisName(axis) << ": " << r.status();
     BufferPool zip_pool(&disk, 16);
-    auto z = CompressedAxisCursorStep(*compressed, &zip_pool, ctx, axis,
-                                      test);
+    auto z = AxisStepVia<CompressedDocAccessor>(*compressed, &zip_pool, ctx,
+                                                axis, test);
     ASSERT_TRUE(z.ok()) << AxisName(axis) << ": " << z.status();
     // Every step charges the pool -- and the compressed image never
     // needs more pages than the uncompressed one for the same reads.
@@ -323,7 +338,7 @@ TEST(PagedAxisCursorTest, SurfacesPoolExhaustion) {
   auto paged = PagedDocTable::Create(*doc, &disk).value();
   BufferPool pool(&disk, 1);
   ASSERT_TRUE(pool.Pin(paged->KindPage(0)).ok());  // starve the cursor
-  auto r = PagedAxisCursorStep(*paged, &pool, {0}, Axis::kChild);
+  auto r = AxisStepVia<PagedDocAccessor>(*paged, &pool, {0}, Axis::kChild);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
 }
@@ -341,7 +356,7 @@ TEST(PagedAxisCursorTest, TerminatesOnMidScanPoolExhaustion) {
   BufferPool pool(&disk, 3);
   std::optional<TagId> b = doc->tags().Lookup("b");
   ASSERT_TRUE(b.has_value());
-  auto r = PagedAxisCursorStep(
+  auto r = AxisStepVia<PagedDocAccessor>(
       *paged, &pool, {0}, Axis::kChild,
       AxisNodeTest::OfKindAndTag(NodeKind::kElement, *b));
   EXPECT_FALSE(r.ok());

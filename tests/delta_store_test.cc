@@ -12,7 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,6 +264,19 @@ TEST(DeltaStore, CompactionPreservesResultsAndResetsDelta) {
   EXPECT_EQ(stats.delta_nodes, 0u);
 }
 
+TEST(DeltaStore, CompactionKeepsTheSimulatedDeviceLatency) {
+  auto db = OpenXml(sj::testing::kPaperExampleXml);
+  ASSERT_NE(db, nullptr);
+  db->disk()->set_read_latency_micros(50);
+  EditTxn txn = db->BeginEdit();
+  ASSERT_TRUE(txn.InsertLastChild(4, "<k/>").ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  ASSERT_TRUE(db->Compact().ok());
+  // Compaction rebuilds the images on a fresh disk; faults after it must
+  // still cost what the caller configured, not RAM speed.
+  EXPECT_EQ(db->disk()->read_latency_micros(), 50u);
+}
+
 TEST(DeltaStore, EditValidation) {
   auto db = OpenXml(sj::testing::kPaperExampleXml);
   ASSERT_NE(db, nullptr);
@@ -499,6 +516,186 @@ TEST(DeltaStoreRandomized, EditScriptsMatchRebuildAcrossBackends) {
     ASSERT_TRUE(db->Compact().ok());
     ExpectEquivalent(*db, *reference,
                      "seed " + std::to_string(seed) + " post-compaction");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden backend matrix: every backend x snapshot state x thread count x
+// pushdown x twig mode, EXPLAIN and per-step faults byte-for-byte
+// against a committed transcript. Refactors of the step dispatch must
+// keep results, plans, labels and fault counts exactly where they are.
+// ---------------------------------------------------------------------------
+
+/// Reaches every StepOperator the staircase engine plans: staircase and
+/// its node-test filter pass, pushdown, axis-cursor, positional, twig
+/// plus twig-subsumed, and empty -- over base tags (t0..t5) and the
+/// tags the edit script introduces (t6, t7, u*).
+const char* const kMatrixQueries[] = {
+    "/descendant::t0",
+    "/descendant::t1/ancestor::t0",
+    "/descendant::t0/descendant::t2",
+    "/descendant::t0/child::t1/child::t2",
+    "/descendant::t3/following-sibling::t4",
+    "/descendant::t2/parent::node()",
+    "/descendant::t1[2]",
+    "/descendant::t0/child::t1[last()]",
+    "/descendant::nosuchtag/child::t0",
+    "/descendant::t0[child::t5]/following::t6",
+    "/descendant::t7 | /descendant::t4/preceding::t3",
+    "/descendant::t2/descendant-or-self::node()/child::text()",
+    "/descendant::t0/descendant::t2/parent::node()",
+    "/descendant::t1/child::t2/following-sibling::node()",
+};
+
+/// The matrix document (9285 nodes) and the edit script shared by the
+/// edited and compacted states: three commits of random inserts,
+/// deletes and replaces.
+std::unique_ptr<Database> OpenMatrixDatabase(int commits) {
+  sj::testing::RandomDocOptions doc_options;
+  doc_options.target_nodes = 20000;
+  DatabaseOptions options;
+  options.plan_cache_entries = 0;  // transcripts carry no cache headers
+  auto opened = Database::FromXml(
+      sj::testing::RandomDocumentXml(5, doc_options), options);
+  EXPECT_TRUE(opened.ok()) << opened.status();
+  if (!opened.ok()) return nullptr;
+  std::unique_ptr<Database> db = std::move(opened).value();
+  Rng rng(2024);
+  for (int commit = 0; commit < commits; ++commit) {
+    EditTxn txn = db->BeginEdit();
+    for (int op = 0; op < 6; ++op) {
+      const uint64_t size = txn.logical_size();
+      const NodeId v = 1 + static_cast<NodeId>(rng.Below(size - 1));
+      switch (rng.Below(3)) {
+        case 0:
+          (void)txn.InsertLastChild(v, RandomFragmentXml(rng));
+          break;
+        case 1:
+          if (size > 8000) (void)txn.DeleteSubtree(v);
+          break;
+        default:
+          (void)txn.ReplaceSubtree(v, RandomFragmentXml(rng));
+          break;
+      }
+    }
+    EXPECT_TRUE(txn.Commit().ok());
+  }
+  return db;
+}
+
+/// One configuration's transcript: per query the masked EXPLAIN (wall
+/// times replaced by '*') and the PlanSummary fault column. Sessions use
+/// cold private pools -- small single-threaded (evictions exercise the
+/// pool's LRU order), large under parallel workers (no evictions, so
+/// fault counts do not depend on thread interleaving).
+std::string MatrixTranscript(const Database& db, StorageBackend backend,
+                             unsigned threads, PushdownMode pushdown,
+                             TwigMode twig) {
+  static const std::regex kMillis(R"(\([0-9.]+ ms\))");
+  std::string out;
+  for (const char* q : kMatrixQueries) {
+    SessionOptions options;
+    options.backend = backend;
+    options.num_threads = threads;
+    options.hints.pushdown = pushdown;
+    options.hints.twig = twig;
+    if (backend != StorageBackend::kMemory) {
+      options.private_pool_pages = threads > 1 ? 512 : 12;
+    }
+    auto session = db.CreateSession(options);
+    EXPECT_TRUE(session.ok()) << session.status();
+    if (!session.ok()) return out;
+    auto r = session.value().Run(q);
+    out += "-- ";
+    out += q;
+    out += "\n";
+    if (!r.ok()) {
+      out += "error: " + r.status().ToString() + "\n";
+      continue;
+    }
+    out += "nodes: " + std::to_string(r.value().nodes.size()) + "\n";
+    out += std::regex_replace(r.value().Explain(), kMillis, "(* ms)");
+    out += "faults:";
+    for (const PlanStepSummary& row : r.value().PlanSummary()) {
+      out += " " + std::to_string(row.faults);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(DeltaStoreGolden, BackendMatrixMatchesTranscript) {
+  auto pristine = OpenMatrixDatabase(0);
+  auto edited = OpenMatrixDatabase(3);
+  auto compacted = OpenMatrixDatabase(3);
+  ASSERT_NE(pristine, nullptr);
+  ASSERT_NE(edited, nullptr);
+  ASSERT_NE(compacted, nullptr);
+  ASSERT_TRUE(compacted->Compact().ok());
+  const std::pair<const char*, const Database*> snapshots[] = {
+      {"pristine", pristine.get()},
+      {"edited", edited.get()},
+      {"compacted", compacted.get()}};
+  const std::pair<const char*, StorageBackend> backends[] = {
+      {"memory", StorageBackend::kMemory},
+      {"paged", StorageBackend::kPaged},
+      {"compressed", StorageBackend::kCompressed}};
+
+  std::string transcript;
+  for (const auto& [backend_name, backend] : backends) {
+    for (const auto& [snapshot_name, db] : snapshots) {
+      for (unsigned threads : {1u, 3u}) {
+        for (PushdownMode pushdown :
+             {PushdownMode::kAlways, PushdownMode::kNever}) {
+          for (TwigMode twig : {TwigMode::kAuto, TwigMode::kNever}) {
+            transcript += "== backend=" + std::string(backend_name) +
+                          " snapshot=" + snapshot_name +
+                          " threads=" + std::to_string(threads) +
+                          " pushdown=" +
+                          (pushdown == PushdownMode::kAlways ? "always"
+                                                             : "never") +
+                          " twig=" +
+                          (twig == TwigMode::kAuto ? "auto" : "never") +
+                          "\n";
+            transcript +=
+                MatrixTranscript(*db, backend, threads, pushdown, twig);
+          }
+        }
+      }
+    }
+  }
+
+  const std::filesystem::path golden =
+      std::filesystem::path(__FILE__).parent_path() / "golden" /
+      "backend_matrix.txt";
+  std::ifstream in(golden, std::ios::binary);
+  std::ostringstream want;
+  want << in.rdbuf();
+  if (transcript != want.str()) {
+    // Leave the actual transcript in the working directory for diffing
+    // (or, after a deliberate plan change, for replacing the golden).
+    std::ofstream("backend_matrix.actual.txt", std::ios::binary)
+        << transcript;
+    std::istringstream got_lines(transcript);
+    std::istringstream want_lines(want.str());
+    std::string got_line;
+    std::string want_line;
+    size_t line = 0;
+    while (true) {
+      ++line;
+      const bool more_got =
+          static_cast<bool>(std::getline(got_lines, got_line));
+      const bool more_want =
+          static_cast<bool>(std::getline(want_lines, want_line));
+      if (!more_got && !more_want) break;
+      if (!more_got || !more_want || got_line != want_line) {
+        FAIL() << golden << " line " << line << " differs\n  want: "
+               << (more_want ? want_line : "<eof>")
+               << "\n  got:  " << (more_got ? got_line : "<eof>")
+               << "\n(actual transcript written to "
+                  "backend_matrix.actual.txt)";
+      }
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include "api/database.h"
 #include "core/fragment_cursor.h"
+#include "core/fragment_impl.h"
 #include "core/staircase_join.h"
 #include "core/tag_view.h"
 #include "encoding/loader.h"
@@ -41,6 +42,21 @@ bool BytesEqual(const NodeSequence& a, const NodeSequence& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(NodeId)) == 0);
+}
+
+/// The generic fragment join over fresh cursors: `Cursor` over `tag`'s
+/// fragment of `tags`, `Acc` over `doc`, both charged to `pool` (their
+/// pages are unpinned on return, as between two query steps).
+template <typename Cursor, typename Acc, typename Tags, typename Table>
+Result<NodeSequence> PushdownVia(const Tags& tags, TagId tag,
+                                 const Table& doc, BufferPool* pool,
+                                 const NodeSequence& ctx, Axis axis,
+                                 const StaircaseOptions& opt = {},
+                                 JoinStats* stats = nullptr) {
+  Cursor frag(tags.fragment(tag), pool);
+  Acc acc(doc, pool);
+  return internal::FragmentStaircaseJoinOver(frag, acc, ctx, axis, opt,
+                                             stats);
 }
 
 bool StatsEqual(const JoinStats& a, const JoinStats& b) {
@@ -122,12 +138,13 @@ TEST_P(FragmentBackendTest, BothBackendsEqualJoinThenFilter) {
           JoinStats mem_stats, io_stats, zip_stats;
           auto mem = StaircaseJoinView(*doc, view, ctx, axis, opt, &mem_stats);
           ASSERT_TRUE(mem.ok()) << mem.status();
-          auto io = PagedStaircaseJoinView(*paged_tags, tag, *paged_doc,
-                                           &pool, ctx, axis, opt, &io_stats);
+          auto io = PushdownVia<PagedFragmentCursor, PagedDocAccessor>(
+              *paged_tags, tag, *paged_doc, &pool, ctx, axis, opt, &io_stats);
           ASSERT_TRUE(io.ok()) << io.status();
-          auto zip = CompressedStaircaseJoinView(*compressed_tags, tag,
-                                                 *compressed_doc, &pool, ctx,
-                                                 axis, opt, &zip_stats);
+          auto zip =
+              PushdownVia<CompressedFragmentCursor, CompressedDocAccessor>(
+                  *compressed_tags, tag, *compressed_doc, &pool, ctx, axis,
+                  opt, &zip_stats);
           ASSERT_TRUE(zip.ok()) << zip.status();
 
           NodeSequence oracle = JoinThenFilter(*doc, ctx, axis, tag, opt);
@@ -288,8 +305,8 @@ TEST(PagedFragmentCursorTest, StickyErrorOnPoolExhaustion) {
   EXPECT_FALSE(io.ok());
   EXPECT_EQ(io.LowerBound(0), io.size());  // terminates joins quickly
   // And the join surfaces the error instead of returning garbage.
-  auto r = PagedStaircaseJoinView(*paged_tags, t, *paged_doc, &pool, {0},
-                                  Axis::kDescendant);
+  auto r = PushdownVia<PagedFragmentCursor, PagedDocAccessor>(
+      *paged_tags, t, *paged_doc, &pool, {0}, Axis::kDescendant);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(paged_doc->KindPage(0)).ok());
 }

@@ -14,6 +14,7 @@
 
 #include "api/database.h"
 #include "core/doc_accessor.h"
+#include "core/staircase_impl.h"
 #include "storage/compressed_accessor.h"
 #include "storage/compressed_doc.h"
 #include "storage/paged_accessor.h"
@@ -41,6 +42,29 @@ bool BytesEqual(const NodeSequence& a, const NodeSequence& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(NodeId)) == 0);
+}
+
+/// The generic staircase join over a fresh `Acc` on `table` and `pool`
+/// (its pages are unpinned on return, as between two query steps).
+template <typename Acc, typename Table>
+Result<NodeSequence> StaircaseVia(const Table& table, BufferPool* pool,
+                                  const NodeSequence& ctx, Axis axis,
+                                  const StaircaseOptions& opt = {},
+                                  JoinStats* stats = nullptr) {
+  Acc acc(table, pool);
+  return internal::StaircaseJoinOver(acc, ctx, axis, opt, stats);
+}
+
+/// The partitioned parallel driver over one `Acc` per worker, with the
+/// worker count capped by the pool's pin budget.
+template <typename Acc, typename Table>
+Result<NodeSequence> ParallelStaircaseVia(const Table& table, BufferPool* pool,
+                                          const NodeSequence& ctx, Axis axis,
+                                          const StaircaseOptions& opt,
+                                          unsigned threads) {
+  return internal::ParallelStaircaseJoinOver(
+      [&table, pool] { return Acc(table, pool); }, ctx, axis, opt, threads,
+      nullptr, pool->capacity());
 }
 
 TEST(DocAccessorTest, MemoryAndPagedCursorsReadTheSameColumns) {
@@ -104,8 +128,8 @@ TEST(DocAccessorTest, CompressedCursorIsStickyOnPoolExhaustion) {
   (void)io.Post(1);  // still failed, no crash, no new pins
   EXPECT_FALSE(io.status().ok());
   // And the join surfaces the error instead of returning garbage.
-  auto r = CompressedStaircaseJoin(*compressed, &pool, {0},
-                                   Axis::kDescendant);
+  auto r = StaircaseVia<CompressedDocAccessor>(*compressed, &pool, {0},
+                                               Axis::kDescendant);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(compressed->kind().pages.front()).ok());
 }
@@ -123,7 +147,8 @@ TEST(DocAccessorTest, PagedCursorIsStickyOnPoolExhaustion) {
   (void)io.Post(1);  // still failed, no crash, no new pins
   EXPECT_FALSE(io.status().ok());
   // And the join surfaces the error instead of returning garbage.
-  auto r = PagedStaircaseJoin(*paged, &pool, {0}, Axis::kDescendant);
+  auto r =
+      StaircaseVia<PagedDocAccessor>(*paged, &pool, {0}, Axis::kDescendant);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
 }
@@ -156,14 +181,14 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
           JoinStats mem_stats, io_stats, zip_stats;
           auto expected = StaircaseJoin(*doc, ctx, axis, opt, &mem_stats);
           ASSERT_TRUE(expected.ok()) << expected.status();
-          auto got = PagedStaircaseJoin(*paged, &pool, ctx, axis, opt,
-                                        &io_stats);
+          auto got = StaircaseVia<PagedDocAccessor>(*paged, &pool, ctx, axis,
+                                                    opt, &io_stats);
           ASSERT_TRUE(got.ok()) << got.status();
           EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
               << AxisName(axis) << " mode " << static_cast<int>(mode)
               << " fused " << fused << " seed " << seed;
-          auto zip = CompressedStaircaseJoin(*compressed, &pool, ctx, axis,
-                                             opt, &zip_stats);
+          auto zip = StaircaseVia<CompressedDocAccessor>(
+              *compressed, &pool, ctx, axis, opt, &zip_stats);
           ASSERT_TRUE(zip.ok()) << zip.status();
           EXPECT_TRUE(BytesEqual(zip.value(), expected.value()))
               << "compressed " << AxisName(axis) << " mode "
@@ -177,13 +202,13 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
           EXPECT_EQ(zip_stats.nodes_copied, mem_stats.nodes_copied);
           EXPECT_EQ(zip_stats.nodes_skipped, mem_stats.nodes_skipped);
 
-          auto par = ParallelPagedStaircaseJoin(*paged, &pool, ctx, axis,
-                                                opt, 4);
+          auto par = ParallelStaircaseVia<PagedDocAccessor>(*paged, &pool,
+                                                            ctx, axis, opt, 4);
           ASSERT_TRUE(par.ok()) << par.status();
           EXPECT_TRUE(BytesEqual(par.value(), expected.value()))
               << "parallel " << AxisName(axis) << " seed " << seed;
-          auto zpar = ParallelCompressedStaircaseJoin(*compressed, &pool,
-                                                      ctx, axis, opt, 4);
+          auto zpar = ParallelStaircaseVia<CompressedDocAccessor>(
+              *compressed, &pool, ctx, axis, opt, 4);
           ASSERT_TRUE(zpar.ok()) << zpar.status();
           EXPECT_TRUE(BytesEqual(zpar.value(), expected.value()))
               << "parallel compressed " << AxisName(axis) << " seed " << seed;
@@ -211,11 +236,13 @@ TEST(BackendEquivalenceTest, KeepAttributesAndExactLevelMatchToo) {
       opt.keep_attributes = keep_attributes;
       opt.use_exact_level = true;  // exercises the pool-backed level column
       auto expected = StaircaseJoin(*doc, ctx, axis, opt);
-      auto got = PagedStaircaseJoin(*paged, &pool, ctx, axis, opt);
+      auto got =
+          StaircaseVia<PagedDocAccessor>(*paged, &pool, ctx, axis, opt);
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
           << AxisName(axis) << " keep_attributes " << keep_attributes;
-      auto zip = CompressedStaircaseJoin(*compressed, &pool, ctx, axis, opt);
+      auto zip = StaircaseVia<CompressedDocAccessor>(*compressed, &pool, ctx,
+                                                     axis, opt);
       ASSERT_TRUE(zip.ok()) << zip.status();
       EXPECT_TRUE(BytesEqual(zip.value(), expected.value()))
           << "compressed " << AxisName(axis) << " keep_attributes "

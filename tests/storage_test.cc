@@ -7,7 +7,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/staircase_impl.h"
 #include "storage/buffer_pool.h"
+#include "storage/paged_accessor.h"
 #include "storage/paged_doc.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -234,8 +236,9 @@ TEST_P(PagedJoinPropertyTest, MatchesInMemoryJoin) {
     opt.skip_mode = mode;
     JoinStats mem_stats, paged_stats;
     auto expected = StaircaseJoin(*doc, ctx, axis, opt, &mem_stats);
-    auto got = PagedStaircaseJoin(*paged, &pool, ctx, axis, opt,
-                                  &paged_stats);
+    PagedDocAccessor acc(*paged, &pool);
+    auto got =
+        internal::StaircaseJoinOver(acc, ctx, axis, opt, &paged_stats);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(got.value(), expected.value())
         << AxisName(axis) << " seed " << seed << " pool " << pool_pages;
@@ -269,9 +272,13 @@ TEST(PagedJoinTest, SkippingSavesPageFaults) {
   est.keep_attributes = true;  // pure copy: no kind pages either
 
   BufferPool cold_none(&disk, 4);
-  (void)PagedStaircaseJoin(*paged, &cold_none, ctx, Axis::kDescendant, none);
+  PagedDocAccessor none_acc(*paged, &cold_none);
+  (void)internal::StaircaseJoinOver(none_acc, ctx, Axis::kDescendant, none,
+                                    nullptr);
   BufferPool cold_est(&disk, 4);
-  (void)PagedStaircaseJoin(*paged, &cold_est, ctx, Axis::kDescendant, est);
+  PagedDocAccessor est_acc(*paged, &cold_est);
+  (void)internal::StaircaseJoinOver(est_acc, ctx, Axis::kDescendant, est,
+                                    nullptr);
 
   EXPECT_GT(cold_none.stats().faults, 0u);
   // (root)/descendant with estimation: only the root's own post page.
@@ -284,14 +291,15 @@ TEST(PagedJoinTest, RejectsBadInput) {
   SimulatedDisk disk;
   auto paged = PagedDocTable::Create(*doc, &disk).value();
   BufferPool pool(&disk, 4);
-  EXPECT_FALSE(
-      PagedStaircaseJoin(*paged, &pool, {3, 1}, Axis::kDescendant).ok());
+  PagedDocAccessor acc(*paged, &pool);
+  auto join = [&acc](const NodeSequence& ctx, Axis axis) {
+    return internal::StaircaseJoinOver(acc, ctx, axis, {}, nullptr);
+  };
+  EXPECT_FALSE(join({3, 1}, Axis::kDescendant).ok());
   // Non-staircase axes are rejected; following/preceding are supported
   // since the join runs through the backend-generic kernels.
-  EXPECT_FALSE(PagedStaircaseJoin(*paged, &pool, {0}, Axis::kChild).ok());
-  EXPECT_TRUE(PagedStaircaseJoin(*paged, &pool, {0}, Axis::kFollowing).ok());
-  EXPECT_FALSE(
-      PagedStaircaseJoin(*paged, nullptr, {0}, Axis::kDescendant).ok());
+  EXPECT_FALSE(join({0}, Axis::kChild).ok());
+  EXPECT_TRUE(join({0}, Axis::kFollowing).ok());
   EXPECT_FALSE(PagedDocTable::Create(*doc, nullptr).ok());
 }
 

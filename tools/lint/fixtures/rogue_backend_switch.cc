@@ -4,15 +4,15 @@
 // dispatch class dodges its -Wswitch exhaustiveness net: the next
 // backend added to the enum silently falls through here.
 
-#include "xpath/evaluator.h"
+#include "api/session.h"
 
-namespace sj::xpath {
+namespace sj {
 
-const char* RogueLabel(const EvalOptions& opt) {
-  if (opt.backend == StorageBackend::kPaged) {  // violation: comparison
+const char* RogueLabel(const SessionOptions& options) {
+  if (options.backend == StorageBackend::kPaged) {  // violation: comparison
     return "paged";
   }
-  switch (opt.backend) {  // violation: switch outside the dispatch
+  switch (options.backend) {  // violation: switch outside the dispatch
     case StorageBackend::kCompressed:
       return "compressed";
     default:
@@ -20,4 +20,4 @@ const char* RogueLabel(const EvalOptions& opt) {
   }
 }
 
-}  // namespace sj::xpath
+}  // namespace sj

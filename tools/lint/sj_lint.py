@@ -13,7 +13,13 @@ enforces. This pass makes them hard failures in CI:
                     may compare or switch on StorageBackend. A rogue
                     comparison elsewhere re-creates the per-backend
                     if/else soup the dispatch class retired and dodges
-                    its -Wswitch exhaustiveness net.
+                    its -Wswitch exhaustiveness net. Likewise it is the
+                    one place outside src/storage/ and src/delta/ that
+                    constructs the pool-backed or merging cursors
+                    (Paged/Compressed DocAccessor and FragmentCursor,
+                    DeltaDocAccessor<, DeltaFragmentCursor<): a cursor
+                    built anywhere else is a per-backend shim growing
+                    back next to the step's two construction sites.
   explain-literal   EXPLAIN trace fragments live in
                     src/xpath/explain_strings.h and nowhere else; tests
                     pin traces byte-for-byte, so an inline trace literal
@@ -157,6 +163,15 @@ _BACKEND_SWITCH_RE = re.compile(r"switch\s*\(([^()]|\([^()]*\))*backend")
 
 _DISPATCH_FILE = "src/xpath/backend_dispatch.h"
 
+_CURSOR_RE = re.compile(
+    r"\b(?:PagedDocAccessor|CompressedDocAccessor|PagedFragmentCursor|"
+    r"CompressedFragmentCursor)\b"
+    r"|\b(?:DeltaDocAccessor|DeltaFragmentCursor)\s*<")
+
+# Where storage and delta cursors may be constructed: their own layers
+# and the dispatch's two construction sites.
+_CURSOR_SITES = ("src/storage/", "src/delta/", _DISPATCH_FILE)
+
 
 def check_backend_dispatch(rel, code, _literals, allows, findings):
     if not rel.startswith("src/") or rel == _DISPATCH_FILE:
@@ -171,6 +186,15 @@ def check_backend_dispatch(rel, code, _literals, allows, findings):
                 "backend-dispatch",
                 "switch on a storage backend outside " + _DISPATCH_FILE +
                 "; add or use a BackendDispatch method")
+    if rel.startswith(_CURSOR_SITES):
+        return
+    for m in _CURSOR_RE.finditer(code):
+        _report(findings, allows, rel, line_of(code, m.start()),
+                "backend-dispatch",
+                "storage/delta cursor constructed outside src/storage/, "
+                "src/delta/ and " + _DISPATCH_FILE + "; build a step's "
+                "cursors through BackendDispatch instead of a per-backend "
+                "shim")
 
 
 # Phrases that only occur in EXPLAIN trace output. Deliberately NOT the

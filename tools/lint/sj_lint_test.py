@@ -19,6 +19,7 @@ FIXTURES = HERE / "fixtures"
 CASES = {
     "pool_bypass.cc": ("src/xpath/evil.cc", "pool-bypass"),
     "rogue_backend_switch.cc": ("src/api/evil.cc", "backend-dispatch"),
+    "rogue_cursor_shim.cc": ("src/core/evil.cc", "backend-dispatch"),
     "drifted_explain_literal.cc": ("src/xpath/evil.cc", "explain-literal"),
     "stats_free_kernel.h": ("src/core/kernels.h", "stats-on-advance"),
     "bench_missing_fields.cc": ("bench/bench_evil.cc", "bench-json"),
@@ -32,6 +33,7 @@ CASES = {
 EXEMPT = {
     "pool_bypass.cc": "src/storage/evil.cc",
     "rogue_backend_switch.cc": "src/xpath/backend_dispatch.h",
+    "rogue_cursor_shim.cc": "src/storage/evil.cc",
     "drifted_explain_literal.cc": "src/xpath/explain_strings.h",
     "stats_free_kernel.h": "src/core/doc_accessor.h",
     "bench_missing_fields.cc": "tests/evil_test.cc",
