@@ -545,6 +545,11 @@ const char* const kMatrixQueries[] = {
     "/descendant::t2/descendant-or-self::node()/child::text()",
     "/descendant::t0/descendant::t2/parent::node()",
     "/descendant::t1/child::t2/following-sibling::node()",
+    "/descendant::t0/descendant-or-self::t1[last()]",
+    "/descendant::t3/following::t4[1]",
+    "/descendant::t4/preceding::t3[2]",
+    "/descendant::t3/following-sibling::t4[2]",
+    "/descendant::t4/preceding-sibling::t3[1]",
 };
 
 /// The matrix document (9285 nodes) and the edit script shared by the
