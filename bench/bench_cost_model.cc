@@ -22,13 +22,19 @@ namespace {
 
 /// The acceptance set: a selective single step, a chain whose inner
 /// steps see wide contexts (where pushdown's per-context probes lose),
-/// and a deep chain over small fragments (where pushdown wins).
+/// and a deep chain over small fragments (where pushdown wins); then
+/// three positional steps, which rank over the tag fragment unless the
+/// hint is kNever: a child step per context node, a one-off
+/// descendant rank from the root, and a following-sibling walk.
 constexpr const char* kQueries[] = {
     "/descendant::person",
     "/descendant::open_auctions/descendant::open_auction"
     "/descendant::seller",
     "/descendant::regions/descendant::item/descendant::mailbox"
     "/descendant::date",
+    "/descendant::open_auction/child::bidder[2]",
+    "/descendant::item[2]",
+    "/descendant::mailbox/parent::item/following-sibling::item[3]",
 };
 
 constexpr size_t kPoolPages = 64;

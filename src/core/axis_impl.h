@@ -329,12 +329,14 @@ Result<NodeSequence> AxisStepOver(A& acc, const NodeSequence& context,
   return result;
 }
 
-/// Per-context-node output of the positional axis step: `nodes` holds
+/// Per-context-node output of the positional axis steps: `nodes` holds
 /// group k's matches in document order at
 /// [offsets[k], offsets[k+1]); offsets.size() == context.size() + 1.
 /// Groups may overlap in content (two context nodes can share
 /// descendants) -- positional ranking is per context node, which is
-/// exactly why covered-context pruning must NOT apply here.
+/// exactly why covered-context pruning must NOT apply here. Produced by
+/// the document scan below (whole groups) and by the fragment rank
+/// selection of core/fragment_impl.h (at most one node per group).
 struct PositionalGroups {
   NodeSequence nodes;
   std::vector<size_t> offsets;
@@ -345,6 +347,15 @@ struct PositionalGroups {
 /// groups a positional predicate ranks within. Replaces the per-context
 /// naive fallback (which bypassed the buffer pool) -- every candidate
 /// read below is charged to the backend, subtree jumps announce SkipTo.
+///
+/// This document scan reads each context node's whole axis group. A
+/// name-test step led by [k] or [last()] on the child, descendant(-or-
+/// self), following(-sibling) and preceding(-sibling) axes skips it when
+/// the image has tag fragments and pushdown is not kNever: it reads the
+/// one ranked match with PositionalRankSelectOver (core/fragment_impl.h).
+/// The scan keeps kind tests and `*`, the attribute, parent,
+/// ancestor(-or-self) and self axes, and steps whose first predicate is
+/// an existence test.
 ///
 /// Group contents reproduce baselines/naive.cc AppendPerContext
 /// semantics exactly (it is the oracle the tests compare against):

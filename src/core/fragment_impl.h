@@ -20,6 +20,11 @@
 // comparison, nodes_copied are slots appended without one (their post
 // column is never read -- on a paged backend, never faulted), and
 // nodes_skipped are slots never touched at all.
+//
+// The positional rank selection at the end of the file reuses the same
+// cursors for a different question: not "every match of the axis" but
+// "the k-th (or last) match per context node", answered by probing the
+// fragment at the group's bounds instead of scanning the group.
 
 #ifndef STAIRJOIN_CORE_FRAGMENT_IMPL_H_
 #define STAIRJOIN_CORE_FRAGMENT_IMPL_H_
@@ -27,6 +32,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "core/axis_impl.h"
 #include "core/doc_accessor.h"
 #include "core/fragment_cursor.h"
 #include "core/staircase_impl.h"
@@ -249,6 +255,231 @@ Result<NodeSequence> FragmentStaircaseJoinOver(F& frag, A& acc,
   local.result_size = result.size();
   if (stats != nullptr) *stats = local;
   return result;
+}
+
+/// A positional step's leading rank predicate, counted in axis order:
+/// `[position]` or `[last()]`.
+struct PositionalRank {
+  bool last = false;
+  uint64_t position = 1;  ///< 1-based; unused when `last`
+};
+
+/// The axes PositionalRankSelectOver serves. Parent, ancestor(-or-self)
+/// and self read at most h nodes per context node through the document
+/// scan already; attribute nodes have no tag fragment.
+constexpr bool IsFragmentRankAxis(Axis axis) {
+  switch (axis) {
+    case Axis::kChild:
+    case Axis::kDescendant:
+    case Axis::kDescendantOrSelf:
+    case Axis::kFollowing:
+    case Axis::kPreceding:
+    case Axis::kFollowingSibling:
+    case Axis::kPrecedingSibling:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The `nth` fragment member (1-based, in document order, or from the
+/// back when `backward`) among the element slots in pre range [lo, hi]
+/// at `level` -- the children of one parent, or a run of them. A slot
+/// deeper than `level` lies inside the subtree of a group member x (its
+/// ancestor at `level`, reached through Parent reads), and every slot of
+/// x's subtree is deeper too: the forward walk jumps past end(x), the
+/// backward walk resumes at the last slot with pre <= x (x itself when
+/// it carries the tag). The neighbouring slot is tested before a binary
+/// search, so the walk visits at most one slot per group member, as the
+/// document scan visits one node per member.
+template <FragmentCursor F, DocAccessor A>
+NodeId FragSiblingSelect(F& frag, A& acc, uint64_t lo, uint64_t hi,
+                         uint32_t level, bool backward, uint64_t nth,
+                         JoinStats* stats) {
+  if (hi < lo) return kNilNode;
+  uint64_t count = 0;
+  // The group member containing the slot at pre rank p: p itself when p
+  // sits at `level`. The climb is bounded by the level, so failed reads
+  // (zeros) still terminate.
+  auto member_of = [&acc, level](NodeId p) {
+    uint64_t x = p;
+    for (uint32_t lv = acc.Level(p); lv > level; --lv) x = acc.Parent(x);
+    return x;
+  };
+  if (!backward) {
+    size_t s = frag.LowerBound(lo);
+    while (s < frag.size()) {
+      const NodeId p = frag.Pre(s);
+      if (p > hi) break;
+      ++stats->nodes_scanned;
+      const uint64_t x = member_of(p);
+      if (x == p && ++count == nth) return p;
+      const uint64_t end = SubtreeEndOver(acc, x);
+      size_t next = s + 1;
+      if (next < frag.size() && frag.Pre(next) <= end) {
+        next = std::max(next, frag.LowerBound(end + 1));
+        stats->nodes_skipped += next - s - 1;
+        frag.SkipTo(next);
+      }
+      s = next;
+    }
+    return kNilNode;
+  }
+  size_t s = frag.LowerBound(hi + 1);  // slots below s have pre <= hi
+  while (s > 0) {
+    const size_t t = s - 1;
+    const NodeId p = frag.Pre(t);
+    if (p < lo) break;
+    ++stats->nodes_scanned;
+    const uint64_t x = member_of(p);
+    if (x == p && ++count == nth) return p;
+    s = t;
+    if (x != p && t > 0 && frag.Pre(t - 1) > x) {
+      s = std::min(t, frag.LowerBound(x + 1));
+      stats->nodes_skipped += t - s;
+    }
+  }
+  return kNilNode;
+}
+
+/// The `nth` member (1-based, from the front or the back) of the
+/// contiguous slot range [lo, hi) -- a descendant or following group is
+/// every fragment slot between two pre bounds, so ranking is slot
+/// arithmetic: one Pre read, no comparison.
+template <FragmentCursor F>
+NodeId FragRangeSelect(F& frag, size_t lo, size_t hi, bool backward,
+                       uint64_t nth, JoinStats* stats) {
+  if (hi <= lo || hi - lo < nth) return kNilNode;
+  ++stats->nodes_copied;
+  stats->nodes_skipped += nth - 1;
+  return frag.Pre(backward ? hi - nth : lo + nth - 1);
+}
+
+/// \brief Positional rank selection over one tag fragment: for each
+/// context node c, the `rank`-th match of `<axis>::T` (T the fragment's
+/// tag), read with fragment probes instead of building c's whole axis
+/// group. Per axis (end(v) = SubtreeEndOver(acc, v)):
+///
+///   descendant(-or-self)  slots [LowerBound(c+1) (or c), LowerBound(
+///                         end(c)+1)): [k] is one slot read, [last()]
+///                         the slot before the end;
+///   following             slots [LowerBound(end(c)+1), size());
+///   child, following-     FragSiblingSelect over c's children, resp.
+///   and preceding-sibling the parent's children after / before c;
+///   preceding             a walk outward from LowerBound(c)-1 (for
+///                         [k]) or from slot 0 (for [last()]) that
+///                         skips the <= h ancestors of c by their post
+///                         rank.
+///
+/// Reverse axes count [k] from c outward, so preceding(-sibling) [k]
+/// walks backward and [last()] forward. Output: one group per context
+/// node holding its match or nothing, in context order -- the shape of
+/// PositionalAxisStepOver, so the caller applies the step's remaining
+/// predicates per group. Stats: nodes_scanned are slots compared (a
+/// level or post test), nodes_copied slots selected by arithmetic alone,
+/// nodes_skipped slots passed over without a read.
+template <FragmentCursor F, DocAccessor A>
+Result<PositionalGroups> PositionalRankSelectOver(F& frag, A& acc,
+                                                  const NodeSequence& context,
+                                                  Axis axis,
+                                                  PositionalRank rank,
+                                                  JoinStats* stats) {
+  if (!IsFragmentRankAxis(axis)) {
+    return Status::Unsupported(
+        std::string("positional rank selection on axis ") +
+        std::string(AxisName(axis)));
+  }
+  SJ_RETURN_NOT_OK(ValidateContext(acc, context));
+  PositionalGroups groups;
+  groups.offsets.reserve(context.size() + 1);
+  groups.offsets.push_back(0);
+  JoinStats local;
+  local.context_size = context.size();
+  local.pruned_context_size = context.size();
+  const bool reverse =
+      axis == Axis::kPreceding || axis == Axis::kPrecedingSibling;
+  // Which end of the document-order group the rank counts from.
+  const bool backward = rank.last != reverse;
+  const uint64_t nth = rank.last ? 1 : rank.position;
+
+  for (NodeId c : context) {
+    NodeId hit = kNilNode;
+    if (frag.size() > 0) {
+      switch (axis) {
+        case Axis::kDescendant:
+        case Axis::kDescendantOrSelf: {
+          const uint64_t end = SubtreeEndOver(acc, c);
+          const size_t lo = frag.LowerBound(
+              axis == Axis::kDescendant ? uint64_t{c} + 1 : uint64_t{c});
+          if (backward) {
+            hit = FragRangeSelect(frag, lo, frag.LowerBound(end + 1), true,
+                                  nth, &local);
+          } else if (lo + nth - 1 < frag.size()) {
+            // [k] needs no upper bound probe: one slot read, tested
+            // against end(c).
+            ++local.nodes_scanned;
+            local.nodes_skipped += nth - 1;
+            const NodeId p = frag.Pre(lo + nth - 1);
+            if (p <= end) hit = p;
+          }
+          break;
+        }
+        case Axis::kFollowing:
+          hit = FragRangeSelect(frag,
+                                frag.LowerBound(SubtreeEndOver(acc, c) + 1),
+                                frag.size(), backward, nth, &local);
+          break;
+        case Axis::kChild:
+          hit = FragSiblingSelect(frag, acc, uint64_t{c} + 1,
+                                  SubtreeEndOver(acc, c),
+                                  uint32_t{acc.Level(c)} + 1, backward, nth,
+                                  &local);
+          break;
+        case Axis::kFollowingSibling:
+        case Axis::kPrecedingSibling: {
+          if (acc.Kind(c) == kAttrKind) break;
+          const NodeId p = acc.Parent(c);
+          if (p == kNilNode) break;
+          const bool following = axis == Axis::kFollowingSibling;
+          const uint64_t lo =
+              following ? SubtreeEndOver(acc, c) + 1 : uint64_t{p} + 1;
+          const uint64_t hi = following ? SubtreeEndOver(acc, p)
+                                        : uint64_t{c} - 1;  // c excluded
+          if (lo <= hi) {
+            hit = FragSiblingSelect(frag, acc, lo, hi, acc.Level(c), backward,
+                                    nth, &local);
+          }
+          break;
+        }
+        case Axis::kPreceding: {
+          // Slots left of c are preceding unless they are ancestors of c
+          // (post > post(c)); at most h of them interleave the walk.
+          const uint32_t bound = acc.Post(c);
+          const size_t end = frag.LowerBound(c);
+          uint64_t count = 0;
+          for (size_t i = 0; i < end; ++i) {
+            const size_t t = backward ? end - 1 - i : i;
+            ++local.nodes_scanned;
+            if (frag.Post(t) < bound && ++count == nth) {
+              hit = frag.Pre(t);
+              break;
+            }
+          }
+          break;
+        }
+        default:
+          return Status::Internal("unreachable");
+      }
+    }
+    if (hit != kNilNode) groups.nodes.push_back(hit);
+    groups.offsets.push_back(groups.nodes.size());
+  }
+
+  if (!acc.ok()) return acc.status();
+  if (!frag.ok()) return frag.status();
+  local.result_size = groups.nodes.size();
+  if (stats != nullptr) *stats = local;
+  return groups;
 }
 
 }  // namespace sj::internal

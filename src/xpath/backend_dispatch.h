@@ -315,7 +315,9 @@ class BackendDispatch {
   }
 
   /// Set-at-a-time positional axis step: per-context groups for rank
-  /// predicates, every read charged to the backend.
+  /// predicates, every read charged to the backend. Serves the
+  /// positional steps PositionalRankSelect does not (see
+  /// Evaluator::PlanStep).
   Result<internal::PositionalGroups> PositionalAxis(
       const NodeSequence& context, Axis axis, const AxisNodeTest& test,
       JoinStats* stats) const {
@@ -323,6 +325,21 @@ class BackendDispatch {
       auto acc = backend.MakeAccessor();
       return internal::PositionalAxisStepOver(acc, context, axis, test,
                                               stats);
+    });
+  }
+
+  /// Positional rank selection over one tag fragment: each context
+  /// node's `rank`-th match of the axis, read with fragment probes
+  /// instead of its whole axis group; requires HasFragments() and
+  /// internal::IsFragmentRankAxis(axis).
+  Result<internal::PositionalGroups> PositionalRankSelect(
+      TagId tag, const NodeSequence& context, Axis axis,
+      internal::PositionalRank rank, JoinStats* stats) const {
+    return VisitStepBackend(doc_, opt_, [&](const auto& backend) {
+      auto frag = backend.MakeCursor(tag);
+      auto acc = backend.MakeAccessor();
+      return internal::PositionalRankSelectOver(frag, acc, context, axis,
+                                                rank, stats);
     });
   }
 

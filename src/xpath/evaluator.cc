@@ -327,9 +327,11 @@ PlannedStep Evaluator::PlanStep(const Step& step,
                    (step.test.kind == NodeTestKind::kPi &&
                     !step.test.name.empty());
   if (plan.needs_tag) plan.tag = LookupTag(step.test.name);
-  plan.pushdown = !plan.positional && step.test.kind == NodeTestKind::kName &&
-                  plan.tag.has_value() &&
-                  ShouldPushdown(step, *plan.tag, est, *ctx);
+  if (step.test.kind == NodeTestKind::kName && plan.tag.has_value()) {
+    plan.pushdown = plan.positional
+                        ? RankOverFragment(step)
+                        : ShouldPushdown(step, *plan.tag, est, *ctx);
+  }
 
   // Cardinality: chain the context estimate through the step, then the
   // predicate chain (positional predicates clamp to one row per context
@@ -456,6 +458,18 @@ bool Evaluator::ShouldPushdown(const Step& step, TagId tag,
   return false;
 }
 
+bool Evaluator::RankOverFragment(const Step& step) const {
+  // The name-test pushdown gate minus the cost comparison: a rank probe
+  // reads at most the slots a walk lands on, never more than the scan.
+  if (options_.engine != EngineMode::kStaircase ||
+      options_.pushdown == PushdownMode::kNever ||
+      !internal::IsFragmentRankAxis(step.axis) ||
+      step.predicates.front().kind == Predicate::Kind::kExists) {
+    return false;
+  }
+  return BackendDispatch(doc_, options_).HasFragments();
+}
+
 NodeSequence Evaluator::FilterByTest(const DocTable& doc, const Step& step,
                                      const NodeSequence& nodes) const {
   NodeSequence out;
@@ -554,9 +568,9 @@ static bool IsReverseAxis(Axis axis) {
 /// predicates apply in order, each positional predicate indexing the
 /// list surviving the previous ones.
 Result<NodeSequence> Evaluator::RankWithinGroup(
-    const Step& step, NodeSequence axis_nodes,
+    const Step& step, size_t first, NodeSequence axis_nodes,
     std::vector<std::optional<bool>>* absolute_verdict) {
-  for (size_t p = 0; p < step.predicates.size(); ++p) {
+  for (size_t p = first; p < step.predicates.size(); ++p) {
     const Predicate& pred = step.predicates[p];
     if (axis_nodes.empty()) break;
     NodeSequence kept;
@@ -612,7 +626,7 @@ Result<NodeSequence> Evaluator::EvalStepPositional(
     }
     SJ_ASSIGN_OR_RETURN(
         axis_nodes,
-        RankWithinGroup(step, std::move(axis_nodes), &absolute_verdict));
+        RankWithinGroup(step, 0, std::move(axis_nodes), &absolute_verdict));
     collected.insert(collected.end(), axis_nodes.begin(), axis_nodes.end());
   }
   std::sort(collected.begin(), collected.end());
@@ -674,35 +688,60 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
     trace.description = ToString(step) + explain::kEmptyUnknownTag;
     result.clear();
   } else if (plan.positional) {
-    // Set-at-a-time positional rank join: one backend cursor pass
-    // builds every context node's group (core/axis_impl.h), predicates
-    // rank within each group. Every candidate read is charged to the
-    // backend -- this retired the per-context bypass.
-    SJ_ASSIGN_OR_RETURN(
-        internal::PositionalGroups groups,
-        dispatch.PositionalAxis(context, step.axis,
-                                MakeAxisNodeTest(step, tag), &stats));
-    std::vector<std::optional<bool>> absolute_verdict(step.predicates.size());
-    NodeSequence collected;
-    for (size_t g = 0; g + 1 < groups.offsets.size(); ++g) {
-      NodeSequence axis_nodes(groups.nodes.begin() + groups.offsets[g],
-                              groups.nodes.begin() + groups.offsets[g + 1]);
-      if (IsReverseAxis(step.axis)) {
-        std::reverse(axis_nodes.begin(), axis_nodes.end());
-      }
+    // Set-at-a-time positional rank join: one group per context node,
+    // predicates rank within each group. Every read is charged to the
+    // backend. Over a tag fragment the leading [k] / [last()] is settled
+    // by fragment probes (one match per group); otherwise one cursor
+    // pass builds every group from the document (core/axis_impl.h).
+    internal::PositionalGroups groups;
+    size_t first_predicate = 0;
+    trace.description = ToString(step) + explain::kVia + dispatch.Label() +
+                        std::string(AxisName(step.axis)) +
+                        explain::kPositionalRankJoin;
+    if (plan.pushdown) {
+      const Predicate& lead = step.predicates.front();
+      const internal::PositionalRank rank{
+          lead.kind == Predicate::Kind::kLast, lead.position};
+      SJ_ASSIGN_OR_RETURN(groups,
+                          dispatch.PositionalRankSelect(*tag, context,
+                                                        step.axis, rank,
+                                                        &stats));
+      first_predicate = 1;
+      trace.description += explain::kPositionalOverFragmentOpen +
+                           step.test.name +
+                           explain::kPositionalOverFragmentClose;
+    } else {
       SJ_ASSIGN_OR_RETURN(
-          axis_nodes,
-          RankWithinGroup(step, std::move(axis_nodes), &absolute_verdict));
-      collected.insert(collected.end(), axis_nodes.begin(), axis_nodes.end());
+          groups, dispatch.PositionalAxis(context, step.axis,
+                                          MakeAxisNodeTest(step, tag),
+                                          &stats));
+    }
+    if (dispatch.Pooled()) trace.description += explain::kBufferPoolSuffix;
+    NodeSequence collected;
+    if (first_predicate == step.predicates.size()) {
+      // The fragment probes settled the whole predicate chain.
+      collected = std::move(groups.nodes);
+    } else {
+      std::vector<std::optional<bool>> absolute_verdict(
+          step.predicates.size());
+      for (size_t g = 0; g + 1 < groups.offsets.size(); ++g) {
+        NodeSequence axis_nodes(groups.nodes.begin() + groups.offsets[g],
+                                groups.nodes.begin() + groups.offsets[g + 1]);
+        if (IsReverseAxis(step.axis)) {
+          std::reverse(axis_nodes.begin(), axis_nodes.end());
+        }
+        SJ_ASSIGN_OR_RETURN(axis_nodes,
+                            RankWithinGroup(step, first_predicate,
+                                            std::move(axis_nodes),
+                                            &absolute_verdict));
+        collected.insert(collected.end(), axis_nodes.begin(),
+                         axis_nodes.end());
+      }
     }
     std::sort(collected.begin(), collected.end());
     collected.erase(std::unique(collected.begin(), collected.end()),
                     collected.end());
     result = std::move(collected);
-    trace.description = ToString(step) + explain::kVia + dispatch.Label() +
-                        std::string(AxisName(step.axis)) +
-                        explain::kPositionalRankJoin +
-                        (dispatch.Pooled() ? explain::kBufferPoolSuffix : "");
     stats.result_size = result.size();
     if (top_level) {
       trace.stats = stats;

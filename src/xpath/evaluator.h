@@ -9,7 +9,9 @@
 // DocAccessor backends, with the step's node test folded into the scan --
 // so on the paged backend *every* step of a query charges its column
 // reads to the buffer pool -- including positional predicates, which
-// run as a set-at-a-time rank join within per-context groups. Operator
+// run as a set-at-a-time rank join within per-context groups (a name
+// test led by [k] / [last()] reads each group's match from the tag
+// fragment instead of scanning the group). Operator
 // choice (pushdown vs staircase vs axis cursor) is estimate-driven via
 // xpath/cost_model.h unless a hint pins it. A fully naive engine is
 // provided as the tree-unaware comparator and as an independent
@@ -278,12 +280,13 @@ class Evaluator {
   /// through the set-at-a-time rank join instead (EvalStep).
   Result<NodeSequence> EvalStepPositional(const Step& step,
                                           const NodeSequence& context);
-  /// Applies a positional step's predicate chain to one context node's
-  /// axis output (already reversed for reverse axes): positions index
-  /// the list surviving the previous predicates. `absolute_verdict`
-  /// memoizes context-invariant absolute predicate paths per step.
+  /// Applies a positional step's predicate chain, from predicate
+  /// `first` on, to one context node's axis output (already reversed for
+  /// reverse axes): positions index the list surviving the previous
+  /// predicates. `absolute_verdict` memoizes context-invariant absolute
+  /// predicate paths per step.
   Result<NodeSequence> RankWithinGroup(
-      const Step& step, NodeSequence axis_nodes,
+      const Step& step, size_t first, NodeSequence axis_nodes,
       std::vector<std::optional<bool>>* absolute_verdict);
   Result<NodeSequence> ApplyPredicates(const Step& step, NodeSequence nodes);
   Result<bool> PredicateHolds(const Predicate& pred, NodeId node);
@@ -297,6 +300,12 @@ class Evaluator {
   bool ShouldPushdown(const Step& step, TagId tag,
                       const CardinalityEstimator& est,
                       const ContextEstimate& in) const;
+  /// The positional planning decision: a name-test step (tag interned)
+  /// whose first predicate is [k] or [last()] selects its rank from the
+  /// tag fragment on the fragment axes whenever the image has fragments
+  /// and the pushdown hint is not kNever -- the name-test pushdown gate
+  /// without its cost comparison.
+  bool RankOverFragment(const Step& step) const;
   /// True when options_ carry a non-empty delta overlay.
   bool Overlaid() const;
   /// Merged document size (doc_.size() when pristine).

@@ -41,10 +41,19 @@ inline constexpr const char kPushdownClose[] = "' (name-test pushdown)";
 /// Suffix after the axis name: "<axis>-axis cursor join".
 inline constexpr const char kAxisCursorJoin[] = "-axis cursor join";
 /// Suffix after the axis name of the set-at-a-time positional step:
-/// "<axis>-axis positional rank join". Replaced the per-context
-/// positional-predicate fallback (which bypassed the buffer pool).
+/// "<axis>-axis positional rank join". The document scan
+/// (PositionalAxisStepOver) serves kind tests, `*`, the attribute,
+/// parent, ancestor(-or-self) and self axes, steps whose first predicate
+/// is an existence test, and every step under pushdown=never.
 inline constexpr const char kPositionalRankJoin[] =
     "-axis positional rank join";
+/// Name-test positional steps whose first predicate is [k] or [last()]
+/// read each context node's match from the tag fragment
+/// (PositionalRankSelectOver): "<axis>-axis positional rank join over
+/// tag fragment 'T'".
+inline constexpr const char kPositionalOverFragmentOpen[] =
+    " over tag fragment '";
+inline constexpr const char kPositionalOverFragmentClose[] = "'";
 
 // --- twig join --------------------------------------------------------------
 inline constexpr const char kTwigJoinOverFragments[] =

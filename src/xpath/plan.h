@@ -61,8 +61,10 @@ struct PlannedStep {
   /// The interned tag; nullopt when `needs_tag` but the name was never
   /// interned (the step can only produce the empty sequence).
   std::optional<TagId> tag;
-  /// Staircase name-test steps only: evaluate over the tag fragment
-  /// (the cost model's call at compile time).
+  /// Name-test steps only: evaluate over the tag fragment. Staircase
+  /// steps ask the cost model at compile time; positional steps led by
+  /// [k] / [last()] take the fragment whenever the gate of
+  /// Evaluator::RankOverFragment holds.
   bool pushdown = false;
 
   /// The operator the cost model chose (EXPLAIN / PlanSummary token).

@@ -403,6 +403,48 @@ TEST(PositionalRankJoinTest, MatchesPerContextOracleAcrossBackends) {
   }
 }
 
+TEST(PositionalRankJoinTest, FragmentRankFollowsThePushdownGate) {
+  sj::testing::RandomDocOptions doc_options;
+  doc_options.target_nodes = 1500;
+  doc_options.max_children = 12;  // 1404 nodes: every step below matches
+  auto db = Database::FromXml(sj::testing::RandomDocumentXml(13, doc_options))
+                .value();
+  struct Case {
+    const char* query;
+    bool over_fragment;  ///< under pushdown kAuto / kAlways
+  };
+  const Case cases[] = {
+      {"/descendant::t0/child::t1[2]", true},
+      {"/descendant::t0/descendant::t1[last()]", true},
+      {"/descendant::t0/following::t1[3]", true},
+      {"/descendant::t2/preceding-sibling::t1[1]", true},
+      {"/descendant::t0/child::t1[2][child::t2]", true},
+      {"/descendant::t0/child::t1[child::t2][1]", false},  // existence first
+      {"/descendant::t0/child::*[2]", false},              // no name test
+      {"/descendant::t2/ancestor::t0[1]", false},  // <= h nodes per context
+      {"/descendant::t1/parent::t0[1]", false},
+  };
+  for (PushdownMode pushdown :
+       {PushdownMode::kAuto, PushdownMode::kAlways, PushdownMode::kNever}) {
+    SessionOptions opt;
+    opt.hints.pushdown = pushdown;
+    Session s = std::move(db->CreateSession(opt)).value();
+    for (const Case& c : cases) {
+      auto r = s.Run(c.query);
+      ASSERT_TRUE(r.ok()) << c.query << ": " << r.status();
+      const std::string& step = r.value().trace.back().description;
+      ASSERT_NE(step.find("positional rank join"), std::string::npos)
+          << c.query << ": " << step;
+      EXPECT_EQ(step.find("positional rank join over tag fragment") !=
+                    std::string::npos,
+                c.over_fragment && pushdown != PushdownMode::kNever)
+          << c.query << " pushdown " << static_cast<int>(pushdown) << ": "
+          << step;
+      EXPECT_EQ(r.value().PlanSummary().back().op, "positional") << c.query;
+    }
+  }
+}
+
 TEST(PositionalRankJoinTest, ColdPoolChargesFaults) {
   auto doc_xml = sj::testing::RandomDocumentXml(99, {});
   auto db = Database::FromXml(doc_xml).value();

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -190,6 +191,8 @@ std::string ShapeXml(const Shape& shape) {
   }
   return xml;
 }
+
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
 
 class PositionalRankTest : public ::testing::TestWithParam<Shape> {};
 

@@ -213,6 +213,7 @@ _EXPLAIN_PHRASES = (
     "plan: cached",
     "snapshot: epoch",
     "positional rank join",
+    "over tag fragment",
     " est=",
     " act=",
 )
