@@ -459,8 +459,9 @@ bool Evaluator::ShouldPushdown(const Step& step, TagId tag,
 }
 
 bool Evaluator::RankOverFragment(const Step& step) const {
-  // The name-test pushdown gate minus the cost comparison: a rank probe
-  // reads at most the slots a walk lands on, never more than the scan.
+  // The name-test pushdown gate minus the cost comparison: the probes
+  // visit at most one fragment slot per group member, where the
+  // document scan reads every node of every group.
   if (options_.engine != EngineMode::kStaircase ||
       options_.pushdown == PushdownMode::kNever ||
       !internal::IsFragmentRankAxis(step.axis) ||
