@@ -11,8 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/database.h"
 #include "core/fragment_cursor.h"
@@ -171,6 +175,129 @@ TEST_P(FragmentBackendTest, BothBackendsEqualJoinThenFilter) {
             EXPECT_EQ(mem_stats.nodes_copied, 0u);
             EXPECT_EQ(mem_stats.nodes_skipped, 0u);
           }
+        }
+      }
+    }
+  }
+}
+
+/// Slots the fragment joins test one by one before they fall back to a
+/// binary search when seeking forward.
+constexpr size_t kProbeWindow = 8;
+
+/// RegionOracle restricted to the elements of `tag`: the axis straight
+/// from the pre/post predicates, sharing no code with src/core.
+NodeSequence RegionOracleForTag(const DocTable& doc, const NodeSequence& ctx,
+                                Axis axis, TagId tag) {
+  NodeSequence out;
+  for (NodeId v : sj::testing::RegionOracle(doc, ctx, axis)) {
+    if (doc.kind(v) == NodeKind::kElement && doc.tag(v) == tag) {
+      out.push_back(v);
+    }
+  }
+  return out;
+}
+
+/// Context shapes around the fragment joins' forward seek: dense ones
+/// (every node, every fragment slot) where each seek is a short step,
+/// strided ones whose steps land just inside, on, and just past the
+/// probe window (and far past it, where the seek falls back to a binary
+/// search), a root-to-leaf chain that ancestor pruning collapses to one
+/// node, and the one-node extremes.
+std::vector<std::pair<std::string, NodeSequence>> ProbeWindowContexts(
+    Rng& rng, const DocTable& doc, const TagView& view) {
+  std::vector<std::pair<std::string, NodeSequence>> shapes;
+  NodeSequence every_node(doc.size());
+  std::iota(every_node.begin(), every_node.end(), NodeId{0});
+  shapes.emplace_back("every node", std::move(every_node));
+  shapes.emplace_back("every slot", view.pre);
+  for (size_t k : {kProbeWindow - 1, kProbeWindow, kProbeWindow + 1,
+                   2 * kProbeWindow}) {
+    NodeSequence strided;
+    for (size_t i = 0; i < view.size(); i += k) strided.push_back(view.pre[i]);
+    if (strided.empty()) strided.push_back(doc.root());
+    shapes.emplace_back("every " + std::to_string(k) + "th slot",
+                        std::move(strided));
+  }
+  NodeId deepest = doc.root();
+  for (NodeId v = 0; v < doc.size(); ++v) {
+    if (doc.level(v) > doc.level(deepest)) deepest = v;
+  }
+  NodeSequence chain;
+  for (NodeId v = deepest; v != kNilNode; v = doc.parent(v)) {
+    chain.push_back(v);
+  }
+  std::reverse(chain.begin(), chain.end());
+  shapes.emplace_back("root-to-leaf chain", std::move(chain));
+  shapes.emplace_back("single node",
+                      NodeSequence{static_cast<NodeId>(rng.Below(doc.size()))});
+  shapes.emplace_back("last node",
+                      NodeSequence{static_cast<NodeId>(doc.size() - 1)});
+  return shapes;
+}
+
+/// The fragment joins over context shapes sized around the forward
+/// seek's probe window, on every backend, against two oracles: the
+/// document join filtered afterwards, and the region predicates
+/// (RegionOracle), which share no code with the engine. The backends
+/// agree byte for byte and stat for stat.
+TEST_P(FragmentBackendTest, ProbeWindowShapesMatchRegionOracle) {
+  const uint64_t seed = GetParam();
+  auto doc = RandomDocument(seed, {.target_nodes = 6000,
+                                   .max_children = 12,
+                                   .attribute_percent = 30,
+                                   .tag_alphabet = 2});
+  ASSERT_GT(doc->size(), 500u) << "degenerate random doc for seed " << seed;
+  TagIndex index(*doc);
+  SimulatedDisk disk;
+  auto paged_doc = PagedDocTable::Create(*doc, &disk).value();
+  auto paged_tags = PagedTagIndex::Create(*doc, &disk).value();
+  auto compressed_doc = CompressedDocTable::Create(*doc, &disk).value();
+  auto compressed_tags = CompressedTagIndex::Create(*doc, &disk).value();
+  BufferPool pool(&disk, 16);
+  Rng rng(seed * 31 + 7);
+
+  for (const char* name : {"t0", "t1"}) {
+    std::optional<TagId> found = doc->tags().Lookup(name);
+    ASSERT_TRUE(found.has_value()) << name << " seed " << seed;
+    const TagId tag = *found;
+    const TagView& view = index.view(tag);
+    ASSERT_GT(view.size(), 4 * kProbeWindow) << name << " seed " << seed;
+    for (const auto& [shape, ctx] : ProbeWindowContexts(rng, *doc, view)) {
+      for (Axis axis : kStaircaseAxes) {
+        const NodeSequence region = RegionOracleForTag(*doc, ctx, axis, tag);
+        for (SkipMode mode : kSkipModes) {
+          StaircaseOptions opt;
+          opt.skip_mode = mode;
+          const std::string where =
+              std::string(AxisName(axis)) + " mode " +
+              std::to_string(static_cast<int>(mode)) + " tag " + name +
+              " context " + shape + " seed " + std::to_string(seed);
+          JoinStats mem_stats, io_stats, zip_stats;
+          auto mem = StaircaseJoinView(*doc, view, ctx, axis, opt, &mem_stats);
+          ASSERT_TRUE(mem.ok()) << mem.status();
+          auto io = PushdownVia<PagedFragmentCursor, PagedDocAccessor>(
+              *paged_tags, tag, *paged_doc, &pool, ctx, axis, opt, &io_stats);
+          ASSERT_TRUE(io.ok()) << io.status();
+          auto zip =
+              PushdownVia<CompressedFragmentCursor, CompressedDocAccessor>(
+                  *compressed_tags, tag, *compressed_doc, &pool, ctx, axis,
+                  opt, &zip_stats);
+          ASSERT_TRUE(zip.ok()) << zip.status();
+
+          EXPECT_EQ(mem.value(), region) << where;
+          EXPECT_EQ(mem.value(), JoinThenFilter(*doc, ctx, axis, tag, opt))
+              << where;
+          EXPECT_TRUE(BytesEqual(io.value(), mem.value())) << "paged " << where;
+          EXPECT_TRUE(StatsEqual(io_stats, mem_stats)) << "paged " << where;
+          EXPECT_TRUE(BytesEqual(zip.value(), mem.value()))
+              << "compressed " << where;
+          EXPECT_TRUE(StatsEqual(zip_stats, mem_stats))
+              << "compressed " << where;
+          EXPECT_LE(mem_stats.nodes_scanned + mem_stats.nodes_copied +
+                        mem_stats.nodes_skipped,
+                    view.size())
+              << where;
         }
       }
     }
