@@ -25,7 +25,9 @@ namespace {
 /// and a deep chain over small fragments (where pushdown wins); then
 /// three positional steps, which rank over the tag fragment unless the
 /// hint is kNever: a child step per context node, a one-off
-/// descendant rank from the root, and a following-sibling walk.
+/// descendant rank from the root, and a following-sibling walk; last,
+/// the ancestor, following and preceding steps whose fragment joins
+/// seek forward from wide contexts.
 constexpr const char* kQueries[] = {
     "/descendant::person",
     "/descendant::open_auctions/descendant::open_auction"
@@ -35,6 +37,10 @@ constexpr const char* kQueries[] = {
     "/descendant::open_auction/child::bidder[2]",
     "/descendant::item[2]",
     "/descendant::mailbox/parent::item/following-sibling::item[3]",
+    "/descendant::increase/ancestor::bidder",
+    "/descendant::quantity/following::payment",
+    "/descendant::quantity/preceding::incategory",
+    "/descendant::location/ancestor::item",
 };
 
 constexpr size_t kPoolPages = 64;

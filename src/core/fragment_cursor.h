@@ -2,11 +2,14 @@
 //
 // A tag fragment is the document projected to the element nodes of one
 // tag, pre-sorted (core/tag_view.h). The Section 4.4 pushdown algorithms
-// only ever touch a fragment through slot-addressed pre/post reads plus
-// binary searches on the pre column ("where does doc pre rank p land in
-// this fragment?") and forward jumps. That access pattern is captured
-// here as the FragmentCursor concept so the fragment join bodies
-// (core/fragment_impl.h) exist exactly once, generic over the backend:
+// only ever touch a fragment through slot-addressed pre/post reads,
+// searches on the pre column ("where does doc pre rank p land in this
+// fragment?") and forward jumps. The joins walk forward: a bound a few
+// slots ahead is found by probing those slots (LowerBoundFrom in
+// core/fragment_impl.h), a farther one by LowerBound's binary search.
+// That access pattern is captured here as the FragmentCursor concept so
+// the fragment join bodies (core/fragment_impl.h) exist exactly once,
+// generic over the backend:
 //
 //   * MemoryFragmentCursor (below) reads the TagView vectors directly;
 //     every method inlines to an array access or a std::lower_bound, so

@@ -15,11 +15,16 @@
 //
 // Skipping on a fragment uses binary search on the pre column instead of
 // pre-rank arithmetic -- fragment slots are not dense in pre order. The
-// JoinStats counters keep the kernels.h semantics, with "node" meaning
-// "fragment slot": nodes_scanned are slots touched with a postorder
-// comparison, nodes_copied are slots appended without one (their post
-// column is never read -- on a paged backend, never faulted), and
-// nodes_skipped are slots never touched at all.
+// descendant and ancestor joins are one forward pass over the fragment,
+// as the document joins are one pass over the document: each context
+// node's partition starts where the previous one ended, and a short
+// forward probe (LowerBoundFrom) stands in for a binary search wherever
+// the next bound lies a few slots ahead. The JoinStats counters keep the
+// kernels.h semantics, with "node" meaning "fragment slot":
+// nodes_scanned are slots touched with a postorder comparison,
+// nodes_copied are slots appended without one (their post column is
+// never read -- on a paged backend, never faulted), and nodes_skipped
+// are slots never touched at all.
 //
 // The positional rank selection at the end of the file reuses the same
 // cursors for a different question: not "every match of the axis" but
@@ -41,21 +46,42 @@
 
 namespace sj::internal {
 
-/// Descendant / descendant-or-self over a fragment. One partition per
-/// surviving context node, scanned against its postorder rank
-/// (Algorithm 2); skipping ends a partition at the first Z-region slot
-/// (Algorithm 3); estimation copies the guaranteed-descendant slots --
-/// fragment pre ranks <= post(c), Eq. (1) -- without reading the post
-/// column (Algorithm 4).
+/// Slots LowerBoundFrom tests one by one before it falls back to a
+/// binary search.
+inline constexpr size_t kFragmentProbeSlots = 8;
+
+/// LowerBound(pre) for a caller that knows the answer is at slot `from`
+/// or later: a forward seek. Consecutive context nodes of a join mostly
+/// land a few slots apart, so the seek probes the next
+/// kFragmentProbeSlots slots in order and binary-searches only for a
+/// long jump -- the amortised `seek` of Leapfrog Triejoin. The probed
+/// slots are ones the caller's scan reads next anyway.
+template <FragmentCursor F>
+size_t LowerBoundFrom(F& frag, size_t from, uint64_t pre) {
+  const size_t stop = std::min(frag.size(), from + kFragmentProbeSlots);
+  for (size_t j = from; j < stop; ++j) {
+    if (frag.Pre(j) >= pre) return j;
+  }
+  return stop == frag.size() ? stop : frag.LowerBound(pre);
+}
+
+/// Descendant / descendant-or-self over a fragment: one forward pass.
+/// One partition per surviving context node, scanned against its
+/// postorder rank (Algorithm 2); skipping ends a partition at the first
+/// Z-region slot (Algorithm 3); estimation copies the guaranteed-
+/// descendant slots -- fragment pre ranks <= post(c), Eq. (1) -- without
+/// reading the post column, their end found by a forward seek
+/// (Algorithm 4). Every partition ends at the slot where the next one
+/// starts, so only the first context node is searched for.
 template <FragmentCursor F, DocAccessor A>
 void FragJoinDesc(F& frag, A& acc, const NodeSequence& kept, bool or_self,
                   SkipMode mode, NodeSequence* result, JoinStats* stats) {
   const uint64_t n = acc.size();
+  size_t j = frag.LowerBound(kept.front());
   for (size_t k = 0; k < kept.size(); ++k) {
     NodeId c = kept[k];
     uint64_t limit = k + 1 < kept.size() ? kept[k + 1] - 1 : n - 1;
     uint32_t bound = acc.Post(c);
-    size_t j = frag.LowerBound(c);
     if (j < frag.size() && frag.Pre(j) == c) {
       // The context node itself carries the fragment's tag.
       if (or_self) result->push_back(c);
@@ -64,7 +90,8 @@ void FragJoinDesc(F& frag, A& acc, const NodeSequence& kept, bool or_self,
     if (mode == SkipMode::kEstimated) {
       // Copy phase: slots with pre <= post(c) are guaranteed descendants
       // of c (Eq. (1)); no postorder comparison needed.
-      size_t guaranteed = frag.LowerBound(static_cast<uint64_t>(bound) + 1);
+      size_t guaranteed =
+          LowerBoundFrom(frag, j, static_cast<uint64_t>(bound) + 1);
       for (; j < guaranteed; ++j) {
         ++stats->nodes_copied;
         result->push_back(frag.Pre(j));
@@ -84,26 +111,29 @@ void FragJoinDesc(F& frag, A& acc, const NodeSequence& kept, bool or_self,
         size_t end = limit + 1 >= n ? frag.size() : frag.LowerBound(limit + 1);
         stats->nodes_skipped += end - j - 1;
         frag.SkipTo(end);
+        j = end;
         break;
       }
     }
   }
 }
 
-/// Ancestor / ancestor-or-self over a fragment. One window per surviving
-/// context node; a slot below the boundary heads a subtree that entirely
-/// precedes the context node, so skipping resumes past its guaranteed
-/// descendants -- the first slot with pre > post (Section 3.3, with the
-/// binary search standing in for pre-rank arithmetic).
+/// Ancestor / ancestor-or-self over a fragment: one forward pass. One
+/// window per surviving context node c, the slots between the previous
+/// window's end and c, its end found by a forward seek. A slot below the
+/// boundary heads a subtree that entirely precedes c, so skipping
+/// resumes past its guaranteed descendants -- the first slot with pre >
+/// post (Section 3.3, with the binary search standing in for pre-rank
+/// arithmetic).
 template <FragmentCursor F, DocAccessor A>
 void FragJoinAnc(F& frag, A& acc, const NodeSequence& kept, bool or_self,
                  SkipMode mode, NodeSequence* result, JoinStats* stats) {
-  uint64_t window_start = 0;
+  size_t j = 0;
   for (size_t k = 0; k < kept.size(); ++k) {
     NodeId c = kept[k];
     uint32_t bound = acc.Post(c);
-    size_t j = frag.LowerBound(window_start);
-    size_t end = frag.LowerBound(c);  // slots with pre < pre(c)
+    // Slots with pre < pre(c). The first window has nothing to seek from.
+    size_t end = k == 0 ? frag.LowerBound(c) : LowerBoundFrom(frag, j, c);
     while (j < end) {
       ++stats->nodes_scanned;
       uint32_t post = frag.Post(j);
@@ -120,10 +150,14 @@ void FragJoinAnc(F& frag, A& acc, const NodeSequence& kept, bool or_self,
         j = next;
       }
     }
-    if (or_self && end < frag.size() && frag.Pre(end) == c) {
-      result->push_back(c);
+    // The next window starts past c's own slot: pruning leaves no
+    // context node that is an ancestor of another, so c is no candidate
+    // for the windows to come. The last window has none.
+    if ((or_self || k + 1 < kept.size()) && j < frag.size() &&
+        frag.Pre(j) == c) {
+      if (or_self) result->push_back(c);
+      ++j;
     }
-    window_start = static_cast<uint64_t>(c) + 1;
   }
 }
 
@@ -164,7 +198,8 @@ void FragJoinFollowing(F& frag, A& acc, NodeId m, SkipMode mode,
 /// ancestors of the context node (<= h of them), so nothing can be
 /// skipped -- but under kEstimated every *hit* v opens a comparison-free
 /// copy phase over v's guaranteed descendants (fragment pre ranks
-/// <= post(v), Eq. (1)): a preceding node's whole subtree precedes.
+/// <= post(v), Eq. (1)), its end found by a forward seek: a preceding
+/// node's whole subtree precedes.
 template <FragmentCursor F, DocAccessor A>
 void FragJoinPreceding(F& frag, A& acc, NodeId big, SkipMode mode,
                        NodeSequence* result, JoinStats* stats) {
@@ -178,8 +213,8 @@ void FragJoinPreceding(F& frag, A& acc, NodeId big, SkipMode mode,
       result->push_back(frag.Pre(j));
       ++j;
       if (mode == SkipMode::kEstimated) {
-        size_t next =
-            std::min(frag.LowerBound(static_cast<uint64_t>(post) + 1), end);
+        size_t next = std::min(
+            LowerBoundFrom(frag, j, static_cast<uint64_t>(post) + 1), end);
         for (; j < next; ++j) {
           ++stats->nodes_copied;
           result->push_back(frag.Pre(j));
@@ -197,9 +232,9 @@ void FragJoinPreceding(F& frag, A& acc, NodeId big, SkipMode mode,
 /// (core/tag_view.cc) is a thin shim around this function.
 ///
 /// -or-self semantics: a context node contributes itself iff it is a
-/// member of the fragment (found by binary search on the pre column), so
-/// no tag column is consulted at all -- on a paged backend even the self
-/// test is charged to the pool.
+/// member of the fragment (the pre rank at the slot the forward pass
+/// reaches c on), so no tag column is consulted at all -- on a paged
+/// backend even the self test is charged to the pool.
 template <FragmentCursor F, DocAccessor A>
 Result<NodeSequence> FragmentStaircaseJoinOver(F& frag, A& acc,
                                                const NodeSequence& context,

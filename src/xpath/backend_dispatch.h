@@ -58,7 +58,7 @@ struct ImageTraits<MemoryImage> {
   using Cursor = MemoryFragmentCursor;
   static constexpr const char* kLabel = explain::kLabelMemory;
   static constexpr const char* kOverlayLabel = explain::kLabelOverlayMemory;
-  static constexpr double kPageCost = kMemoryPageCost;
+  static constexpr BackendCosts kCosts = kMemoryCosts;
   static auto AccessorArgs(const DocTable& doc, const MemoryImage&) {
     return std::forward_as_tuple(doc);
   }
@@ -73,7 +73,7 @@ struct ImageTraits<PagedImage> {
   using Cursor = storage::PagedFragmentCursor;
   static constexpr const char* kLabel = explain::kLabelPaged;
   static constexpr const char* kOverlayLabel = explain::kLabelOverlayPaged;
-  static constexpr double kPageCost = kPagedPageCost;
+  static constexpr BackendCosts kCosts = kPagedCosts;
   static auto AccessorArgs(const DocTable&, const PagedImage& img) {
     return std::forward_as_tuple(*img.doc, img.pool);
   }
@@ -89,7 +89,7 @@ struct ImageTraits<CompressedImage> {
   static constexpr const char* kLabel = explain::kLabelCompressed;
   static constexpr const char* kOverlayLabel =
       explain::kLabelOverlayCompressed;
-  static constexpr double kPageCost = kCompressedPageCost;
+  static constexpr BackendCosts kCosts = kCompressedCosts;
   static auto AccessorArgs(const DocTable&, const CompressedImage& img) {
     return std::forward_as_tuple(*img.doc, img.pool);
   }
@@ -257,12 +257,12 @@ class BackendDispatch {
         opt_.image);
   }
 
-  /// The cost model's per-page unit of the active backend (cost_model.h
+  /// The cost model's units of the active backend (cost_model.h
   /// constants; the backend choice lives here, not in the estimator).
-  double PageCostUnit() const {
+  BackendCosts Costs() const {
     return std::visit(
         [](const auto& img) {
-          return ImageTraits<std::decay_t<decltype(img)>>::kPageCost;
+          return ImageTraits<std::decay_t<decltype(img)>>::kCosts;
         },
         opt_.image);
   }

@@ -228,16 +228,21 @@ double CardinalityEstimator::StaircaseCost(const ContextEstimate& in, Axis axis,
 }
 
 double CardinalityEstimator::PushdownCost(const ContextEstimate& in,
-                                          TagId tag) const {
-  // Fragment pre + post columns, plus a fence probe per context node.
+                                          Axis axis, TagId tag) const {
+  // Fragment pre + post columns, plus a seek per pruned context node.
   // The fence-skipping join touches only the fragment pages overlapping
-  // the context regions (estimated by the step's own output), scattered
-  // like the staircase scan -- and never more than the whole fragment.
+  // the context regions, scattered like the staircase scan -- and never
+  // more than the whole fragment. Following and preceding prune the
+  // context to one node: one region, one seek, the axis's own hits.
+  // The other axes keep the descendant-shaped estimate of the regions.
+  const bool one_region = axis == Axis::kFollowing || axis == Axis::kPreceding;
+  const double seeks = one_region ? std::min(in.rows, 1.0) : in.rows;
   const double f = static_cast<double>(TagCount(tag));
-  const double hits = EstimateStep(in, Axis::kDescendant, tag).rows;
+  const double hits =
+      EstimateStep(in, one_region ? axis : Axis::kDescendant, tag).rows;
   const double full = 2.0 * PagesU32(f);
-  const double touched = std::min(full, 2.0 * (PagesU32(hits) + in.rows));
-  return unit_ * touched + kPushdownProbeCost * in.rows;
+  const double touched = std::min(full, 2.0 * (PagesU32(hits) + seeks));
+  return unit_ * touched + probe_ * seeks;
 }
 
 double CardinalityEstimator::AxisCursorCost(const ContextEstimate& in,

@@ -18,12 +18,13 @@
 // Costs are expressed in estimated page-fault equivalents of the paged
 // image layout (storage/paged_doc.h: u32 columns pack kCostRanksPerPage
 // ranks per page, byte columns pack kCostBytesPerPage), scaled by a
-// per-backend unit -- resident reads are cheap relative to the
-// per-context probe work, compressed pages amortize more ranks, paged
-// pages are the reference. Every cost constant lives in THIS header and
-// nowhere else: sj-lint (tools/lint/sj_lint.py, rule cost-literal) fails
-// the build when a cost-constant definition appears in another
-// src/xpath/ file, so the planner's arithmetic cannot fork silently.
+// per-backend unit -- resident reads are cheap, compressed pages
+// amortize more ranks, paged pages are the reference -- plus a
+// per-backend price for the fragment join's per-context seek. Every
+// cost constant lives in THIS header and nowhere else: sj-lint
+// (tools/lint/sj_lint.py, rule cost-literal) fails the build when a
+// cost-constant definition appears in another src/xpath/ file, so the
+// planner's arithmetic cannot fork silently.
 //
 // All estimates are deterministic in (statistics, options): compiled
 // plans and the dynamic per-step path derive identical numbers, which is
@@ -84,20 +85,37 @@ inline constexpr uint64_t kCostBytesPerPage = 8192;
 /// Paged is the reference unit (one page == one potential fault).
 inline constexpr double kPagedPageCost = 1.0;
 /// Resident column reads never fault; the unit prices the scan's CPU
-/// relative to the per-context probe work, which does not shrink.
+/// against the pool-backed backends' faults. Both joins scan resident columns
+/// once per step, so this unit alone prices them against each other.
 inline constexpr double kMemoryPageCost = 0.1;
 /// Block-compressed columns amortize ~4x more ranks per faulted page
 /// (bench_compressed_columns: 3.4-7.1x fewer faults at equal pool size).
 inline constexpr double kCompressedPageCost = 0.25;
-/// CPU charged per pruned context node by the fragment pushdown join's
-/// fence search: a ~log2(|fragment|) binary search over (mostly
-/// pool-resident) fragment pages, priced in page-equivalents of scan
-/// work (~16 of the 2048 ranks a u32 page holds). Deliberately NOT
-/// scaled by the backend unit -- probes are compute, not faults. This
-/// is the term that makes pushdown LOSE on large contexts: the doc-scan
-/// staircase join shares one pass across the whole context, the
-/// fragment join probes per context node.
+/// Charged per pruned context node by the fragment pushdown join on the
+/// pool-backed backends (paged, compressed): each context node's
+/// partition starts with a seek (core/fragment_impl.h LowerBoundFrom)
+/// -- a few probed slots, or a fence search for a long jump, whose
+/// landing page may be cold.
+/// Priced in page-equivalents of scan work (~16 of the 2048 ranks a u32
+/// page holds) and NOT scaled by the page unit. This is the term that
+/// makes pushdown lose on large contexts over pages: the doc-scan
+/// staircase join shares one pass across the whole context. On the
+/// resident backend the seek is a forward probe over slots the join
+/// reads anyway -- no more work per context node than the document scan
+/// does -- so it costs nothing there.
 inline constexpr double kPushdownProbeCost = 0.0078125;  // 1/128
+
+/// The cost units of one storage backend: a page-equivalent of column
+/// data, and one fragment-join seek per pruned context node.
+struct BackendCosts {
+  double page;
+  double probe;
+};
+inline constexpr BackendCosts kMemoryCosts{kMemoryPageCost, 0.0};
+inline constexpr BackendCosts kPagedCosts{kPagedPageCost, kPushdownProbeCost};
+inline constexpr BackendCosts kCompressedCosts{kCompressedPageCost,
+                                               kPushdownProbeCost};
+
 /// Cursor-open cost per context frame of the non-staircase axis kernels
 /// (subtree-end read + first candidate pin).
 inline constexpr double kAxisCursorProbeCost = 1.0;
@@ -127,11 +145,12 @@ class CardinalityEstimator {
   /// snapshot that callback reads the overlay's MERGED fragment sizes,
   /// never the stale base statistics.
   CardinalityEstimator(const DocStatistics* stats, uint64_t logical_size,
-                       double page_cost_unit,
+                       BackendCosts costs,
                        std::function<uint64_t(TagId)> tag_count)
       : stats_(stats),
         n_(logical_size),
-        unit_(page_cost_unit),
+        unit_(costs.page),
+        probe_(costs.probe),
         tag_count_(std::move(tag_count)) {}
 
   /// The absolute-path starting point: one row (the document element)
@@ -157,10 +176,12 @@ class CardinalityEstimator {
   double StaircaseCost(const ContextEstimate& in, Axis axis,
                        bool name_filter) const;
 
-  /// Staircase join over the tag fragment: the fragment pre+post pages
-  /// the context regions overlap (scatter-bounded, at most the whole
-  /// fragment) plus one fence probe per context node.
-  double PushdownCost(const ContextEstimate& in, TagId tag) const;
+  /// Staircase join over the tag fragment on `axis`: the fragment
+  /// pre+post pages the context regions overlap (scatter-bounded, at
+  /// most the whole fragment) plus one seek per pruned context node --
+  /// a single one for following and preceding, which prune the context
+  /// to one node.
+  double PushdownCost(const ContextEstimate& in, Axis axis, TagId tag) const;
 
   /// Non-staircase axis cursor: one frame per context node, candidate
   /// kind reads over the estimated axis output.
@@ -179,7 +200,6 @@ class CardinalityEstimator {
   }
 
   uint64_t doc_size() const { return n_; }
-  double page_cost_unit() const { return unit_; }
 
  private:
   /// Nodes strictly deeper than `level` (histogram; n-1 without stats).
@@ -200,6 +220,7 @@ class CardinalityEstimator {
   const DocStatistics* stats_;
   uint64_t n_;
   double unit_;
+  double probe_;
   std::function<uint64_t(TagId)> tag_count_;
 };
 

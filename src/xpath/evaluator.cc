@@ -172,7 +172,7 @@ CardinalityEstimator Evaluator::MakeEstimator() const {
     }
     return logical;  // unknown selectivity: assume non-selective
   };
-  return CardinalityEstimator(stats, logical, dispatch.PageCostUnit(),
+  return CardinalityEstimator(stats, logical, dispatch.Costs(),
                               std::move(tag_count));
 }
 
@@ -448,11 +448,11 @@ bool Evaluator::ShouldPushdown(const Step& step, TagId tag,
                options_.pushdown_selectivity *
                    static_cast<double>(LogicalSize());
       }
-      // Estimate-driven: the fragment join reads far fewer pages but
-      // pays a fence probe per context node; the doc-scan staircase
-      // join amortizes one pass across the whole context. Strict less:
-      // ties keep the doc scan.
-      return est.PushdownCost(in, tag) <
+      // Estimate-driven: the fragment join reads far fewer pages but,
+      // on the pool-backed backends, pays a seek per context node; the
+      // doc-scan staircase join amortizes one pass across the whole
+      // context. Strict less: ties keep the doc scan.
+      return est.PushdownCost(in, step.axis, tag) <
              est.StaircaseCost(in, step.axis, /*name_filter=*/true);
   }
   return false;

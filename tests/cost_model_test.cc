@@ -42,13 +42,14 @@ TagId TagOf(const Database& db, const std::string& name) {
   return id.value_or(kNoTag);
 }
 
-/// An estimator over the database's own statistics (memory unit; the
-/// per-tag counts come straight from the collected statistics, as on a
-/// pristine snapshot).
-CardinalityEstimator MakeEstimator(const Database& db, double unit = 1.0) {
+/// An estimator over the database's own statistics (paged units by
+/// default; the per-tag counts come straight from the collected
+/// statistics, as on a pristine snapshot).
+CardinalityEstimator MakeEstimator(
+    const Database& db, xpath::BackendCosts costs = xpath::kPagedCosts) {
   const DocStatistics& stats = db.Statistics();
   return CardinalityEstimator(
-      &stats, db.doc().size(), unit, [&stats](TagId t) {
+      &stats, db.doc().size(), costs, [&stats](TagId t) {
         return t < stats.tag_counts.size() ? stats.tag_counts[t] : uint64_t{0};
       });
 }
@@ -185,28 +186,71 @@ TEST(CostBasedPlannerTest, ContextSizeFlipsPushdown) {
   EXPECT_EQ(OpOf(wide.value(), 2), "staircase") << wide.value().Explain();
 
   // The planner's choice always matches the cheaper estimate.
-  CardinalityEstimator est = MakeEstimator(*db, xpath::kPagedPageCost);
+  CardinalityEstimator est = MakeEstimator(*db, xpath::kPagedCosts);
   const TagId b = TagOf(*db, "b");
-  EXPECT_LT(est.PushdownCost(est.Root(), b),
+  EXPECT_LT(est.PushdownCost(est.Root(), Axis::kDescendant, b),
             est.StaircaseCost(est.Root(), Axis::kDescendant, true));
   const ContextEstimate a_band =
       est.EstimateStep(est.Root(), Axis::kChild, TagOf(*db, "a"));
-  EXPECT_GT(est.PushdownCost(a_band, b),
+  EXPECT_GT(est.PushdownCost(a_band, Axis::kDescendant, b),
             est.StaircaseCost(a_band, Axis::kDescendant, true));
+}
+
+TEST(CostBasedPlannerTest, ResidentSeeksAreFree) {
+  // On the memory backend the fragment join's per-context seek is a
+  // forward probe over slots it reads anyway, so the 6000-context step
+  // that the paged backend leaves to the doc scan pushes down.
+  auto db = MakePlannerDoc();
+  SessionOptions opt;
+  opt.hints.twig = TwigMode::kNever;
+  Session s = std::move(db->CreateSession(opt)).value();
+  auto wide = s.Run("/child::a/descendant::b");
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(OpOf(wide.value(), 2), "pushdown") << wide.value().Explain();
+}
+
+TEST(CostBasedPlannerTest, FollowingAndPrecedingPayOneSeek) {
+  // Following and preceding prune any context to one node, so 6000 a's
+  // cost the fragment join one seek -- it wins on every backend.
+  auto db = MakePlannerDoc();
+  NodeSequence reference[2];
+  for (StorageBackend backend :
+       {StorageBackend::kMemory, StorageBackend::kPaged,
+        StorageBackend::kCompressed}) {
+    SessionOptions opt;
+    opt.backend = backend;
+    opt.hints.twig = TwigMode::kNever;
+    Session s = std::move(db->CreateSession(opt)).value();
+    const char* queries[] = {"/child::a/following::b",
+                             "/child::a/preceding::b"};
+    for (size_t q = 0; q < 2; ++q) {
+      auto r = s.Run(queries[q]);
+      ASSERT_TRUE(r.ok()) << queries[q];
+      EXPECT_EQ(OpOf(r.value(), 2), "pushdown")
+          << "backend " << static_cast<int>(backend) << "\n"
+          << r.value().Explain();
+      if (backend == StorageBackend::kMemory) {
+        reference[q] = r.value().nodes;
+        EXPECT_FALSE(reference[q].empty()) << queries[q];
+      } else {
+        EXPECT_EQ(r.value().nodes, reference[q]) << queries[q];
+      }
+    }
+  }
 }
 
 TEST(CostBasedPlannerTest, ChoiceMatchesEstimatesOnEveryBackend) {
   auto db = MakePlannerDoc();
   const struct {
     StorageBackend backend;
-    double unit;
-  } backends[] = {{StorageBackend::kMemory, xpath::kMemoryPageCost},
-                  {StorageBackend::kPaged, xpath::kPagedPageCost},
-                  {StorageBackend::kCompressed, xpath::kCompressedPageCost}};
+    xpath::BackendCosts costs;
+  } backends[] = {{StorageBackend::kMemory, xpath::kMemoryCosts},
+                  {StorageBackend::kPaged, xpath::kPagedCosts},
+                  {StorageBackend::kCompressed, xpath::kCompressedCosts}};
   const TagId a = TagOf(*db, "a");
   const TagId b = TagOf(*db, "b");
   NodeSequence reference;
-  for (const auto& [backend, unit] : backends) {
+  for (const auto& [backend, costs] : backends) {
     SessionOptions opt;
     opt.backend = backend;
     opt.hints.twig = TwigMode::kNever;
@@ -214,11 +258,11 @@ TEST(CostBasedPlannerTest, ChoiceMatchesEstimatesOnEveryBackend) {
     auto r = s.Run("/child::a/descendant::b");
     ASSERT_TRUE(r.ok());
     // The planner's kAuto choice is exactly the cheaper estimate under
-    // this backend's page-cost unit -- on every backend.
-    CardinalityEstimator est = MakeEstimator(*db, unit);
+    // this backend's cost units -- on every backend.
+    CardinalityEstimator est = MakeEstimator(*db, costs);
     const ContextEstimate a_band =
         est.EstimateStep(est.Root(), Axis::kChild, a);
-    const char* want = est.PushdownCost(a_band, b) <
+    const char* want = est.PushdownCost(a_band, Axis::kDescendant, b) <
                                est.StaircaseCost(a_band, Axis::kDescendant,
                                                  /*name_filter=*/true)
                            ? "pushdown"

@@ -183,7 +183,7 @@ TEST_P(FragmentBackendTest, BothBackendsEqualJoinThenFilter) {
 
 /// Slots the fragment joins test one by one before they fall back to a
 /// binary search when seeking forward.
-constexpr size_t kProbeWindow = 8;
+constexpr size_t kProbeWindow = internal::kFragmentProbeSlots;
 
 /// RegionOracle restricted to the elements of `tag`: the axis straight
 /// from the pre/post predicates, sharing no code with src/core.
