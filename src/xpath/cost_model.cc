@@ -80,6 +80,14 @@ bool CardinalityEstimator::SpreadIntersects(TagId t, int lo, int hi) const {
   return t_lo <= hi && lo <= t_hi;
 }
 
+double CardinalityEstimator::ClampToTag(double rows,
+                                        const ContextEstimate& band,
+                                        TagId tag) const {
+  if (tag == kNoTag) return rows;
+  if (!SpreadIntersects(tag, band.level_lo, band.level_hi)) return 0.0;
+  return std::min(rows, static_cast<double>(TagCount(tag)));
+}
+
 ContextEstimate CardinalityEstimator::EstimateStep(const ContextEstimate& in,
                                                    Axis axis, TagId tag) const {
   const int max_lvl =
@@ -143,6 +151,7 @@ ContextEstimate CardinalityEstimator::EstimateStep(const ContextEstimate& in,
       out.level_lo = std::max(0, in.level_lo - 1);
       out.level_hi = std::max(0, in.level_hi - 1);
       out.rows = std::min(in.rows, NodesAt(out.level_lo, out.level_hi));
+      out.rows = ClampToTag(out.rows, out, tag);
       break;
     }
     case Axis::kAncestor:
@@ -156,6 +165,7 @@ ContextEstimate CardinalityEstimator::EstimateStep(const ContextEstimate& in,
       double chain = in.rows * std::max(1, in.level_hi);
       if (axis == Axis::kAncestorOrSelf) chain += in.rows;
       out.rows = std::min(chain, NodesAt(out.level_lo, out.level_hi));
+      out.rows = ClampToTag(out.rows, out, tag);
       break;
     }
     case Axis::kFollowing:

@@ -212,6 +212,10 @@ class CardinalityEstimator {
   /// statistics never saw (fresh overlay tags, null stats) are assumed
   /// to intersect -- unknown spread must widen estimates, not zero them.
   bool SpreadIntersects(TagId t, int lo, int hi) const;
+  /// `rows` bounded by the t-tagged nodes that can live in `band`'s
+  /// level band (all rows when `tag` is kNoTag).
+  double ClampToTag(double rows, const ContextEstimate& band,
+                    TagId tag) const;
   /// Pages of a u32 column slice of `ranks` entries.
   static double PagesU32(double ranks);
   /// Pages of a byte column slice of `ranks` entries.

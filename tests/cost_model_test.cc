@@ -144,6 +144,26 @@ TEST(CardinalityEstimatorTest, LevelSpreadZeroesImpossibleSteps) {
               6000.0, 5.0);
 }
 
+TEST(CardinalityEstimatorTest, ParentAndAncestorRespectTheTag) {
+  auto db = MakePlannerDoc();
+  CardinalityEstimator est = MakeEstimator(*db);
+  const ContextEstimate b_band{6000.0, 2, 2};
+  for (Axis axis : {Axis::kParent, Axis::kAncestor}) {
+    // Without a name test the level band bounds the output (the 6003
+    // nodes at level 1 plus the root for ancestor)...
+    EXPECT_GT(est.EstimateStep(b_band, axis, kNoTag).rows, 6000.0 - 1.0)
+        << AxisName(axis);
+    // ...a tag bounds it by its node count: three c's at level 1...
+    EXPECT_DOUBLE_EQ(est.EstimateStep(b_band, axis, TagOf(*db, "c")).rows,
+                     3.0)
+        << AxisName(axis);
+    // ...and a tag whose spread misses the band estimates to zero.
+    EXPECT_DOUBLE_EQ(est.EstimateStep(b_band, axis, TagOf(*db, "b")).rows,
+                     0.0)
+        << AxisName(axis);
+  }
+}
+
 TEST(CardinalityEstimatorTest, PredicateEstimates) {
   auto db = MakePlannerDoc();
   CardinalityEstimator est = MakeEstimator(*db);
