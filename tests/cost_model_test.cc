@@ -198,8 +198,8 @@ TEST(CostBasedPlannerTest, ContextSizeFlipsPushdown) {
   EXPECT_EQ(OpOf(selective.value(), 1), "pushdown")
       << selective.value().Explain();
 
-  // Large context (6000 a's): the per-context fence probes dominate and
-  // the shared doc scan wins -- same tag, flipped by context size.
+  // Large context (6000 a's): the per-context seeks dominate and the
+  // shared doc scan wins -- same tag, flipped by context size.
   auto wide = s.Run("/child::a/descendant::b");
   ASSERT_TRUE(wide.ok());
   EXPECT_EQ(OpOf(wide.value(), 1), "axis-cursor") << wide.value().Explain();

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -100,6 +101,54 @@ NodeSequence SelfMatchingContext(Rng& rng, const DocTable& doc,
 
 class FragmentBackendTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// One document's images on every backend -- the resident TagIndex, the
+/// paged and the compressed document and fragment images -- behind one
+/// small pool.
+struct BackendImages {
+  explicit BackendImages(const DocTable& d)
+      : doc(d),
+        index(d),
+        paged_doc(PagedDocTable::Create(d, &disk).value()),
+        paged_tags(PagedTagIndex::Create(d, &disk).value()),
+        compressed_doc(CompressedDocTable::Create(d, &disk).value()),
+        compressed_tags(CompressedTagIndex::Create(d, &disk).value()) {}
+
+  const DocTable& doc;
+  TagIndex index;
+  SimulatedDisk disk;
+  std::unique_ptr<PagedDocTable> paged_doc;
+  std::unique_ptr<PagedTagIndex> paged_tags;
+  std::unique_ptr<CompressedDocTable> compressed_doc;
+  std::unique_ptr<CompressedTagIndex> compressed_tags;
+  BufferPool pool{&disk, 16};
+};
+
+/// The fragment join of `tag` on the memory, paged and compressed
+/// cursors. The three must agree byte for byte and in JoinStats; `out`
+/// and `stats` receive the memory backend's result.
+void JoinOnEveryBackend(BackendImages& im, TagId tag, const NodeSequence& ctx,
+                        Axis axis, const StaircaseOptions& opt,
+                        const std::string& where, NodeSequence* out,
+                        JoinStats* stats) {
+  JoinStats io_stats, zip_stats;
+  auto mem = StaircaseJoinView(im.doc, im.index.view(tag), ctx, axis, opt,
+                               stats);
+  ASSERT_TRUE(mem.ok()) << mem.status();
+  auto io = PushdownVia<PagedFragmentCursor, PagedDocAccessor>(
+      *im.paged_tags, tag, *im.paged_doc, &im.pool, ctx, axis, opt,
+      &io_stats);
+  ASSERT_TRUE(io.ok()) << io.status();
+  auto zip = PushdownVia<CompressedFragmentCursor, CompressedDocAccessor>(
+      *im.compressed_tags, tag, *im.compressed_doc, &im.pool, ctx, axis, opt,
+      &zip_stats);
+  ASSERT_TRUE(zip.ok()) << zip.status();
+  EXPECT_TRUE(BytesEqual(io.value(), mem.value())) << "paged " << where;
+  EXPECT_TRUE(StatsEqual(io_stats, *stats)) << "paged " << where;
+  EXPECT_TRUE(BytesEqual(zip.value(), mem.value())) << "compressed " << where;
+  EXPECT_TRUE(StatsEqual(zip_stats, *stats)) << "compressed " << where;
+  *out = std::move(mem).value();
+}
+
 /// The satellite acceptance matrix: both fragment backends equal the
 /// join-then-filter oracle for every staircase axis x skip mode on
 /// randomized mixed-kind trees, with byte-identical results, identical
@@ -111,13 +160,7 @@ TEST_P(FragmentBackendTest, BothBackendsEqualJoinThenFilter) {
   auto doc = RandomDocument(seed, {.target_nodes = 20000,
                                    .attribute_percent = 30});
   ASSERT_GT(doc->size(), 500u) << "degenerate random doc for seed " << seed;
-  TagIndex index(*doc);
-  SimulatedDisk disk;
-  auto paged_doc = PagedDocTable::Create(*doc, &disk).value();
-  auto paged_tags = PagedTagIndex::Create(*doc, &disk).value();
-  auto compressed_doc = CompressedDocTable::Create(*doc, &disk).value();
-  auto compressed_tags = CompressedTagIndex::Create(*doc, &disk).value();
-  BufferPool pool(&disk, 16);
+  BackendImages im(*doc);
   Rng rng(seed * 17 + 3);
 
   // t0/t3: populated fragments; a0: attribute-only tag (empty fragment);
@@ -130,7 +173,7 @@ TEST_P(FragmentBackendTest, BothBackendsEqualJoinThenFilter) {
   tags.push_back(999999);
 
   for (TagId tag : tags) {
-    const TagView& view = index.view(tag);
+    const TagView& view = im.index.view(tag);
     NodeSequence contexts[] = {RandomContext(rng, *doc, 5),
                                RandomContext(rng, *doc, 30),
                                SelfMatchingContext(rng, *doc, view)};
@@ -139,38 +182,22 @@ TEST_P(FragmentBackendTest, BothBackendsEqualJoinThenFilter) {
         for (SkipMode mode : kSkipModes) {
           StaircaseOptions opt;
           opt.skip_mode = mode;
-          JoinStats mem_stats, io_stats, zip_stats;
-          auto mem = StaircaseJoinView(*doc, view, ctx, axis, opt, &mem_stats);
-          ASSERT_TRUE(mem.ok()) << mem.status();
-          auto io = PushdownVia<PagedFragmentCursor, PagedDocAccessor>(
-              *paged_tags, tag, *paged_doc, &pool, ctx, axis, opt, &io_stats);
-          ASSERT_TRUE(io.ok()) << io.status();
-          auto zip =
-              PushdownVia<CompressedFragmentCursor, CompressedDocAccessor>(
-                  *compressed_tags, tag, *compressed_doc, &pool, ctx, axis,
-                  opt, &zip_stats);
-          ASSERT_TRUE(zip.ok()) << zip.status();
-
-          NodeSequence oracle = JoinThenFilter(*doc, ctx, axis, tag, opt);
-          EXPECT_EQ(mem.value(), oracle)
-              << AxisName(axis) << " mode " << static_cast<int>(mode)
-              << " tag " << tag << " seed " << seed;
-          EXPECT_TRUE(BytesEqual(io.value(), mem.value()))
-              << AxisName(axis) << " mode " << static_cast<int>(mode)
-              << " tag " << tag << " seed " << seed;
-          EXPECT_TRUE(StatsEqual(io_stats, mem_stats)) << AxisName(axis);
-          EXPECT_TRUE(BytesEqual(zip.value(), mem.value()))
-              << "compressed " << AxisName(axis) << " mode "
-              << static_cast<int>(mode) << " tag " << tag << " seed " << seed;
-          EXPECT_TRUE(StatsEqual(zip_stats, mem_stats))
-              << "compressed " << AxisName(axis);
+          const std::string where =
+              std::string(AxisName(axis)) + " mode " +
+              std::to_string(static_cast<int>(mode)) + " tag " +
+              std::to_string(tag) + " seed " + std::to_string(seed);
+          NodeSequence mem;
+          JoinStats mem_stats;
+          ASSERT_NO_FATAL_FAILURE(JoinOnEveryBackend(
+              im, tag, ctx, axis, opt, where, &mem, &mem_stats));
+          EXPECT_EQ(mem, JoinThenFilter(*doc, ctx, axis, tag, opt)) << where;
 
           // Kernels-consistent stats semantics, fragment slots being the
           // unit: every slot is scanned, copied, or skipped at most once.
           EXPECT_LE(mem_stats.nodes_scanned + mem_stats.nodes_copied +
                         mem_stats.nodes_skipped,
                     view.size())
-              << AxisName(axis) << " mode " << static_cast<int>(mode);
+              << where;
           if (mode == SkipMode::kNone) {
             EXPECT_EQ(mem_stats.nodes_copied, 0u);
             EXPECT_EQ(mem_stats.nodes_skipped, 0u);
@@ -248,20 +275,14 @@ TEST_P(FragmentBackendTest, ProbeWindowShapesMatchRegionOracle) {
                                    .attribute_percent = 30,
                                    .tag_alphabet = 2});
   ASSERT_GT(doc->size(), 500u) << "degenerate random doc for seed " << seed;
-  TagIndex index(*doc);
-  SimulatedDisk disk;
-  auto paged_doc = PagedDocTable::Create(*doc, &disk).value();
-  auto paged_tags = PagedTagIndex::Create(*doc, &disk).value();
-  auto compressed_doc = CompressedDocTable::Create(*doc, &disk).value();
-  auto compressed_tags = CompressedTagIndex::Create(*doc, &disk).value();
-  BufferPool pool(&disk, 16);
+  BackendImages im(*doc);
   Rng rng(seed * 31 + 7);
 
   for (const char* name : {"t0", "t1"}) {
     std::optional<TagId> found = doc->tags().Lookup(name);
     ASSERT_TRUE(found.has_value()) << name << " seed " << seed;
     const TagId tag = *found;
-    const TagView& view = index.view(tag);
+    const TagView& view = im.index.view(tag);
     ASSERT_GT(view.size(), 4 * kProbeWindow) << name << " seed " << seed;
     for (const auto& [shape, ctx] : ProbeWindowContexts(rng, *doc, view)) {
       for (Axis axis : kStaircaseAxes) {
@@ -273,27 +294,12 @@ TEST_P(FragmentBackendTest, ProbeWindowShapesMatchRegionOracle) {
               std::string(AxisName(axis)) + " mode " +
               std::to_string(static_cast<int>(mode)) + " tag " + name +
               " context " + shape + " seed " + std::to_string(seed);
-          JoinStats mem_stats, io_stats, zip_stats;
-          auto mem = StaircaseJoinView(*doc, view, ctx, axis, opt, &mem_stats);
-          ASSERT_TRUE(mem.ok()) << mem.status();
-          auto io = PushdownVia<PagedFragmentCursor, PagedDocAccessor>(
-              *paged_tags, tag, *paged_doc, &pool, ctx, axis, opt, &io_stats);
-          ASSERT_TRUE(io.ok()) << io.status();
-          auto zip =
-              PushdownVia<CompressedFragmentCursor, CompressedDocAccessor>(
-                  *compressed_tags, tag, *compressed_doc, &pool, ctx, axis,
-                  opt, &zip_stats);
-          ASSERT_TRUE(zip.ok()) << zip.status();
-
-          EXPECT_EQ(mem.value(), region) << where;
-          EXPECT_EQ(mem.value(), JoinThenFilter(*doc, ctx, axis, tag, opt))
-              << where;
-          EXPECT_TRUE(BytesEqual(io.value(), mem.value())) << "paged " << where;
-          EXPECT_TRUE(StatsEqual(io_stats, mem_stats)) << "paged " << where;
-          EXPECT_TRUE(BytesEqual(zip.value(), mem.value()))
-              << "compressed " << where;
-          EXPECT_TRUE(StatsEqual(zip_stats, mem_stats))
-              << "compressed " << where;
+          NodeSequence mem;
+          JoinStats mem_stats;
+          ASSERT_NO_FATAL_FAILURE(JoinOnEveryBackend(
+              im, tag, ctx, axis, opt, where, &mem, &mem_stats));
+          EXPECT_EQ(mem, region) << where;
+          EXPECT_EQ(mem, JoinThenFilter(*doc, ctx, axis, tag, opt)) << where;
           EXPECT_LE(mem_stats.nodes_scanned + mem_stats.nodes_copied +
                         mem_stats.nodes_skipped,
                     view.size())
