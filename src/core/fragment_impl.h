@@ -132,7 +132,9 @@ void FragJoinAnc(F& frag, A& acc, const NodeSequence& kept, bool or_self,
   for (size_t k = 0; k < kept.size(); ++k) {
     NodeId c = kept[k];
     uint32_t bound = acc.Post(c);
-    // Slots with pre < pre(c). The first window has nothing to seek from.
+    // Slots with pre < pre(c). The first window binary-searches: its
+    // scan reads only post ranks from slot 0 on, so probing pre ranks
+    // there could fault a page the join never needs.
     size_t end = k == 0 ? frag.LowerBound(c) : LowerBoundFrom(frag, j, c);
     while (j < end) {
       ++stats->nodes_scanned;
