@@ -93,7 +93,9 @@ size_t EncodeBlock(std::span<const uint32_t> values, uint8_t* out) {
   // shrinks the width back: the sentinels become base + small offsets
   // mod 2^32. Decoding is the plain FOR decode -- base + offset already
   // wraps -- so this is purely an encoder-side choice.
-  uint32_t sorted[kBlockValues];
+  // Zeroed only because GCC 12 at -O3 cannot see that the copy fills
+  // sorted[0, n) and warns -Wmaybe-uninitialized on the reads below.
+  uint32_t sorted[kBlockValues] = {};
   std::copy(values.begin(), values.end(), sorted);
   std::sort(sorted, sorted + n);
   size_t base_idx = 0;  // start of the frame in sorted order
