@@ -107,6 +107,12 @@ constexpr int kMinTimedReps = 3;
 
 int TimedReps() { return std::max(BenchReps(), kMinTimedReps); }
 
+/// Floor of phase B's alternating cache-off/cache-on rep pairs. A rep
+/// at 8 clients lasts tens of milliseconds, so one descheduled client
+/// can cost it more than the cache's margin; the best of this many
+/// pairs rides out such stalls on a loaded host.
+constexpr int kMinServeReps = 9;
+
 Session MustCreateSession(const Database& db, const SessionOptions& opt) {
   auto session = db.CreateSession(opt);
   if (!session.ok()) {
@@ -293,65 +299,68 @@ struct ServeRun {
   uint64_t result = 0;   ///< schedule-deterministic sum over every query
 };
 
-ServeRun Serve(const Database& db, unsigned threads) {
+/// One client session per thread over `db`.
+std::vector<Session> MakeClients(const Database& db, unsigned threads) {
   SessionOptions opt;  // memory backend: phase B isolates the CPU path
   std::vector<Session> sessions;
   sessions.reserve(threads);
   for (unsigned s = 0; s < threads; ++s) {
     sessions.push_back(MustCreateSession(db, opt));
   }
-  const std::vector<double> cdf = ZipfCdf(std::size(kServingMix), 1.1);
+  return sessions;
+}
 
-  ServeRun best;
-  for (int rep = 0; rep < TimedReps(); ++rep) {
-    std::vector<std::vector<double>> latencies(threads);
-    std::atomic<uint64_t> total_skipped{0};
-    std::atomic<uint64_t> total_result{0};
-    Timer wall;
-    std::vector<std::thread> clients;
-    clients.reserve(threads);
-    for (unsigned s = 0; s < threads; ++s) {
-      clients.emplace_back([&, s] {
-        // The schedule depends on the thread index only: the cache-on
-        // and cache-off runs (and every rep) serve identical sequences.
-        Rng rng(kScheduleSeed + s);
-        latencies[s].reserve(kQueriesPerThread);
-        for (int q = 0; q < kQueriesPerThread; ++q) {
-          const char* query = kServingMix[DrawZipf(cdf, rng)];
-          Timer timer;
-          QueryResult r = MustRun(sessions[s], query);
-          latencies[s].push_back(timer.ElapsedMillis());
-          total_skipped.fetch_add(r.totals.nodes_skipped,
-                                  std::memory_order_relaxed);
-          total_result.fetch_add(r.nodes.size(), std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& c : clients) c.join();
-    const double ms = wall.ElapsedMillis();
-    const double qps =
-        1000.0 * static_cast<double>(kQueriesPerThread) *
-        static_cast<double>(threads) / ms;
-    if (qps > best.qps) {
-      std::vector<double> all;
-      for (const std::vector<double>& per_thread : latencies) {
-        all.insert(all.end(), per_thread.begin(), per_thread.end());
+/// Serves one rep of the zipf mix, one client thread per session, and
+/// keeps it in `best` if its throughput beats what `best` holds.
+void ServeRep(std::vector<Session>& sessions, ServeRun* best) {
+  const unsigned threads = static_cast<unsigned>(sessions.size());
+  const std::vector<double> cdf = ZipfCdf(std::size(kServingMix), 1.1);
+  std::vector<std::vector<double>> latencies(threads);
+  std::atomic<uint64_t> total_skipped{0};
+  std::atomic<uint64_t> total_result{0};
+  Timer wall;
+  std::vector<std::thread> clients;
+  clients.reserve(threads);
+  for (unsigned s = 0; s < threads; ++s) {
+    clients.emplace_back([&, s] {
+      // The schedule depends on the thread index only: the cache-on
+      // and cache-off runs (and every rep) serve identical sequences.
+      Rng rng(kScheduleSeed + s);
+      latencies[s].reserve(kQueriesPerThread);
+      for (int q = 0; q < kQueriesPerThread; ++q) {
+        const char* query = kServingMix[DrawZipf(cdf, rng)];
+        Timer timer;
+        QueryResult r = MustRun(sessions[s], query);
+        latencies[s].push_back(timer.ElapsedMillis());
+        total_skipped.fetch_add(r.totals.nodes_skipped,
+                                std::memory_order_relaxed);
+        total_result.fetch_add(r.nodes.size(), std::memory_order_relaxed);
       }
-      std::sort(all.begin(), all.end());
-      auto pct = [&all](double q) {
-        return all[std::min(all.size() - 1,
-                            static_cast<size_t>(q * all.size()))];
-      };
-      best.ms = ms;
-      best.qps = qps;
-      best.p50 = pct(0.50);
-      best.p95 = pct(0.95);
-      best.p99 = pct(0.99);
-      best.skipped = total_skipped.load(std::memory_order_relaxed);
-      best.result = total_result.load(std::memory_order_relaxed);
-    }
+    });
   }
-  return best;
+  for (std::thread& c : clients) c.join();
+  const double ms = wall.ElapsedMillis();
+  const double qps =
+      1000.0 * static_cast<double>(kQueriesPerThread) *
+      static_cast<double>(threads) / ms;
+  if (qps > best->qps) {
+    std::vector<double> all;
+    for (const std::vector<double>& per_thread : latencies) {
+      all.insert(all.end(), per_thread.begin(), per_thread.end());
+    }
+    std::sort(all.begin(), all.end());
+    auto pct = [&all](double q) {
+      return all[std::min(all.size() - 1,
+                          static_cast<size_t>(q * all.size()))];
+    };
+    best->ms = ms;
+    best->qps = qps;
+    best->p50 = pct(0.50);
+    best->p95 = pct(0.95);
+    best->p99 = pct(0.99);
+    best->skipped = total_skipped.load(std::memory_order_relaxed);
+    best->result = total_result.load(std::memory_order_relaxed);
+  }
 }
 
 void PhaseSaturation(std::vector<JsonRecord>* json, double mb) {
@@ -374,8 +383,16 @@ void PhaseSaturation(std::vector<JsonRecord>* json, double mb) {
   uint64_t cached_result = 0;
   uint64_t uncached_result = 0;
   for (unsigned threads : {1u, kSaturationThreads}) {
-    ServeRun uncached = Serve(*uncached_db, threads);
-    ServeRun cached = Serve(*cached_db, threads);
+    std::vector<Session> uncached_clients = MakeClients(*uncached_db, threads);
+    std::vector<Session> cached_clients = MakeClients(*cached_db, threads);
+    // The cache-off and cache-on reps alternate, so a shift in host load
+    // between reps hits both sides alike; each keeps its best rep.
+    ServeRun uncached;
+    ServeRun cached;
+    for (int rep = 0; rep < std::max(BenchReps(), kMinServeReps); ++rep) {
+      ServeRep(uncached_clients, &uncached);
+      ServeRep(cached_clients, &cached);
+    }
     if (cached.skipped != uncached.skipped ||
         cached.result != uncached.result) {
       std::fprintf(stderr,
