@@ -60,11 +60,6 @@ int main(int argc, char** argv) {
          o.num_threads = 4;
          return o;
        }()},
-      {"naive per-context", [] {
-         sj::SessionOptions o;
-         o.hints.engine = sj::EngineMode::kNaive;
-         return o;
-       }()},
   };
 
   for (const char* query : {sj::xmlgen::kQ1, sj::xmlgen::kQ2}) {

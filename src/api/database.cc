@@ -337,7 +337,6 @@ Result<xpath::EvalOptions> Database::MakeEvalOptions(
     std::unique_ptr<storage::BufferPool>* private_pool) const {
   const DatabaseImages& img = snap->images();
   xpath::EvalOptions eval;
-  eval.engine = options.hints.engine;
   eval.staircase = options.staircase;
   eval.pushdown = options.hints.pushdown;
   eval.twig = options.hints.twig;
@@ -366,12 +365,7 @@ Result<xpath::EvalOptions> Database::MakeEvalOptions(
           img.paged_tags.get(), img.compressed_doc.get(),
           img.compressed_tags.get(), session_pool));
   eval.snapshot_epoch = snap->epoch();
-  if (snap->edited()) {
-    eval.overlay = snap->overlay();
-    // The lambda pins the snapshot: the materialized merged table stays
-    // valid for as long as any evaluator still holds these options.
-    eval.overlay_doc = [snap]() { return snap->MergedDoc(); };
-  }
+  if (snap->edited()) eval.overlay = snap->overlay();
   *private_pool = std::move(pool);
   return eval;
 }

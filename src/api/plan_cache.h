@@ -4,10 +4,12 @@
 // detection, tag interning, the pushdown cost model -- is pure CPU work
 // repeated verbatim for every run of a hot query. The Database therefore
 // keeps one bounded LRU map from (query string + the SEMANTIC session
-// options: engine, backend, pushdown, twig, pushdown_selectivity) to the
-// immutable xpath::CompiledPlan those options produce. Sessions whose
-// semantic options differ never share an entry (a kPaged plan's pushdown
-// decision is meaningless for kCompressed); options that only shape
+// options: backend, pushdown, twig, pushdown_selectivity, cost_model --
+// plus the pinned snapshot's epoch) to the immutable xpath::CompiledPlan
+// those options produce over that snapshot. Sessions whose semantic
+// options differ never share an entry (a kPaged plan's pushdown
+// decision is meaningless for kCompressed), and a commit retires every
+// older epoch's plans at once; options that only shape
 // execution (staircase skips, num_threads, private pools) are NOT part
 // of the key, so sessions differing only in those serve each other's
 // plans. See Session::PlanKey for the key encoding.

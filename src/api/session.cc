@@ -113,8 +113,6 @@ std::string Session::PlanKey(std::string_view xpath) const {
                 options_.hints.pushdown_selectivity);
   std::string key(xpath);
   key += '\x1f';
-  key += std::to_string(static_cast<int>(options_.hints.engine));
-  key += '\x1f';
   key += std::to_string(static_cast<int>(options_.backend));
   key += '\x1f';
   key += std::to_string(static_cast<int>(options_.hints.pushdown));

@@ -40,7 +40,6 @@ class Database;
 // the internal engine namespace.
 using xpath::CostModelMode;
 using xpath::DocStatistics;
-using xpath::EngineMode;
 using xpath::PushdownMode;
 using xpath::StepOperator;
 using xpath::StepTrace;
@@ -55,8 +54,6 @@ using xpath::TwigMode;
 /// PlanHints -- and cost_model mode -- are identical: a hint-pinned
 /// session never serves or receives a kAuto session's plan.
 struct PlanHints {
-  /// Which join engine evaluates the staircase axes.
-  EngineMode engine = EngineMode::kStaircase;
   /// Whether name tests are pushed down onto tag fragments. kAuto
   /// defers to the cost model (or, under cost_model kOff, the static
   /// pushdown_selectivity threshold); kAlways/kNever pin the choice.
@@ -108,7 +105,8 @@ struct PlanStepSummary {
   /// 1-based step number, matching EXPLAIN's "step N:" lines.
   size_t step = 0;
   /// Operator token: "staircase", "pushdown", "axis-cursor", "twig",
-  /// "twig-subsumed", "positional", "per-context" or "empty".
+  /// "twig-subsumed", "positional" or "empty" ("per-context" names
+  /// StepOperator::kPerContext, which no plan produces).
   std::string op;
   /// The cost model's output-cardinality estimate (EXPLAIN "est=N").
   uint64_t estimated_rows = 0;
@@ -204,11 +202,11 @@ class Session {
 
   /// The plan-cache key of `xpath` under this session's PlanHints --
   /// exactly the fields Evaluator::Compile's decisions depend on
-  /// (engine, backend, pushdown, twig, pushdown_selectivity,
-  /// cost_model), PLUS the pinned snapshot's epoch: a plan compiled
-  /// over one epoch's merged dictionary and fragment counts must never
-  /// drive another epoch, and a hint-pinned session never shares a
-  /// cached plan with a kAuto session.
+  /// (backend, pushdown, twig, pushdown_selectivity, cost_model), PLUS
+  /// the pinned snapshot's epoch: a plan compiled over one epoch's
+  /// merged dictionary and fragment counts must never drive another
+  /// epoch, and a hint-pinned session never shares a cached plan with a
+  /// kAuto session.
   std::string PlanKey(std::string_view xpath) const;
 
   /// Records a plan in the session-local memo (see plan_memo_), with

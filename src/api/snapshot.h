@@ -111,8 +111,10 @@ class DatabaseSnapshot {
   /// The merged document as a resident DocTable in logical pre ranks:
   /// the base table itself when the snapshot is unedited, otherwise a
   /// lazily materialized (once, thread-safe) fold of base + overlay.
-  /// Serves the evaluator's per-context paths (EvalOptions::overlay_doc);
-  /// borrowed, valid while the snapshot lives.
+  /// The evaluator never reads it (its joins merge base and delta
+  /// through the overlay cursors); it serves callers that need whole
+  /// nodes of the edited document, such as the tests' path oracle.
+  /// Borrowed, valid while the snapshot lives.
   Result<const DocTable*> MergedDoc() const;
 
  private:

@@ -4,7 +4,6 @@
 #include <iterator>
 #include <utility>
 
-#include "baselines/naive.h"
 #include "core/axis_step.h"
 #include "util/timer.h"
 #include "xpath/backend_dispatch.h"
@@ -50,12 +49,6 @@ AxisNodeTest MakeAxisNodeTest(const Step& step,
 Evaluator::Evaluator(const DocTable& doc, EvalOptions options)
     : doc_(doc), options_(std::move(options)) {}
 
-Result<NodeSequence> Evaluator::Evaluate(const LocationPath& path,
-                                         const NodeSequence& context) {
-  trace_.clear();
-  return EvaluateKeepTrace(path, context);
-}
-
 bool Evaluator::Overlaid() const { return xpath::Overlaid(options_); }
 
 size_t Evaluator::LogicalSize() const {
@@ -67,18 +60,9 @@ std::optional<TagId> Evaluator::LookupTag(std::string_view name) const {
   return doc_.tags().Lookup(name);
 }
 
-Result<const DocTable*> Evaluator::EffectiveDoc() {
-  if (!Overlaid()) return &doc_;
-  if (!options_.overlay_doc) {
-    return Status::InvalidArgument(
-        "overlay evaluation requires EvalOptions::overlay_doc");
-  }
-  return options_.overlay_doc();
-}
-
-Result<NodeSequence> Evaluator::EvaluateKeepTrace(const LocationPath& path,
-                                                  const NodeSequence& context,
-                                                  const PlannedPath* planned) {
+Result<NodeSequence> Evaluator::EvaluateBranch(const LocationPath& path,
+                                               const NodeSequence& context,
+                                               const PlannedPath& planned) {
   NodeSequence start = context;
   if (path.absolute) {
     start = doc_.empty() ? NodeSequence{} : NodeSequence{doc_.root()};
@@ -95,44 +79,7 @@ Result<NodeSequence> Evaluator::EvaluateKeepTrace(const LocationPath& path,
     return Status::InvalidArgument("context node out of range");
   }
   return EvalSteps(path.steps, 0, std::move(start), /*top_level=*/true,
-                   planned);
-}
-
-Result<NodeSequence> Evaluator::Evaluate(const LocationPath& path) {
-  return Evaluate(path, doc_.empty() ? NodeSequence{}
-                                     : NodeSequence{doc_.root()});
-}
-
-Result<NodeSequence> Evaluator::EvaluateString(std::string_view xpath) {
-  SJ_ASSIGN_OR_RETURN(LocationPath path, ParseXPath(xpath));
-  return Evaluate(path);
-}
-
-Result<NodeSequence> Evaluator::EvaluateUnion(
-    const UnionExpr& expr, const std::vector<PlannedPath>* planned,
-    const NodeSequence& context) {
-  // One trace for the whole union: clearing per branch would leave
-  // ExplainLastQuery reporting only the final branch's steps.
-  trace_.clear();
-  NodeSequence merged;
-  for (size_t b = 0; b < expr.branches.size(); ++b) {
-    SJ_ASSIGN_OR_RETURN(
-        NodeSequence r,
-        EvaluateKeepTrace(expr.branches[b], context,
-                          planned != nullptr ? &(*planned)[b] : nullptr));
-    NodeSequence next;
-    next.reserve(merged.size() + r.size());
-    std::merge(merged.begin(), merged.end(), r.begin(), r.end(),
-               std::back_inserter(next));
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    merged = std::move(next);
-  }
-  return merged;
-}
-
-Result<NodeSequence> Evaluator::Evaluate(const UnionExpr& expr,
-                                         const NodeSequence& context) {
-  return EvaluateUnion(expr, /*planned=*/nullptr, context);
+                   &planned);
 }
 
 Result<NodeSequence> Evaluator::Evaluate(const CompiledPlan& plan,
@@ -141,7 +88,21 @@ Result<NodeSequence> Evaluator::Evaluate(const CompiledPlan& plan,
     return Status::InvalidArgument(
         "compiled plan does not match its expression");
   }
-  return EvaluateUnion(plan.expr, &plan.branches, context);
+  // One trace for the whole union: every branch appends its steps.
+  trace_.clear();
+  NodeSequence merged;
+  for (size_t b = 0; b < plan.expr.branches.size(); ++b) {
+    const LocationPath& branch = plan.expr.branches[b];
+    SJ_ASSIGN_OR_RETURN(NodeSequence r,
+                        EvaluateBranch(branch, context, plan.branches[b]));
+    NodeSequence next;
+    next.reserve(merged.size() + r.size());
+    std::merge(merged.begin(), merged.end(), r.begin(), r.end(),
+               std::back_inserter(next));
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    merged = std::move(next);
+  }
+  return merged;
 }
 
 CompiledPlan Evaluator::Compile(UnionExpr expr) const {
@@ -208,21 +169,14 @@ PlannedPath Evaluator::PlanPath(const std::vector<Step>& steps) const {
   return planned;
 }
 
-Result<NodeSequence> Evaluator::EvaluateUnionString(std::string_view xpath) {
-  SJ_ASSIGN_OR_RETURN(UnionExpr expr, ParseXPathUnion(xpath));
-  return Evaluate(expr, doc_.empty() ? NodeSequence{}
-                                     : NodeSequence{doc_.root()});
-}
-
 Result<NodeSequence> Evaluator::EvalSteps(const std::vector<Step>& steps,
                                           size_t first, NodeSequence context,
                                           bool top_level,
                                           const PlannedPath* planned) {
   NodeSequence current = std::move(context);
-  // Planned and unplanned execution share every line below this one: a
-  // compiled plan supplies the PlannedPath; otherwise PlanPath derives
-  // it here, exactly as Compile would have -- same decisions, same
-  // estimates, same traces.
+  // Predicate paths arrive unplanned (Compile plans only the top-level
+  // branches); PlanPath derives their decisions here, exactly as
+  // Compile would have.
   PlannedPath local;
   if (planned == nullptr) {
     local = PlanPath(steps);
@@ -276,10 +230,7 @@ static bool IsDescendantOrSelfNode(const Step& step) {
 PlannedStep Evaluator::MatchTwigRun(const std::vector<Step>& steps,
                                     size_t first) const {
   PlannedStep plan;
-  if (options_.engine != EngineMode::kStaircase ||
-      options_.twig == TwigMode::kNever) {
-    return plan;
-  }
+  if (options_.twig == TwigMode::kNever) return plan;
   if (!BackendDispatch(doc_, options_).HasFragments()) return plan;
   size_t i = first;
   while (i < steps.size()) {
@@ -348,9 +299,7 @@ PlannedStep Evaluator::PlanStep(const Step& step,
   *ctx = out;
 
   // The operator EvalStep will route this plan through.
-  if (options_.engine != EngineMode::kStaircase) {
-    plan.op = StepOperator::kPerContext;
-  } else if (plan.needs_tag && !plan.tag.has_value()) {
+  if (plan.needs_tag && !plan.tag.has_value()) {
     plan.op = StepOperator::kEmpty;
   } else if (plan.positional) {
     plan.op = StepOperator::kPositional;
@@ -429,7 +378,6 @@ Result<NodeSequence> Evaluator::EvalTwigRun(const std::vector<Step>& steps,
 bool Evaluator::ShouldPushdown(const Step& step, TagId tag,
                                const CardinalityEstimator& est,
                                const ContextEstimate& in) const {
-  if (options_.engine != EngineMode::kStaircase) return false;
   const BackendDispatch dispatch(doc_, options_);
   if (!dispatch.HasFragments()) return false;
   if (step.test.kind != NodeTestKind::kName) return false;
@@ -462,50 +410,12 @@ bool Evaluator::RankOverFragment(const Step& step) const {
   // The name-test pushdown gate minus the cost comparison: the probes
   // visit at most one fragment slot per group member, where the
   // document scan reads every node of every group.
-  if (options_.engine != EngineMode::kStaircase ||
-      options_.pushdown == PushdownMode::kNever ||
+  if (options_.pushdown == PushdownMode::kNever ||
       !internal::IsFragmentRankAxis(step.axis) ||
       step.predicates.front().kind == Predicate::Kind::kExists) {
     return false;
   }
   return BackendDispatch(doc_, options_).HasFragments();
-}
-
-NodeSequence Evaluator::FilterByTest(const DocTable& doc, const Step& step,
-                                     const NodeSequence& nodes) const {
-  NodeSequence out;
-  out.reserve(nodes.size());
-  const NodeKind principal = PrincipalKind(step.axis);
-  for (NodeId v : nodes) {
-    const NodeKind kind = doc.kind(v);
-    bool keep = false;
-    switch (step.test.kind) {
-      case NodeTestKind::kAnyNode:
-        keep = true;
-        break;
-      case NodeTestKind::kAnyName:
-        keep = kind == principal;
-        break;
-      case NodeTestKind::kName:
-        keep = kind == principal &&
-               doc.tag(v) != kNoTag &&
-               doc.tags().Name(doc.tag(v)) == step.test.name;
-        break;
-      case NodeTestKind::kText:
-        keep = kind == NodeKind::kText;
-        break;
-      case NodeTestKind::kComment:
-        keep = kind == NodeKind::kComment;
-        break;
-      case NodeTestKind::kPi:
-        keep = kind == NodeKind::kProcessingInstruction &&
-               (step.test.name.empty() ||
-                doc.tags().Name(doc.tag(v)) == step.test.name);
-        break;
-    }
-    if (keep) out.push_back(v);
-  }
-  return out;
 }
 
 Result<bool> Evaluator::PredicateHolds(const Predicate& pred, NodeId node) {
@@ -606,36 +516,6 @@ Result<NodeSequence> Evaluator::RankWithinGroup(
   return axis_nodes;
 }
 
-/// Naive-engine fallback: per-context evaluation over the resident
-/// (merged) table. The staircase engine routes positional steps through
-/// the set-at-a-time rank join in EvalStep instead.
-Result<NodeSequence> Evaluator::EvalStepPositional(
-    const Step& step, const NodeSequence& context) {
-  NodeSequence collected;
-  // Per-context evaluation reads whole nodes, not columns: under an
-  // overlay it runs on the materialized merged table (resident, like the
-  // pristine per-context path).
-  SJ_ASSIGN_OR_RETURN(const DocTable* edoc, EffectiveDoc());
-  std::vector<std::optional<bool>> absolute_verdict(step.predicates.size());
-  for (NodeId c : context) {
-    JoinStats ignored;
-    SJ_ASSIGN_OR_RETURN(NodeSequence axis_nodes,
-                        NaiveAxisStep(*edoc, {c}, step.axis, &ignored));
-    axis_nodes = FilterByTest(*edoc, step, axis_nodes);
-    if (IsReverseAxis(step.axis)) {
-      std::reverse(axis_nodes.begin(), axis_nodes.end());
-    }
-    SJ_ASSIGN_OR_RETURN(
-        axis_nodes,
-        RankWithinGroup(step, 0, std::move(axis_nodes), &absolute_verdict));
-    collected.insert(collected.end(), axis_nodes.begin(), axis_nodes.end());
-  }
-  std::sort(collected.begin(), collected.end());
-  collected.erase(std::unique(collected.begin(), collected.end()),
-                  collected.end());
-  return collected;
-}
-
 Result<NodeSequence> Evaluator::EvalStep(const Step& step,
                                          const NodeSequence& context,
                                          bool top_level,
@@ -649,41 +529,10 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
   storage::BufferPool* const pool = dispatch.Pool();
   const uint64_t faults_before = pool != nullptr ? pool->stats().faults : 0;
 
-  if (plan.positional && options_.engine != EngineMode::kStaircase) {
-    // Naive engine: the per-context oracle path, whole-node reads over
-    // the resident (merged) table.
-    SJ_ASSIGN_OR_RETURN(result, EvalStepPositional(step, context));
-    if (top_level) {
-      trace.description = ToString(step) + explain::kPositionalSuffix;
-      if (dispatch.Pooled()) {
-        // The naive engine reads resident columns; disk experiments
-        // must not mistake its steps for IO-charged ones.
-        trace.description += explain::kBypassesPoolSuffix;
-      }
-      trace.stats.context_size = context.size();
-      trace.stats.result_size = result.size();
-      trace.millis = timer.ElapsedMillis();
-      trace.op = plan.op;
-      trace.estimated_rows = plan.estimated_rows;
-      trace_.push_back(std::move(trace));
-    }
-    return result;
-  }
-
   const bool staircase_axis = IsStaircaseAxis(step.axis);
   const std::optional<TagId>& tag = plan.tag;
 
-  if (options_.engine != EngineMode::kStaircase) {
-    // Naive engine: per-context evaluation with sort + unique (the
-    // "standard RDBMS join algorithms" route of [8]), per-node filter.
-    SJ_ASSIGN_OR_RETURN(const DocTable* edoc, EffectiveDoc());
-    SJ_ASSIGN_OR_RETURN(result, NaiveAxisStep(*edoc, context, step.axis,
-                                              &stats));
-    trace.description = ToString(step) + explain::kPerContext;
-    if (step.test.kind != NodeTestKind::kAnyNode) {
-      result = FilterByTest(*edoc, step, result);
-    }
-  } else if (plan.needs_tag && !tag.has_value()) {
+  if (plan.needs_tag && !tag.has_value()) {
     // Before any evaluation, positional or not: a never-interned name
     // is statically empty.
     trace.description = ToString(step) + explain::kEmptyUnknownTag;
@@ -793,8 +642,7 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
     }
   } else {
     // Non-staircase axis: the set-at-a-time cursor kernels with the
-    // node test folded into the scan -- the per-context NaiveAxisStep
-    // is a baseline only (positional predicates excepted).
+    // node test folded into the scan.
     SJ_ASSIGN_OR_RETURN(
         result, dispatch.AxisCursor(context, step.axis,
                                     MakeAxisNodeTest(step, tag), &stats));
@@ -839,7 +687,5 @@ std::string ExplainTrace(const std::vector<StepTrace>& trace) {
   }
   return out;
 }
-
-std::string Evaluator::ExplainLastQuery() const { return ExplainTrace(trace_); }
 
 }  // namespace sj::xpath

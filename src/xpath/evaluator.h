@@ -13,14 +13,15 @@
 // test led by [k] / [last()] reads each group's match from the tag
 // fragment instead of scanning the group). Operator
 // choice (pushdown vs staircase vs axis cursor) is estimate-driven via
-// xpath/cost_model.h unless a hint pins it. A fully naive engine is
-// provided as the tree-unaware comparator and as an independent
-// correctness oracle.
+// xpath/cost_model.h unless a hint pins it. There is one evaluation
+// route: Compile a parsed expression into a CompiledPlan, then
+// Evaluate(plan, context). The tree-unaware comparator lives in
+// baselines/naive.h; the tests check this evaluator against an
+// independent path oracle (tests/path_oracle.h).
 
 #ifndef STAIRJOIN_XPATH_EVALUATOR_H_
 #define STAIRJOIN_XPATH_EVALUATOR_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -40,16 +41,9 @@
 #include "util/result.h"
 #include "xpath/ast.h"
 #include "xpath/cost_model.h"
-#include "xpath/parser.h"
 #include "xpath/plan.h"
 
 namespace sj::xpath {
-
-/// Which join engine evaluates the staircase axes.
-enum class EngineMode : uint8_t {
-  kStaircase,  ///< staircase join (the paper's operator)
-  kNaive,      ///< per-context evaluation + duplicate elimination
-};
 
 /// Which storage backend the staircase joins read the doc columns from.
 enum class StorageBackend : uint8_t {
@@ -110,7 +104,6 @@ inline storage::BufferPool* ImagePool(const BackendImage& image) {
 
 /// Evaluator configuration.
 struct EvalOptions {
-  EngineMode engine = EngineMode::kStaircase;
   StaircaseOptions staircase;
   PushdownMode pushdown = PushdownMode::kAuto;
   /// Whether eligible step runs (consecutive predicate-free name-test
@@ -149,10 +142,6 @@ struct EvalOptions {
   /// means the pristine document -- plans and traces are byte-identical
   /// to a database that was never edited.
   const delta::Overlay* overlay = nullptr;
-  /// Lazily materializes the merged document as a resident DocTable for
-  /// the per-context paths (naive engine, positional predicates, name
-  /// filtering on the naive path). Required when `overlay` is set.
-  std::function<Result<const DocTable*>()> overlay_doc;
   /// Snapshot identity for EXPLAIN ("snapshot: epoch N (delta: M
   /// nodes)"); epoch 0 = pristine, no line emitted.
   uint64_t snapshot_epoch = 0;
@@ -177,7 +166,7 @@ struct StepTrace {
 };
 
 /// Renders a step trace as a readable multi-line EXPLAIN (the formatting
-/// behind Evaluator::ExplainLastQuery and sj::QueryResult::Explain).
+/// behind sj::QueryResult::Explain).
 std::string ExplainTrace(const std::vector<StepTrace>& trace);
 
 /// \brief Evaluates parsed location paths over one document.
@@ -186,58 +175,34 @@ class Evaluator {
   /// Binds the evaluator to `doc` (borrowed; must outlive the evaluator).
   explicit Evaluator(const DocTable& doc, EvalOptions options = {});
 
-  /// Evaluates `path` with an explicit context sequence (document order,
-  /// duplicate free). Absolute paths ignore `context` and start at the
-  /// document element, as in the paper's usage root(doc).
-  Result<NodeSequence> Evaluate(const LocationPath& path,
-                                const NodeSequence& context);
-
-  /// Evaluates `path` from the document element.
-  Result<NodeSequence> Evaluate(const LocationPath& path);
-
-  /// Parses and evaluates an XPath string from the document element.
-  Result<NodeSequence> EvaluateString(std::string_view xpath);
-
-  /// Evaluates a union expression (document-order merge of the branches).
-  Result<NodeSequence> Evaluate(const UnionExpr& expr,
-                                const NodeSequence& context);
-
-  /// Parses and evaluates a union expression from the document element.
-  Result<NodeSequence> EvaluateUnionString(std::string_view xpath);
-
   /// Analyzes `expr` into an immutable CompiledPlan: twig-run collapse,
   /// positional detection, tag interning and the pushdown decision are
   /// settled HERE, once, instead of on every run. The decisions depend
-  /// only on the document and the semantic options (engine, backend,
-  /// pushdown, twig, pushdown_selectivity), so a plan compiled by one
-  /// evaluator is valid for any evaluator over the same document with
-  /// equal semantic options -- the sharing contract of the Database
-  /// plan cache, whose key is exactly those fields.
+  /// only on the document (its statistics, and under an overlay the
+  /// merged dictionary and fragment counts) and the semantic options
+  /// (backend, pushdown, twig, pushdown_selectivity, cost_model), so a
+  /// plan compiled by one evaluator is valid for any evaluator over the
+  /// same snapshot with equal semantic options -- the sharing contract
+  /// of the Database plan cache, whose key is exactly those fields plus
+  /// the snapshot epoch.
   CompiledPlan Compile(UnionExpr expr) const;
 
-  /// Evaluates a compiled plan (document-order merge of the branches).
-  /// Takes the same code paths as Evaluate(UnionExpr) with the planning
-  /// work pre-done; EXPLAIN traces are byte-identical.
+  /// Evaluates a compiled plan from `context` (document order, duplicate
+  /// free; absolute branches ignore it and start at the document
+  /// element, as in the paper's usage root(doc)): the document-order
+  /// merge of the branches.
   Result<NodeSequence> Evaluate(const CompiledPlan& plan,
                                 const NodeSequence& context);
 
-  /// Plan diagnostics of the most recent top-level Evaluate call.
+  /// Plan diagnostics of the most recent Evaluate call (one trace for
+  /// all union branches, in branch order).
   const std::vector<StepTrace>& last_trace() const { return trace_; }
 
-  /// Renders last_trace() as a readable multi-line EXPLAIN.
-  std::string ExplainLastQuery() const;
-
  private:
-  /// Evaluate() minus the trace reset: union branches share one trace.
-  /// `planned` carries the branch's compiled decisions; null re-derives
-  /// them per step (the uncached path -- same decisions, same traces).
-  Result<NodeSequence> EvaluateKeepTrace(const LocationPath& path,
-                                         const NodeSequence& context,
-                                         const PlannedPath* planned = nullptr);
-  /// Shared body of the two union Evaluate overloads.
-  Result<NodeSequence> EvaluateUnion(const UnionExpr& expr,
-                                     const std::vector<PlannedPath>* planned,
-                                     const NodeSequence& context);
+  /// Evaluates one union branch, appending to the shared trace.
+  Result<NodeSequence> EvaluateBranch(const LocationPath& path,
+                                      const NodeSequence& context,
+                                      const PlannedPath& planned);
   Result<NodeSequence> EvalSteps(const std::vector<Step>& steps, size_t first,
                                  NodeSequence context, bool top_level,
                                  const PlannedPath* planned = nullptr);
@@ -247,8 +212,8 @@ class Evaluator {
   /// predicates, name tests only, twig axes only): twig_consumed > 0 and
   /// one TwigLevel per chain level (a folded `descendant-or-self::node()`
   /// + `child::name` pair -- the parse of `//name` -- consumes two steps
-  /// for one kDescendant level). twig_consumed == 0 when the
-  /// engine/backend gates or the steps disqualify a collapse.
+  /// for one kDescendant level). twig_consumed == 0 when the twig hint,
+  /// a missing fragment index or the steps disqualify a collapse.
   PlannedStep MatchTwigRun(const std::vector<Step>& steps, size_t first) const;
   /// The cost model instance of this evaluator's statistics wiring:
   /// DocStatistics (when the facade collected them), the merged logical
@@ -260,8 +225,8 @@ class Evaluator {
   /// Plans a whole location path: the same walk Compile freezes per
   /// branch, chaining ContextEstimates from the root so every step
   /// carries estimated_rows and a cost-chosen operator. EvalSteps calls
-  /// this when handed no compiled plan -- one shared derivation, so
-  /// cached and uncached runs decide (and trace) identically.
+  /// this for predicate paths, which Compile leaves unplanned -- one
+  /// shared derivation, so every path decides the same way.
   PlannedPath PlanPath(const std::vector<Step>& steps) const;
   /// The per-step planning decisions of one non-twig step (positional
   /// detection, tag interning, operator choice by cost); advances `ctx`
@@ -275,11 +240,6 @@ class Evaluator {
                                    size_t first, const PlannedStep& plan,
                                    const NodeSequence& context,
                                    bool top_level);
-  /// Naive-engine fallback: per-context evaluation over the resident
-  /// (merged) table. The staircase engine routes positional steps
-  /// through the set-at-a-time rank join instead (EvalStep).
-  Result<NodeSequence> EvalStepPositional(const Step& step,
-                                          const NodeSequence& context);
   /// Applies a positional step's predicate chain, from predicate
   /// `first` on, to one context node's axis output (already reversed for
   /// reverse axes): positions index the list surviving the previous
@@ -290,10 +250,6 @@ class Evaluator {
       std::vector<std::optional<bool>>* absolute_verdict);
   Result<NodeSequence> ApplyPredicates(const Step& step, NodeSequence nodes);
   Result<bool> PredicateHolds(const Predicate& pred, NodeId node);
-  /// `doc` is EffectiveDoc(): the bound table, or the materialized merged
-  /// table when a delta overlay is active.
-  NodeSequence FilterByTest(const DocTable& doc, const Step& step,
-                            const NodeSequence& nodes) const;
   /// The pushdown decision: hint pins (kAlways/kNever) win; kAuto defers
   /// to the estimator's page-cost comparison (cost_model kAuto) or the
   /// legacy static selectivity threshold (cost_model kOff).
@@ -313,10 +269,6 @@ class Evaluator {
   /// Tag lookup against the merged dictionary (base dictionary when
   /// pristine); nullopt for never-interned names, as before.
   std::optional<TagId> LookupTag(std::string_view name) const;
-  /// The table the per-context paths (naive engine, positional
-  /// predicates) read: doc_ when pristine, the overlay's lazily
-  /// materialized merged table otherwise.
-  Result<const DocTable*> EffectiveDoc();
 
   const DocTable& doc_;
   EvalOptions options_;

@@ -88,13 +88,6 @@ inline constexpr const char kSnapshotDeltaClose[] = " nodes)";
 /// The rest of the report stays byte-identical to the uncached run.
 inline constexpr const char kPlanCachedOpen[] = "plan: cached (hits=";
 
-// --- per-context fallbacks --------------------------------------------------
-inline constexpr const char kPerContext[] = " via per-context evaluation";
-inline constexpr const char kPositionalSuffix[] =
-    " via per-context evaluation (positional predicate)";
-inline constexpr const char kBypassesPoolSuffix[] =
-    " (memory-resident -- bypasses buffer pool)";
-
 // --- empty short-circuits ---------------------------------------------------
 inline constexpr const char kEmptyShortCircuited[] =
     " -> empty (short-circuited)";

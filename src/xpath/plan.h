@@ -32,6 +32,9 @@ namespace sj::xpath {
 
 /// The operator the planner chose for one step (frozen into the plan,
 /// surfaced structurally through sj::QueryResult::PlanSummary()).
+/// No planner path produces kPerContext; it stays because consumers
+/// switch over every operator (the PlanSummary "per-context" token,
+/// perfbench's per-operator counters).
 enum class StepOperator : uint8_t {
   kStaircase,     ///< doc-scan staircase join (+ node-test filter)
   kPushdown,      ///< staircase join over the tag fragment
@@ -39,7 +42,7 @@ enum class StepOperator : uint8_t {
   kTwig,          ///< holistic k-way twig join (starts a run)
   kTwigSubsumed,  ///< consumed by the preceding twig run
   kPositional,    ///< set-at-a-time positional rank join
-  kPerContext,    ///< naive-engine per-context evaluation
+  kPerContext,    ///< produced by no plan (see above)
   kEmpty,         ///< statically empty (unknown tag)
 };
 
@@ -53,8 +56,9 @@ struct PlannedStep {
   /// Tag names, parallel to `twig_levels` (for EXPLAIN).
   std::vector<std::string> twig_names;
 
-  /// At least one non-existence predicate: the step falls back to
-  /// per-context evaluation.
+  /// At least one non-existence predicate ([k] / [last()]): the step
+  /// runs as a set-at-a-time positional rank join within per-context
+  /// groups (StepOperator::kPositional).
   bool positional = false;
   /// The node test names a tag (kName, or kPi with a target).
   bool needs_tag = false;

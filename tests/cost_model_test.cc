@@ -3,7 +3,8 @@
 // and backend; pinned hints and cost_model kOff override them), the
 // merged-dictionary bugfix on edited snapshots (fresh overlay tags get
 // real counts), and positional set-at-a-time equivalence against the
-// per-context oracle across axis x backend x predicate position.
+// per-context path oracle (tests/path_oracle.h) across axis x backend x
+// predicate position.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "api/database.h"
+#include "path_oracle.h"
 #include "test_util.h"
 #include "xpath/cost_model.h"
 
@@ -443,11 +445,6 @@ TEST(PositionalRankJoinTest, MatchesPerContextOracleAcrossBackends) {
   auto doc_xml = sj::testing::RandomDocumentXml(1234, {});
   auto db = Database::FromXml(doc_xml).value();
 
-  // The oracle: the naive engine's per-context evaluation.
-  SessionOptions naive_opt;
-  naive_opt.hints.engine = EngineMode::kNaive;
-  Session oracle = std::move(db->CreateSession(naive_opt)).value();
-
   const StorageBackend backends[] = {StorageBackend::kMemory,
                                      StorageBackend::kPaged,
                                      StorageBackend::kCompressed};
@@ -456,11 +453,11 @@ TEST(PositionalRankJoinTest, MatchesPerContextOracleAcrossBackends) {
     opt.backend = backend;
     Session s = std::move(db->CreateSession(opt)).value();
     for (const char* q : kPositionalQueries) {
-      auto expected = oracle.Run(q);
+      auto expected = sj::testing::PathOracle(db->doc(), q);
       auto got = s.Run(q);
       ASSERT_TRUE(expected.ok()) << q << ": " << expected.status();
       ASSERT_TRUE(got.ok()) << q << ": " << got.status();
-      EXPECT_EQ(got.value().nodes, expected.value().nodes)
+      EXPECT_EQ(got.value().nodes, expected.value())
           << q << " on backend " << static_cast<int>(backend) << "\n"
           << got.value().Explain();
     }

@@ -33,7 +33,7 @@ namespace {
 
 /// The query mix every equivalence check runs: staircase axes, pushdown
 /// candidates, twig runs, non-staircase cursors, predicates (existence
-/// and positional -- the per-context merged-table path), and a union.
+/// and positional), and a union.
 const char* const kQueries[] = {
     "/descendant::t0",
     "/descendant::t1",

@@ -1,6 +1,7 @@
 // End-to-end integration tests: the full pipeline (generate -> serialize ->
 // parse -> encode -> query) and the paper's workload queries evaluated by
-// every engine/baseline combination on one XMark-style instance.
+// every strategy and baseline on one XMark-style instance, checked
+// against the path oracle.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "core/staircase_join.h"
 #include "core/tag_view.h"
 #include "encoding/loader.h"
+#include "path_oracle.h"
 #include "xmlgen/xmark.h"
 
 namespace sj {
@@ -56,8 +58,6 @@ TEST_F(XMarkPipelineTest, Q1AllStrategiesAgree) {
   pushdown.hints.pushdown = PushdownMode::kAlways;
   SessionOptions no_pushdown;
   no_pushdown.hints.pushdown = PushdownMode::kNever;
-  SessionOptions naive;
-  naive.hints.engine = EngineMode::kNaive;
   SessionOptions parallel = no_pushdown;
   parallel.num_threads = 4;
   SessionOptions paged;
@@ -65,7 +65,8 @@ TEST_F(XMarkPipelineTest, Q1AllStrategiesAgree) {
 
   NodeSequence expected = Run(xmlgen::kQ1, no_pushdown);
   EXPECT_GT(expected.size(), 0u);
-  for (const SessionOptions& opts : {pushdown, naive, parallel, paged}) {
+  EXPECT_EQ(testing::PathOracle(*doc_, xmlgen::kQ1).value(), expected);
+  for (const SessionOptions& opts : {pushdown, parallel, paged}) {
     EXPECT_EQ(Run(xmlgen::kQ1, opts), expected);
   }
 }
@@ -74,9 +75,7 @@ TEST_F(XMarkPipelineTest, Q2AllStrategiesAgreeIncludingRewrite) {
   NodeSequence q2 = Run(xmlgen::kQ2);
   EXPECT_GT(q2.size(), 0u);
   EXPECT_EQ(Run(xmlgen::kQ2Rewrite), q2);
-  SessionOptions naive;
-  naive.hints.engine = EngineMode::kNaive;
-  EXPECT_EQ(Run(xmlgen::kQ2, naive), q2);
+  EXPECT_EQ(testing::PathOracle(*doc_, xmlgen::kQ2).value(), q2);
   SessionOptions paged;
   paged.backend = StorageBackend::kPaged;
   EXPECT_EQ(Run(xmlgen::kQ2, paged), q2);

@@ -1,12 +1,12 @@
 // The holistic twig join (core/twig_impl.h): one k-way leapfrog merge
 // over per-tag fragment cursors must return exactly what k materialized
-// steps return -- byte-identical, duplicate-free, document-order -- on
-// every backend, for every eligible path shape, including documents
-// where a tag nests inside itself (the case that breaks naive
-// stack-free intersections). Also pins the plan-extraction boundaries
-// (what collapses, what falls back), the zero-intermediate / fewer-
-// faults property on the paged backend, and the stats contract of the
-// raw kernel.
+// steps and the path oracle return -- byte-identical, duplicate-free,
+// document-order -- on every backend, for every eligible path shape,
+// including documents where a tag nests inside itself (the case that
+// breaks naive stack-free intersections). Also pins the plan-extraction
+// boundaries (what collapses, what falls back), the zero-intermediate /
+// fewer-faults property on the paged backend, and the stats contract of
+// the raw kernel.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "api/database.h"
 #include "core/tag_view.h"
 #include "core/twig_join.h"
+#include "path_oracle.h"
 #include "test_util.h"
 
 namespace sj {
@@ -39,24 +40,26 @@ QueryResult MustRun(Session& session, const std::string& q) {
   return std::move(r).value();
 }
 
-Session MakeSession(Database& db, StorageBackend backend, TwigMode twig,
-                    EngineMode engine = EngineMode::kStaircase) {
+Session MakeSession(Database& db, StorageBackend backend, TwigMode twig) {
   SessionOptions opt;
   opt.backend = backend;
   opt.hints.twig = twig;
-  opt.hints.engine = engine;
   auto s = db.CreateSession(opt);
   EXPECT_TRUE(s.ok()) << s.status();
   return std::move(s).value();
 }
 
-/// Twig (kAuto) vs step-at-a-time (kNever) vs the tree-unaware naive
-/// engine, across all three storage backends, for one query.
+/// The path oracle's answer to `q` over `db`'s document.
+NodeSequence Oracle(const Database& db, const std::string& q) {
+  auto r = sj::testing::PathOracle(db.doc(), q);
+  EXPECT_TRUE(r.ok()) << q << ": " << r.status();
+  return r.ok() ? std::move(r).value() : NodeSequence{};
+}
+
+/// Twig (kAuto) vs step-at-a-time (kNever) vs the path oracle, across
+/// all three storage backends, for one query.
 void ExpectTwigMatrix(Database& db, const std::string& q) {
-  Session naive =
-      MakeSession(db, StorageBackend::kMemory, TwigMode::kNever,
-                  EngineMode::kNaive);
-  const QueryResult oracle = MustRun(naive, q);
+  const NodeSequence oracle = Oracle(db, q);
   constexpr StorageBackend kBackends[] = {StorageBackend::kMemory,
                                           StorageBackend::kPaged,
                                           StorageBackend::kCompressed};
@@ -65,10 +68,10 @@ void ExpectTwigMatrix(Database& db, const std::string& q) {
     Session step = MakeSession(db, backend, TwigMode::kNever);
     const QueryResult via_twig = MustRun(twig, q);
     const QueryResult via_steps = MustRun(step, q);
-    EXPECT_TRUE(BytesEqual(via_twig.nodes, oracle.nodes))
+    EXPECT_TRUE(BytesEqual(via_twig.nodes, oracle))
         << q << " backend=" << static_cast<int>(backend) << "\n"
         << via_twig.Explain();
-    EXPECT_TRUE(BytesEqual(via_steps.nodes, oracle.nodes))
+    EXPECT_TRUE(BytesEqual(via_steps.nodes, oracle))
         << q << " backend=" << static_cast<int>(backend);
   }
 }
@@ -82,7 +85,7 @@ std::unique_ptr<DocTable> RecursiveDocument() {
       .value();
 }
 
-TEST(TwigJoinTest, MatrixMatchesStepAtATimeAndNaive) {
+TEST(TwigJoinTest, MatrixMatchesStepAtATimeAndOracle) {
   {
     auto db = Database::FromTable(LoadPaperExample()).value();
     for (const char* q : {
@@ -179,13 +182,11 @@ TEST(TwigJoinTest, IneligibleRunsFallBackToStepAtATime) {
       "/descendant::t0/parent::t0",              // non-twig axis
       "/descendant::t0/ancestor::t1",            // non-twig axis
   };
-  Session naive = MakeSession(*db, StorageBackend::kMemory, TwigMode::kNever,
-                              EngineMode::kNaive);
   for (const char* q : ineligible) {
     const QueryResult r = MustRun(s, q);
     EXPECT_EQ(r.Explain().find("twig join"), std::string::npos)
         << q << "\n" << r.Explain();
-    EXPECT_TRUE(BytesEqual(r.nodes, MustRun(naive, q).nodes)) << q;
+    EXPECT_TRUE(BytesEqual(r.nodes, Oracle(*db, q))) << q;
   }
   // A predicate in the middle splits one long run into two collapses.
   const QueryResult split = MustRun(
@@ -215,7 +216,7 @@ TEST(TwigJoinTest, IneligibleRunsFallBackToStepAtATime) {
       << fallback.Explain();
   EXPECT_TRUE(BytesEqual(
       fallback.nodes,
-      MustRun(naive, "/descendant::t0/descendant::t1/descendant::t2").nodes));
+      Oracle(*db, "/descendant::t0/descendant::t1/descendant::t2")));
 }
 
 TEST(TwigJoinTest, UnknownTagIsAnEmptyFragmentNotAFallback) {

@@ -1,15 +1,20 @@
 // Tests for XPath evaluation through the public Database/Session facade:
-// hand-checked queries on a small document, staircase engine == naive
-// engine on random documents x random queries, pushdown equivalence,
-// predicates, and the EXPLAIN trace carried inside QueryResult.
+// hand-checked queries on a small document, every backend x pushdown x
+// twig session == the path oracle (tests/path_oracle.h) on random
+// documents x random queries (pristine, edited and compacted), pushdown
+// equivalence, predicates, and the EXPLAIN trace carried inside
+// QueryResult.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "api/database.h"
+#include "core/axis.h"
 #include "core/tag_view.h"
 #include "encoding/loader.h"
+#include "path_oracle.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -200,77 +205,178 @@ TEST_F(XPathEvaluatorTest, RelativePathUsesGivenContext) {
             2u);
 }
 
-TEST_F(XPathEvaluatorTest, EngineModesAgreeOnSmallDoc) {
+TEST_F(XPathEvaluatorTest, MatchesPathOracleOnSmallDoc) {
   for (const char* q :
        {"/descendant::name", "/descendant::increase/ancestor::bidder",
         "/descendant::person/following::increase",
         "/child::people/descendant-or-self::*"}) {
-    SessionOptions naive;
-    naive.hints.engine = EngineMode::kNaive;
-    EXPECT_EQ(Eval(q), Eval(q, naive)) << q;
+    EXPECT_EQ(Eval(q), sj::testing::PathOracle(*doc_, q).value()) << q;
   }
 }
 
-// --- Random cross-engine properties -----------------------------------------
+// --- Random queries against the path oracle ---------------------------------
 
-/// Generates a random location path (as query text, so it runs through
-/// the same parse + evaluate pipeline as a facade caller) over the test
-/// tag alphabet.
-std::string RandomQuery(Rng& rng) {
-  static const char* kTags[] = {"t0", "t1", "t2", "t3", "t4", "t5"};
-  static const char* kAxes[] = {
-      "descendant", "descendant-or-self", "ancestor",
-      "ancestor-or-self", "following", "preceding",
-      "child", "parent", "self",
-      "following-sibling", "preceding-sibling"};
+constexpr const char* kTags[] = {"t0", "t1", "t2", "t3", "t4", "t5"};
+constexpr const char* kAttributes[] = {"a0", "a1", "b0"};
+/// Axis values run from kAncestor to kSelf (core/axis.h).
+constexpr uint64_t kAxisCount = static_cast<uint64_t>(Axis::kSelf) + 1;
+
+constexpr const char* kAppendedSubtree =
+    "<t1 a0=\"v\"><t2>x</t2><t0><t6/></t0></t1>";
+constexpr const char* kNestedSubtree = "<t3><t0/>y<t1/></t3>";
+
+std::string RandomPredicate(Rng& rng, int depth);
+
+/// A random relative path of 1-3 steps: every axis, name / `*` /
+/// `node()` / `text()` tests, `//` separators, and (above the nesting
+/// limit) predicates. A path that starts at the document element mostly
+/// opens with a downward axis -- from the root every other axis is
+/// empty or the root itself.
+std::string RandomPath(Rng& rng, int depth, bool from_root) {
   std::string q;
-  size_t steps = 1 + rng.Below(3);
+  const size_t steps = 1 + rng.Below(depth == 0 ? 3 : 2);
   for (size_t i = 0; i < steps; ++i) {
-    q += "/";
-    q += kAxes[rng.Below(std::size(kAxes))];
-    q += "::";
-    switch (rng.Below(4)) {
+    if (i > 0) q += rng.Percent(15) ? "//" : "/";
+    Axis axis = static_cast<Axis>(rng.Below(kAxisCount));
+    if (i == 0 && from_root && rng.Percent(80)) {
+      axis = rng.Percent(50) ? Axis::kDescendant : Axis::kDescendantOrSelf;
+    }
+    q += std::string(AxisName(axis)) + "::";
+    switch (rng.Below(8)) {
       case 0:
         q += "node()";
         break;
       case 1:
+      case 2:
         q += "*";
         break;
+      case 3:
+        q += "text()";
+        break;
       default:
-        q += kTags[rng.Below(std::size(kTags))];
+        if (axis == Axis::kAttribute) {
+          q += kAttributes[rng.Below(std::size(kAttributes))];
+        } else {
+          q += kTags[rng.Below(std::size(kTags))];
+        }
         break;
     }
-    if (rng.Percent(20)) {
-      q += std::string("[") + (rng.Percent(50) ? "child" : "descendant") +
-           "::" + kTags[rng.Below(std::size(kTags))] + "]";
-    }
+    if (depth < 2 && rng.Percent(35)) q += RandomPredicate(rng, depth + 1);
   }
   return q;
 }
 
+/// `[k]`, `[last()]`, an absolute existence test, or a relative one
+/// (which may carry predicates of its own).
+std::string RandomPredicate(Rng& rng, int depth) {
+  switch (rng.Below(5)) {
+    case 0:
+      return "[" + std::to_string(1 + rng.Below(3)) + "]";
+    case 1:
+      return "[last()]";
+    case 2:
+      return "[/" + RandomPath(rng, depth, /*from_root=*/true) + "]";
+    default:
+      return "[" + RandomPath(rng, depth, /*from_root=*/false) + "]";
+  }
+}
+
+/// A random absolute query, sometimes a two-branch union.
+std::string RandomQuery(Rng& rng) {
+  auto branch = [&rng] {
+    return (rng.Percent(15) ? "//" : "/") +
+           RandomPath(rng, 0, /*from_root=*/true);
+  };
+  std::string q = branch();
+  if (rng.Percent(20)) q += " | " + branch();
+  return q;
+}
+
+/// The first element at `level` in document order (the root if none).
+NodeId FirstElementAt(const DocTable& doc, uint32_t level) {
+  for (NodeId v = 0; v < doc.size(); ++v) {
+    if (doc.kind(v) == NodeKind::kElement && doc.level(v) == level) return v;
+  }
+  return doc.root();
+}
+
+/// Three commits: a subtree (with a fresh tag) appended under the root, a
+/// level-2 element deleted, a subtree inserted under a level-1 element.
+/// Edit coordinates are located on the merged document of each commit's
+/// starting snapshot.
+void EditDocument(Database& db) {
+  for (int edit = 0; edit < 3; ++edit) {
+    EditTxn txn = db.BeginEdit();
+    auto merged = db.CurrentSnapshot()->MergedDoc();
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    const DocTable& doc = *merged.value();
+    Status status;
+    if (edit == 0) {
+      status = txn.InsertLastChild(doc.root(), kAppendedSubtree);
+    } else if (edit == 1 && FirstElementAt(doc, 2) != doc.root()) {
+      status = txn.DeleteSubtree(FirstElementAt(doc, 2));
+    } else if (edit == 2) {
+      status = txn.InsertLastChild(FirstElementAt(doc, 1), kNestedSubtree);
+    }
+    ASSERT_TRUE(status.ok()) << status;
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+}
+
+/// "backend B pushdown P twig T", for failure messages.
+std::string Label(const SessionOptions& o) {
+  return "backend " + std::to_string(static_cast<int>(o.backend)) +
+         " pushdown " + std::to_string(static_cast<int>(o.hints.pushdown)) +
+         " twig " + std::to_string(static_cast<int>(o.hints.twig));
+}
+
 class XPathEnginePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(XPathEnginePropertyTest, StaircaseEqualsNaiveEngine) {
-  DatabaseOptions open;
-  open.build_paged = false;
-  auto db = Database::FromTable(sj::testing::RandomDocument(GetParam()),
-                                open).value();
+TEST_P(XPathEnginePropertyTest, MatchesPathOracle) {
+  const std::string xml = sj::testing::RandomDocumentXml(GetParam(), {});
+  auto db = Database::FromXml(xml).value();
   Rng rng(GetParam() * 31 + 7);
-  for (int trial = 0; trial < 25; ++trial) {
-    std::string q = RandomQuery(rng);
-    SessionOptions fast;
-    fast.hints.pushdown =
-        trial % 2 == 0 ? PushdownMode::kAlways : PushdownMode::kNever;
-    SessionOptions naive;
-    naive.hints.engine = EngineMode::kNaive;
-    auto a = std::move(db->CreateSession(fast)).value().Run(q);
-    auto b = std::move(db->CreateSession(naive)).value().Run(q);
-    ASSERT_TRUE(a.ok()) << q << a.status();
-    ASSERT_TRUE(b.ok()) << q << b.status();
-    EXPECT_EQ(a.value().nodes, b.value().nodes)
-        << q << " seed " << GetParam();
-    EXPECT_TRUE(IsDocumentOrder(a.value().nodes));
+  std::vector<std::string> queries;
+  for (int i = 0; i < 40; ++i) queries.push_back(RandomQuery(rng));
+
+  // Every backend x pushdown x twig session; each follows the database
+  // through the edits and the compaction below.
+  std::vector<Session> sessions;
+  for (StorageBackend backend :
+       {StorageBackend::kMemory, StorageBackend::kPaged,
+        StorageBackend::kCompressed}) {
+    for (PushdownMode pushdown :
+         {PushdownMode::kAuto, PushdownMode::kAlways, PushdownMode::kNever}) {
+      for (TwigMode twig : {TwigMode::kAuto, TwigMode::kNever}) {
+        SessionOptions options;
+        options.backend = backend;
+        options.hints.pushdown = pushdown;
+        options.hints.twig = twig;
+        sessions.push_back(std::move(db->CreateSession(options)).value());
+      }
+    }
   }
+
+  auto check = [&](const char* snapshot) {
+    auto snap = db->CurrentSnapshot();
+    const DocTable& doc = *snap->MergedDoc().value();
+    for (const std::string& q : queries) {
+      auto expected = sj::testing::PathOracle(doc, q);
+      ASSERT_TRUE(expected.ok()) << q << ": " << expected.status();
+      for (Session& session : sessions) {
+        auto got = session.Run(q);
+        ASSERT_TRUE(got.ok()) << q << ": " << got.status();
+        EXPECT_EQ(got.value().nodes, expected.value())
+            << q << " " << snapshot << " " << Label(session.options());
+      }
+    }
+  };
+  check("pristine");
+  EditDocument(*db);
+  ASSERT_TRUE(db->CurrentSnapshot()->edited());
+  check("edited");
+  ASSERT_TRUE(db->Compact().ok());
+  check("compacted");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XPathEnginePropertyTest,

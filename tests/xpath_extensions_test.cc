@@ -7,12 +7,26 @@
 #include "core/tag_view.h"
 #include "encoding/collection.h"
 #include "encoding/loader.h"
+#include "path_oracle.h"
 #include "test_util.h"
 #include "xmlgen/xmark.h"
 #include "xpath/evaluator.h"
+#include "xpath/parser.h"
 
 namespace sj::xpath {
 namespace {
+
+/// Compiles and evaluates `query` from `context` (default: the document
+/// element) -- the one evaluation route.
+NodeSequence EvalQuery(Evaluator& ev, const std::string& query,
+                       NodeSequence context = {0}) {
+  auto expr = ParseXPathUnion(query);
+  EXPECT_TRUE(expr.ok()) << query << ": " << expr.status();
+  if (!expr.ok()) return {};
+  auto r = ev.Evaluate(ev.Compile(std::move(expr).value()), context);
+  EXPECT_TRUE(r.ok()) << query << ": " << r.status();
+  return r.ok() ? std::move(r).value() : NodeSequence{};
+}
 
 constexpr const char* kListDoc =
     "<list><item>a</item><item>b</item><item>c</item>"
@@ -38,9 +52,7 @@ class PositionalTest : public ::testing::Test {
 
   NodeSequence Eval(const std::string& q) {
     Evaluator ev(*doc_);
-    auto r = ev.EvaluateString(q);
-    EXPECT_TRUE(r.ok()) << q << ": " << r.status();
-    return r.ok() ? r.value() : NodeSequence{};
+    return EvalQuery(ev, q);
   }
 
   std::unique_ptr<DocTable> doc_;
@@ -71,14 +83,12 @@ TEST_F(PositionalTest, ReverseAxisCountsOutward) {
   // ancestor::*[1] of the nested items is the nearest ancestor (group).
   auto doc = LoadDocument(kListDoc).value();
   Evaluator ev(*doc);
-  NodeSequence nested = ev.EvaluateString("/child::group/child::item").value();
+  NodeSequence nested = EvalQuery(ev, "/child::group/child::item");
   ASSERT_EQ(nested.size(), 2u);
-  LocationPath first_anc = ParseXPath("ancestor::*[1]").value();
-  NodeSequence r = ev.Evaluate(first_anc, {nested[0]}).value();
+  NodeSequence r = EvalQuery(ev, "ancestor::*[1]", {nested[0]});
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(doc->tags().Name(doc->tag(r[0])), "group");
-  LocationPath second_anc = ParseXPath("ancestor::*[2]").value();
-  r = ev.Evaluate(second_anc, {nested[0]}).value();
+  r = EvalQuery(ev, "ancestor::*[2]", {nested[0]});
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(doc->tags().Name(doc->tag(r[0])), "list");
 }
@@ -109,8 +119,7 @@ TEST_F(PositionalTest, ToStringRoundTrip) {
 TEST(UnionTest, MergesBranchesInDocumentOrder) {
   auto doc = LoadDocument(kListDoc).value();
   Evaluator ev(*doc);
-  NodeSequence u =
-      ev.EvaluateUnionString("/child::group | /child::item").value();
+  NodeSequence u = EvalQuery(ev, "/child::group | /child::item");
   // items (pre 1,3,5) come before group (pre 7) in document order.
   ASSERT_EQ(u.size(), 4u);
   EXPECT_TRUE(IsDocumentOrder(u));
@@ -120,16 +129,14 @@ TEST(UnionTest, MergesBranchesInDocumentOrder) {
 TEST(UnionTest, DeduplicatesOverlappingBranches) {
   auto doc = LoadDocument(kListDoc).value();
   Evaluator ev(*doc);
-  NodeSequence a = ev.EvaluateUnionString("//item | //item").value();
-  NodeSequence b = ev.EvaluateString("//item").value();
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(EvalQuery(ev, "//item | //item"), EvalQuery(ev, "//item"));
 }
 
 TEST(UnionTest, SingleBranchEqualsPlainPath) {
   auto doc = LoadDocument(kListDoc).value();
   Evaluator ev(*doc);
-  EXPECT_EQ(ev.EvaluateUnionString("/descendant::item").value(),
-            ev.EvaluateString("/descendant::item").value());
+  EXPECT_EQ(EvalQuery(ev, "/descendant::item"),
+            sj::testing::PathOracle(*doc, "/descendant::item").value());
 }
 
 TEST(UnionTest, ParseErrors) {
@@ -141,15 +148,15 @@ TEST(UnionTest, ParseErrors) {
 TEST(UnionTest, ExplainCoversEveryBranch) {
   auto doc = LoadDocument(kListDoc).value();
   Evaluator ev(*doc);
-  ASSERT_TRUE(
-      ev.EvaluateUnionString("/child::group/child::item | /child::item").ok());
+  const std::string q = "/child::group/child::item | /child::item";
+  EXPECT_EQ(EvalQuery(ev, q).size(), 5u);
   // Two steps from the first branch + one from the second: clearing the
   // trace per branch used to leave only the final branch visible.
   ASSERT_EQ(ev.last_trace().size(), 3u);
   EXPECT_NE(ev.last_trace()[0].description.find("group"), std::string::npos);
-  EXPECT_NE(ev.ExplainLastQuery().find("step 3"), std::string::npos);
-  // A following plain Evaluate starts a fresh trace again.
-  ASSERT_TRUE(ev.EvaluateString("/child::item").ok());
+  EXPECT_NE(ExplainTrace(ev.last_trace()).find("step 3"), std::string::npos);
+  // A following Evaluate starts a fresh trace again.
+  EXPECT_EQ(EvalQuery(ev, "/child::item").size(), 3u);
   EXPECT_EQ(ev.last_trace().size(), 1u);
 }
 
@@ -159,15 +166,12 @@ TEST(PredicateTest, AbsolutePredicatePathsAreContextInvariant) {
   // The verdict comes from the document root, not the context node: all
   // nodes survive a true absolute predicate, none survive a false one
   // (evaluated once per step, reused for every context node).
-  EXPECT_EQ(ev.EvaluateString("//item[/child::group]").value(),
-            ev.EvaluateString("//item").value());
-  EXPECT_TRUE(ev.EvaluateString("//item[/child::nope]").value().empty());
-  // Same on the positional (per-context) fallback path.
-  Evaluator ev2(*doc);
-  EXPECT_EQ(ev2.EvaluateString("/child::item[2][/child::group]").value(),
-            ev2.EvaluateString("/child::item[2]").value());
-  EXPECT_TRUE(
-      ev2.EvaluateString("/child::item[2][/child::nope]").value().empty());
+  EXPECT_EQ(EvalQuery(ev, "//item[/child::group]"), EvalQuery(ev, "//item"));
+  EXPECT_TRUE(EvalQuery(ev, "//item[/child::nope]").empty());
+  // Same on the positional rank join.
+  EXPECT_EQ(EvalQuery(ev, "/child::item[2][/child::group]"),
+            EvalQuery(ev, "/child::item[2]"));
+  EXPECT_TRUE(EvalQuery(ev, "/child::item[2][/child::nope]").empty());
 }
 
 // --- Collections (paper footnote 1) -----------------------------------------
@@ -186,8 +190,8 @@ TEST(CollectionTest, GathersDocumentsUnderVirtualRoot) {
 
   // Queries span all documents.
   Evaluator ev(*doc);
-  EXPECT_EQ(ev.EvaluateString("/descendant::b").value().size(), 3u);
-  EXPECT_EQ(ev.EvaluateString("/child::a").value().size(), 2u);
+  EXPECT_EQ(EvalQuery(ev, "/descendant::b").size(), 3u);
+  EXPECT_EQ(EvalQuery(ev, "/child::a").size(), 2u);
 }
 
 TEST(CollectionTest, DocumentOfAttributesResults) {
@@ -198,7 +202,7 @@ TEST(CollectionTest, DocumentOfAttributesResults) {
   NodeSequence roots = builder.document_roots();
 
   Evaluator ev(*doc);
-  NodeSequence bs = ev.EvaluateString("/descendant::b").value();
+  NodeSequence bs = EvalQuery(ev, "/descendant::b");
   ASSERT_EQ(bs.size(), 2u);
   EXPECT_EQ(DocumentOf(roots, *doc, bs[0]), 0u);
   EXPECT_EQ(DocumentOf(roots, *doc, bs[1]), 1u);
@@ -221,9 +225,9 @@ TEST(CollectionTest, MixesParsedAndGeneratedDocuments) {
   EXPECT_EQ(builder.document_roots().size(), 2u);
   Evaluator ev(*doc);
   // Both site elements, one per document.
-  EXPECT_EQ(ev.EvaluateString("/child::site").value().size(), 2u);
+  EXPECT_EQ(EvalQuery(ev, "/child::site").size(), 2u);
   // The XMark content is reachable through the virtual root.
-  EXPECT_GT(ev.EvaluateString("/descendant::bidder").value().size(), 0u);
+  EXPECT_GT(EvalQuery(ev, "/descendant::bidder").size(), 0u);
 }
 
 TEST(CollectionTest, Errors) {

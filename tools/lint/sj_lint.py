@@ -47,6 +47,13 @@ enforces. This pass makes them hard failures in CI:
                     outside the encoding layer, src/delta/ and the
                     generators mutates (or rebuilds) an image behind the
                     snapshots' backs, breaking snapshot isolation.
+  oracle-independence
+                    tests/path_oracle.{h,cc} is the reference the
+                    evaluator's equivalence tests trust, so it must not
+                    share code with what it checks: it may include
+                    xpath/ast.h and xpath/parser.h, but nothing else
+                    from src/xpath/ and nothing from src/core/,
+                    src/baselines/, src/storage/, src/delta/ or src/api/.
 
 Suppress a finding with a trailing or preceding comment carrying a
 justification:  // sj-lint: allow(rule-id) -- <why>
@@ -406,6 +413,44 @@ def check_delta_mutation(rel, code, _literals, allows, findings):
                 "const here")
 
 
+_INCLUDE_RE = re.compile(r"^[ \t]*#[ \t]*include\b(.*)$", re.MULTILINE)
+
+
+def _includes(code, literals):
+    """Yields (line, path) for every #include directive; quoted paths
+    come from `literals` (strip_comments_and_strings blanks them)."""
+    quoted = {}
+    for line, content in literals:
+        quoted.setdefault(line, content)
+    for m in _INCLUDE_RE.finditer(code):
+        line = line_of(code, m.start())
+        angle = re.search(r"<([^>]+)>", m.group(1))
+        if angle:
+            yield line, angle.group(1)
+        elif line in quoted:
+            yield line, quoted[line]
+
+
+_ORACLE_PREFIX = "tests/path_oracle."
+_ORACLE_FORBIDDEN = ("core/", "baselines/", "storage/", "delta/", "api/")
+_ORACLE_XPATH_ALLOWED = ("xpath/ast.h", "xpath/parser.h")
+
+
+def check_oracle_independence(rel, code, literals, allows, findings):
+    if not rel.startswith(_ORACLE_PREFIX):
+        return
+    for line, path in _includes(code, literals):
+        path = path.removeprefix("src/")
+        if path.startswith(_ORACLE_FORBIDDEN) or (
+                path.startswith("xpath/") and
+                path not in _ORACLE_XPATH_ALLOWED):
+            _report(findings, allows, rel, line, "oracle-independence",
+                    f'the path oracle includes "{path}"; it must stay '
+                    "independent of the engine it checks (only "
+                    "xpath/ast.h and xpath/parser.h from src/xpath/, "
+                    "nothing from core/baselines/storage/delta/api)")
+
+
 _RULES = (
     check_pool_bypass,
     check_backend_dispatch,
@@ -414,13 +459,14 @@ _RULES = (
     check_bench_json,
     check_cost_literal,
     check_delta_mutation,
+    check_oracle_independence,
 )
 
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
-_LINT_DIRS = ("src", "examples", "bench")
+_LINT_DIRS = ("src", "examples", "bench", "tests")
 _EXTENSIONS = (".h", ".cc", ".cpp")
 
 

@@ -26,6 +26,8 @@ CASES = {
     "bench_missing_percentiles.cc": ("bench/bench_evil.cc", "bench-json"),
     "rogue_image_mutation.cc": ("src/api/evil.cc", "delta-mutation"),
     "rogue_cost_constant.cc": ("src/xpath/evil.cc", "cost-literal"),
+    "oracle_with_engine_include.cc": ("tests/path_oracle.cc",
+                                      "oracle-independence"),
 }
 
 # The same fixtures linted at exempt locations must be clean: the rules
@@ -40,6 +42,7 @@ EXEMPT = {
     "bench_missing_percentiles.cc": "tests/evil_test.cc",
     "rogue_image_mutation.cc": "src/delta/evil.cc",
     "rogue_cost_constant.cc": "src/xpath/cost_model.h",
+    "oracle_with_engine_include.cc": "tests/xpath_evaluator_test.cc",
 }
 
 
