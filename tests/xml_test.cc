@@ -131,7 +131,17 @@ TEST(XmlParserTest, TrailingMiscAllowed) {
 struct BadInput {
   const char* name;
   const char* xml;
+  /// 1-based "line:column" the error message must lead with.
+  const char* where;
 };
+
+/// The "line:column" prefix of a parse error message.
+std::string ErrorPosition(const Status& st) {
+  const std::string& msg = st.message();
+  const size_t first = msg.find(':');
+  if (first == std::string::npos) return msg;
+  return msg.substr(0, msg.find(':', first + 1));
+}
 
 class XmlParserErrorTest : public ::testing::TestWithParam<BadInput> {};
 
@@ -140,30 +150,63 @@ TEST_P(XmlParserErrorTest, RejectsMalformedInput) {
   Status st = Parse(GetParam().xml, &r);
   EXPECT_EQ(st.code(), StatusCode::kParseError) << GetParam().xml;
   // Error messages carry a line:column prefix.
-  EXPECT_NE(st.message().find(':'), std::string::npos);
+  EXPECT_EQ(ErrorPosition(st), GetParam().where) << st;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Malformed, XmlParserErrorTest,
     ::testing::Values(
-        BadInput{"Unclosed", "<a>"}, BadInput{"Mismatched", "<a></b>"},
-        BadInput{"TwoRoots", "<a/><b/>"}, BadInput{"NoRoot", "   "},
-        BadInput{"BadEntity", "<a>&nope;</a>"},
-        BadInput{"UnterminatedEntity", "<a>&amp</a>"},
-        BadInput{"BadCharRef", "<a>&#xZZ;</a>"},
-        BadInput{"HugeCharRef", "<a>&#x110000;</a>"},
-        BadInput{"AttrNoValue", "<a x/>"},
-        BadInput{"AttrUnquoted", "<a x=1/>"},
-        BadInput{"AttrUnterminated", "<a x=\"1/>"},
-        BadInput{"LtInAttr", "<a x=\"<\"/>"},
-        BadInput{"UnterminatedComment", "<a><!--"},
-        BadInput{"UnterminatedCdata", "<a><![CDATA[x"},
-        BadInput{"UnterminatedPi", "<a><?pi"},
-        BadInput{"TextAfterRoot", "<a/>text"},
-        BadInput{"GarbageTag", "<1a/>"}),
+        BadInput{"Unclosed", "<a>", "1:4"},
+        BadInput{"Mismatched", "<a></b>", "1:8"},
+        BadInput{"TwoRoots", "<a/><b/>", "1:5"},
+        BadInput{"NoRoot", "   ", "1:4"},
+        BadInput{"BadEntity", "<a>&nope;</a>", "1:10"},
+        BadInput{"UnterminatedEntity", "<a>&amp</a>", "1:8"},
+        BadInput{"BadCharRef", "<a>&#xZZ;</a>", "1:10"},
+        BadInput{"HugeCharRef", "<a>&#x110000;</a>", "1:14"},
+        BadInput{"AttrNoValue", "<a x/>", "1:5"},
+        BadInput{"AttrUnquoted", "<a x=1/>", "1:6"},
+        BadInput{"AttrUnterminated", "<a x=\"1/>", "1:10"},
+        BadInput{"LtInAttr", "<a x=\"<\"/>", "1:7"},
+        BadInput{"UnterminatedComment", "<a><!--", "1:8"},
+        BadInput{"UnterminatedCdata", "<a><![CDATA[x", "1:14"},
+        BadInput{"UnterminatedPi", "<a><?pi", "1:8"},
+        BadInput{"TextAfterRoot", "<a/>text", "1:5"},
+        BadInput{"GarbageTag", "<1a/>", "1:2"},
+        // Multi-line inputs: the position counts lines and columns of the
+        // input text, not of decoded values.
+        BadInput{"BadEntityAfterEntity", "<a>\n&amp;&lt;&nope;\n</a>", "3:1"},
+        BadInput{"AttrErrorAfterEntity",
+                 "<a>\n  <b x=\"&amp;\n&quot;\" y>", "3:10"},
+        BadInput{"LtInMultiLineAttr", "<a x=\"one\ntwo <\"/>", "2:5"},
+        BadInput{"MismatchedOnLine3", "<a>\n  <b>text</b>\n  </c>\n</a>",
+                 "3:7"},
+        BadInput{"UnterminatedCommentOnLine2", "<a>\n<!-- x", "2:7"}),
     [](const ::testing::TestParamInfo<BadInput>& param_info) {
       return std::string(param_info.param.name);
     });
+
+TEST(XmlParserTest, EntitiesDecodeToTheSameEvents) {
+  // Each pair spells the same document with and without references; the
+  // event streams must be identical (the plain spelling reaches the
+  // handler as views of the input, the other one decoded).
+  const std::pair<const char*, const char*> pairs[] = {
+      {"<a x=\"ab\">cd</a>", "<a x=\"&#97;b\">c&#x64;</a>"},
+      {"<a x='1 &lt; 2'>x &amp; y</a>", "<a x='1 &#60; 2'>x &#38; y</a>"},
+      {"<a><b y=\"\"/>plain\ntext<c/></a>",
+       "<a><b y=\"\"/>pl&#97;in&#10;text<c/></a>"},
+      // Whitespace-only text is dropped whether or not it is spelled
+      // with references.
+      {"<a> <b/>\t</a>", "<a>&#32;<b/>&#9;</a>"},
+  };
+  for (const auto& [plain, escaped] : pairs) {
+    EXPECT_EQ(ParseEvents(plain), ParseEvents(escaped)) << escaped;
+    ParseOptions keep;
+    keep.skip_whitespace_text = false;
+    EXPECT_EQ(ParseEvents(plain, keep), ParseEvents(escaped, keep))
+        << escaped;
+  }
+}
 
 TEST(XmlParserTest, NullHandlerRejected) {
   EXPECT_EQ(Parse("<a/>", nullptr).code(), StatusCode::kInvalidArgument);
