@@ -1,17 +1,24 @@
 // S42 -- Paper Section 4.2 micro benchmarks (google-benchmark): per-node
 // cost of the scan and copy loops, branch-prediction friendliness, pruning
 // throughput, and B+-tree seek cost. The paper's numbers: ~17 cycles per
-// scan iteration, ~5 cycles per copy iteration on a 2.2 GHz P4.
+// scan iteration, ~5 cycles per copy iteration on a 2.2 GHz P4. Two more
+// rows time database open: block-encoding the doc columns and parsing
+// XMark text into a DocTable.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <iterator>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "baselines/sql_plan.h"
 #include "bench_util.h"
 #include "core/doc_accessor.h"
 #include "core/kernels.h"
+#include "encoding/block_codec.h"
+#include "encoding/loader.h"
 
 namespace sj::bench {
 namespace {
@@ -118,6 +125,59 @@ void BM_BPlusTreeSeek(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BPlusTreeSeek);
+
+void BM_EncodeBlockDocColumns(benchmark::State& state) {
+  const DocTable& doc = *SharedWorkload().doc;
+  // The five doc columns as the compressed backend encodes them: the
+  // byte columns widened to uint32 first.
+  std::vector<std::vector<uint32_t>> columns;
+  columns.emplace_back(doc.posts().begin(), doc.posts().end());
+  columns.emplace_back(doc.kinds().begin(), doc.kinds().end());
+  columns.emplace_back(doc.levels().begin(), doc.levels().end());
+  columns.emplace_back(doc.parents().begin(), doc.parents().end());
+  columns.emplace_back(doc.tags_column().begin(), doc.tags_column().end());
+  std::vector<uint8_t> out(encoding::MaxEncodedBlockBytes(
+      encoding::kBlockValues));
+  int64_t values = 0;
+  for (const auto& column : columns) {
+    values += static_cast<int64_t>(column.size());
+  }
+  for (auto _ : state) {
+    size_t bytes = 0;
+    for (const auto& column : columns) {
+      const std::span<const uint32_t> all(column);
+      for (size_t start = 0; start < all.size();
+           start += encoding::kBlockValues) {
+        bytes += encoding::EncodeBlock(
+            all.subspan(start, std::min(encoding::kBlockValues,
+                                        all.size() - start)),
+            out.data());
+      }
+    }
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * values);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * values *
+                          static_cast<int64_t>(sizeof(uint32_t)));
+}
+BENCHMARK(BM_EncodeBlockDocColumns)->Unit(benchmark::kMillisecond);
+
+void BM_LoadDocument(benchmark::State& state) {
+  // The same 11 MB XMark text a database open parses.
+  static const std::string* text = [] {
+    xmlgen::XMarkOptions gen;
+    gen.size_mb = 11.0;
+    gen.seed = 1;
+    return new std::string(xmlgen::GenerateXMarkText(gen).value());
+  }();
+  for (auto _ : state) {
+    auto doc = LoadDocument(*text);
+    benchmark::DoNotOptimize(doc.value()->size());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text->size()));
+}
+BENCHMARK(BM_LoadDocument)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sj::bench

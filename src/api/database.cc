@@ -53,11 +53,6 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
                         storage::PagedDocTable::Create(doc, img->disk.get()));
     SJ_ASSIGN_OR_RETURN(img->paged_tags,
                         storage::PagedTagIndex::Create(doc, img->disk.get()));
-    // Create captured both digests from this very document: adopt them
-    // (coherent by construction) instead of paying a second O(doc)
-    // digest pass only to compare guaranteed-equal values.
-    img->doc_digest = img->paged_doc->source_digest();
-    img->frag_digest = img->paged_tags->source_digest();
   }
   bool compressed_built_here = false;
   if (build_missing && options.build_compressed &&
@@ -82,12 +77,6 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
           img->compressed_tags,
           storage::CompressedTagIndex::Create(doc, img->disk.get()));
     }
-    if (!img->doc_digest.has_value()) {
-      img->doc_digest = img->compressed_doc->source_digest();
-    }
-    if (!img->frag_digest.has_value()) {
-      img->frag_digest = img->compressed_tags->source_digest();
-    }
     compressed_built_here = true;
   }
 
@@ -95,25 +84,23 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
   // image must carry the digest of THIS document's columns. A stale
   // image (rebuilt document, image of a different document) is rejected
   // here with the failing column set named -- not lazily on the first
-  // paged query. The digests are computed exactly once per image set,
-  // and sessions get the validated images through one image handle, so
-  // neither session creation nor any query repeats the pass.
+  // paged query. The document computes its digests once (the image
+  // Creates above already paid that pass), and sessions get the
+  // validated images through one image handle, so neither session
+  // creation nor any query repeats it.
   if (img->paged_doc != nullptr) {
     if (img->disk == nullptr) {
       return Status::InvalidArgument(
           "paged document image adopted without its disk");
     }
-    if (!img->doc_digest.has_value()) {
-      img->doc_digest = storage::DocColumnsDigest(doc);
-    }
     if (img->paged_doc->size() != doc.size() ||
-        img->paged_doc->source_digest() != *img->doc_digest) {
+        img->paged_doc->source_digest() != DocColumnsDigest(doc)) {
       return Status::InvalidArgument(
           "stale paged image: the document column set "
           "(post/kind/level/parent/tag) has digest " +
           std::to_string(img->paged_doc->source_digest()) +
           " but this document's columns digest to " +
-          std::to_string(*img->doc_digest) +
+          std::to_string(DocColumnsDigest(doc)) +
           "; the paged table does not image this document");
     }
   }
@@ -122,17 +109,13 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
       return Status::InvalidArgument(
           "paged tag fragments adopted without a paged document image");
     }
-    if (!img->frag_digest.has_value()) {
-      img->frag_digest =
-          storage::FragmentColumnsDigest(doc, *img->doc_digest);
-    }
-    if (img->paged_tags->source_digest() != *img->frag_digest) {
+    if (img->paged_tags->source_digest() != FragmentColumnsDigest(doc)) {
       return Status::InvalidArgument(
           "stale paged image: the tag fragment column set (per-tag "
           "pre/post) has digest " +
           std::to_string(img->paged_tags->source_digest()) +
           " but this document's fragments digest to " +
-          std::to_string(*img->frag_digest) +
+          std::to_string(FragmentColumnsDigest(doc)) +
           "; the paged tag index does not image this document");
     }
   }
@@ -150,17 +133,14 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
       return Status::InvalidArgument(
           "compressed document image adopted without its disk");
     }
-    if (!img->doc_digest.has_value()) {
-      img->doc_digest = storage::DocColumnsDigest(doc);
-    }
     if (img->compressed_doc->size() != doc.size() ||
-        img->compressed_doc->source_digest() != *img->doc_digest) {
+        img->compressed_doc->source_digest() != DocColumnsDigest(doc)) {
       return Status::InvalidArgument(
           "stale compressed image: the document column set "
           "(post/kind/level/parent/tag) has digest " +
           std::to_string(img->compressed_doc->source_digest()) +
           " but this document's columns digest to " +
-          std::to_string(*img->doc_digest) +
+          std::to_string(DocColumnsDigest(doc)) +
           "; the compressed table does not image this document");
     }
     if (!compressed_built_here) {
@@ -173,17 +153,13 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
           "compressed tag fragments adopted without a compressed document "
           "image");
     }
-    if (!img->frag_digest.has_value()) {
-      img->frag_digest =
-          storage::FragmentColumnsDigest(doc, *img->doc_digest);
-    }
-    if (img->compressed_tags->source_digest() != *img->frag_digest) {
+    if (img->compressed_tags->source_digest() != FragmentColumnsDigest(doc)) {
       return Status::InvalidArgument(
           "stale compressed image: the tag fragment column set (per-tag "
           "pre/post) has digest " +
           std::to_string(img->compressed_tags->source_digest()) +
           " but this document's fragments digest to " +
-          std::to_string(*img->frag_digest) +
+          std::to_string(FragmentColumnsDigest(doc)) +
           "; the compressed tag index does not image this document");
     }
     if (!compressed_built_here) {

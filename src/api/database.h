@@ -275,11 +275,15 @@ class Database {
     return CurrentSnapshot()->images().disk.get();
   }
 
-  /// DocColumnsDigest of doc(), captured once per image build; absent on
-  /// a database opened without any pool-backed image (nothing to
-  /// validate -- the resident columns ARE the document).
+  /// DocColumnsDigest of doc() (memoized on the table); absent on a
+  /// database opened without any pool-backed image (nothing to validate
+  /// -- the resident columns ARE the document).
   std::optional<uint64_t> doc_digest() const {
-    return CurrentSnapshot()->images().doc_digest;
+    const DatabaseImages& images = CurrentSnapshot()->images();
+    if (images.paged_doc == nullptr && images.compressed_doc == nullptr) {
+      return std::nullopt;
+    }
+    return DocColumnsDigest(*images.doc);
   }
 
   /// Logical pre ranks of the gathered document elements when the

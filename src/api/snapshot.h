@@ -51,8 +51,6 @@ struct DatabaseImages {
   std::unique_ptr<storage::CompressedTagIndex> compressed_tags;
   /// Internally synchronized; shared by every session on these images.
   std::unique_ptr<storage::BufferPool> pool;
-  std::optional<uint64_t> doc_digest;
-  std::optional<uint64_t> frag_digest;
   /// Planner statistics of `doc` (level histogram, per-tag counts and
   /// level spreads), collected in one O(doc) pass at image-build time.
   /// Shared read-only by every session; rebuilt by compaction together

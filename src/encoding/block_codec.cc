@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 
 namespace sj::encoding {
 namespace {
@@ -89,29 +90,55 @@ size_t EncodeBlock(std::span<const uint32_t> values, uint8_t* out) {
   // Circular FOR: the classic frame [min, max] is blown up by
   // wrap-around sentinels (kNoTag / kNilNode = 0xFFFFFFFF sitting next
   // to tiny ranks in the tag and parent columns). Choosing the frame
-  // base just past the largest *circular* gap in the sorted block
+  // base just past the largest *circular* gap of the block's value set
   // shrinks the width back: the sentinels become base + small offsets
   // mod 2^32. Decoding is the plain FOR decode -- base + offset already
   // wraps -- so this is purely an encoder-side choice.
-  // Zeroed only because GCC 12 at -O3 cannot see that the copy fills
-  // sorted[0, n) and warns -Wmaybe-uninitialized on the reads below.
-  uint32_t sorted[kBlockValues] = {};
-  std::copy(values.begin(), values.end(), sorted);
-  std::sort(sorted, sorted + n);
-  size_t base_idx = 0;  // start of the frame in sorted order
-  uint64_t best_gap = sorted[0] + (uint64_t{1} << 32) - sorted[n - 1];
-  for (size_t i = 1; i < n; ++i) {
-    const uint64_t gap = uint64_t{sorted[i]} - sorted[i - 1];
-    if (gap > best_gap) {
-      best_gap = gap;
-      base_idx = i;
+  uint32_t min = values[0];
+  uint32_t max = values[0];
+  for (uint32_t v : values) {
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+  // The inner gaps sum to max - min. When that is at most 2^31, no inner
+  // gap can beat the wrap-around gap 2^32 - (max - min), and the frame
+  // is the classic [min, max].
+  uint32_t base = min;
+  uint32_t span = max - min;
+  if (span > (uint32_t{1} << 31)) {
+    // Bucketed max-gap: n buckets of width span / n + 1 cover [min, max].
+    // A gap inside a bucket is at most span / n, while the largest gap is
+    // at least span / (n - 1), so the largest gaps all run between the
+    // maximum of one non-empty bucket and the minimum of the next.
+    // Scanning those boundaries in value order with strict '>' against
+    // the wrap-around gap picks the same base and span a scan over the
+    // sorted block would: the first of tied largest gaps, and the
+    // wrap-around gap on a tie with an inner one.
+    const uint64_t width = span / n + 1;
+    uint32_t bucket_min[kBlockValues];
+    uint32_t bucket_max[kBlockValues];
+    std::fill_n(bucket_min, n, std::numeric_limits<uint32_t>::max());
+    std::fill_n(bucket_max, n, uint32_t{0});
+    for (uint32_t v : values) {
+      const size_t b = static_cast<size_t>((v - min) / width);
+      bucket_min[b] = std::min(bucket_min[b], v);
+      bucket_max[b] = std::max(bucket_max[b], v);
+    }
+    uint64_t best_gap = uint64_t{min} + (uint64_t{1} << 32) - max;
+    uint32_t prev_max = bucket_max[0];  // bucket 0 holds min
+    for (size_t b = 1; b < n; ++b) {
+      if (bucket_min[b] > bucket_max[b]) continue;  // empty bucket
+      const uint64_t gap = uint64_t{bucket_min[b]} - prev_max;
+      if (gap > best_gap) {
+        best_gap = gap;
+        base = bucket_min[b];
+        // The farthest frame member is the value just before the gap
+        // (circularly); uint32 subtraction is the mod-2^32 offset.
+        span = prev_max - base;
+      }
+      prev_max = bucket_max[b];
     }
   }
-  const uint32_t base = sorted[base_idx];
-  // The farthest frame member is the value just before the gap
-  // (circularly); uint32 subtraction is the mod-2^32 offset.
-  const uint32_t span =
-      sorted[base_idx == 0 ? n - 1 : base_idx - 1] - base;
   const uint32_t for_width = BitsFor(span);
   const size_t for_bytes = PayloadBytes(n, for_width);
 

@@ -3,9 +3,28 @@
 #include <algorithm>
 
 namespace sj {
+namespace {
+
+constexpr uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ULL;
+constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
+
+/// Continues an FNV-1a digest over one byte.
+uint64_t FnvMixU8(uint64_t h, uint8_t value) {
+  return (h ^ value) * kFnvPrime;
+}
+
+/// Continues an FNV-1a digest over one little-endian uint32 value.
+uint64_t FnvMixU32(uint64_t h, uint32_t value) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    h = FnvMixU8(h, static_cast<uint8_t>(value >> shift));
+  }
+  return h;
+}
+
+}  // namespace
 
 TagId TagDictionary::Intern(std::string_view name) {
-  auto it = codes_.find(std::string(name));
+  auto it = codes_.find(name);
   if (it != codes_.end()) return it->second;
   TagId id = static_cast<TagId>(names_.size());
   names_.emplace_back(name);
@@ -14,7 +33,7 @@ TagId TagDictionary::Intern(std::string_view name) {
 }
 
 std::optional<TagId> TagDictionary::Lookup(std::string_view name) const {
-  auto it = codes_.find(std::string(name));
+  auto it = codes_.find(name);
   if (it == codes_.end()) return std::nullopt;
   return it->second;
 }
@@ -24,6 +43,30 @@ bool IsDocumentOrder(const NodeSequence& seq) {
     if (seq[i - 1] >= seq[i]) return false;
   }
   return true;
+}
+
+void DocTable::ComputeDigests() const {
+  uint64_t h = kFnvOffsetBasis;
+  for (uint32_t post : posts()) h = FnvMixU32(h, post);
+  for (uint8_t kind : kinds()) h = FnvMixU8(h, kind);
+  for (uint8_t level : levels()) h = FnvMixU8(h, level);
+  // The axis cursors read parent and tag through the pool as well, so a
+  // stale parent/tag page image must fail the digest check too.
+  for (uint32_t parent : parents()) h = FnvMixU32(h, parent);
+  for (uint32_t tag : tags_column()) h = FnvMixU32(h, tag);
+  doc_digest_ = h;
+  for (uint32_t tag : tags_column()) h = FnvMixU32(h, tag);
+  frag_digest_ = h;
+}
+
+uint64_t DocColumnsDigest(const DocTable& doc) {
+  std::call_once(doc.digest_once_, [&doc] { doc.ComputeDigests(); });
+  return doc.doc_digest_;
+}
+
+uint64_t FragmentColumnsDigest(const DocTable& doc) {
+  std::call_once(doc.digest_once_, [&doc] { doc.ComputeDigests(); });
+  return doc.frag_digest_;
 }
 
 std::string_view DocTable::value(NodeId v) const {

@@ -21,6 +21,8 @@
 #define STAIRJOIN_ENCODING_DOC_TABLE_H_
 
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -76,7 +78,16 @@ class TagDictionary {
   size_t size() const { return names_.size(); }
 
  private:
-  std::unordered_map<std::string, TagId> codes_;
+  /// Transparent hash: Intern and Lookup probe with the caller's
+  /// string_view, never building a temporary std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
+  std::unordered_map<std::string, TagId, NameHash, std::equal_to<>> codes_;
   std::vector<std::string> names_;
 };
 
@@ -90,6 +101,9 @@ bool IsDocumentOrder(const NodeSequence& seq);
 ///
 /// Nodes are addressed by pre rank. The table is immutable once built
 /// (documents are loaded, then queried); DocTableBuilder produces it.
+/// Being immutable, it computes its column digests (DocColumnsDigest,
+/// FragmentColumnsDigest) once, on first use, and answers every later
+/// call from that memo.
 class DocTable {
  public:
   /// Number of encoded nodes (attributes included).
@@ -177,6 +191,12 @@ class DocTable {
 
  private:
   friend class DocTableBuilder;
+  friend uint64_t DocColumnsDigest(const DocTable& doc);
+  friend uint64_t FragmentColumnsDigest(const DocTable& doc);
+
+  /// Fills doc_digest_ and frag_digest_ in one pass over the columns;
+  /// runs once per table, under digest_once_.
+  void ComputeDigests() const;
 
   bat::Bat<uint32_t> post_;
   bat::Bat<uint8_t> level_;
@@ -190,7 +210,24 @@ class DocTable {
   TagDictionary dict_;
   uint32_t height_ = 0;
   uint64_t attribute_count_ = 0;
+  mutable std::once_flag digest_once_;
+  mutable uint64_t doc_digest_ = 0;
+  mutable uint64_t frag_digest_ = 0;
 };
+
+/// FNV-1a digest over the post/kind/level/parent/tag columns. Identifies
+/// the encoding a paged or compressed document image was built from, so
+/// consumers holding both a DocTable and an image can detect mismatched
+/// pairs (two different documents can share a node count, and two
+/// documents with identical structure can still differ in the tag
+/// column). Computed once per table; later calls read the memo.
+uint64_t DocColumnsDigest(const DocTable& doc);
+
+/// FNV-1a digest identifying the encoding a tag fragment image was built
+/// from: DocColumnsDigest continued over the tag column (fragments depend
+/// on tags, and the continuation keeps the two digests distinct). Comes
+/// from the same one-time pass as DocColumnsDigest.
+uint64_t FragmentColumnsDigest(const DocTable& doc);
 
 }  // namespace sj
 

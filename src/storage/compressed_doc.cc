@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "storage/paged_doc.h"
-
 namespace sj::storage {
 namespace {
 

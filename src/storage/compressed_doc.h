@@ -66,8 +66,8 @@ struct CompressedColumn {
 };
 
 /// Continues an FNV-1a digest over raw bytes (the compressed images are
-/// digested byte-wise; FnvMixU32 in storage/paged_doc.h is the uint32
-/// flavor of the same mixing step).
+/// digested byte-wise; encoding/doc_table.cc mixes the source columns
+/// with the same FNV-1a step).
 uint64_t FnvMixBytes(uint64_t h, const uint8_t* data, size_t n);
 
 /// Encodes one uint32 column block-wise onto `disk`: blocks are packed

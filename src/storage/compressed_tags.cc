@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/tag_view.h"
-#include "storage/paged_tags.h"
 
 namespace sj::storage {
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-
 namespace sj::storage {
 namespace {
 
@@ -23,32 +22,6 @@ Status WriteByteColumn(SimulatedDisk* disk, std::span<const uint8_t> column,
 }
 
 }  // namespace
-
-uint64_t FnvMixU32(uint64_t h, uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    h ^= (value >> shift) & 0xFF;
-    h *= 0x100000001B3ULL;  // FNV prime
-  }
-  return h;
-}
-
-uint64_t DocColumnsDigest(const DocTable& doc) {
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-  for (uint32_t post : doc.posts()) h = FnvMixU32(h, post);
-  for (uint8_t kind : doc.kinds()) {
-    h ^= kind;
-    h *= 0x100000001B3ULL;
-  }
-  for (uint8_t level : doc.levels()) {
-    h ^= level;
-    h *= 0x100000001B3ULL;
-  }
-  // The axis cursors read parent and tag through the pool as well, so a
-  // stale parent/tag page image must fail the digest check too.
-  for (uint32_t parent : doc.parents()) h = FnvMixU32(h, parent);
-  for (uint32_t tag : doc.tags_column()) h = FnvMixU32(h, tag);
-  return h;
-}
 
 Status WriteRankColumn(SimulatedDisk* disk, std::span<const uint32_t> column,
                        std::vector<PageId>* pages) {

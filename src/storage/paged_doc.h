@@ -24,19 +24,6 @@ namespace sj::storage {
 inline constexpr uint32_t kRanksPerPage =
     static_cast<uint32_t>(kPageSize / sizeof(uint32_t));
 
-/// FNV-1a digest over the post/kind/level/parent/tag columns. Identifies
-/// the encoding a PagedDocTable images, so consumers holding both a
-/// DocTable and a PagedDocTable can detect mismatched pairs (two
-/// different documents can share a node count, and two documents with
-/// identical structure can still differ in the tag column).
-uint64_t DocColumnsDigest(const DocTable& doc);
-
-/// Continues an FNV-1a digest over one little-endian uint32 value. The
-/// shared mixing step of DocColumnsDigest and FragmentColumnsDigest --
-/// the latter is defined as a continuation of the former, so both must
-/// mix identically.
-uint64_t FnvMixU32(uint64_t h, uint32_t value);
-
 /// Lays one uint32 rank column out on `disk` (kRanksPerPage values per
 /// page, zero-padded) and appends the page ids to `pages`. The shared
 /// page format of the document post column and the fragment pre/post

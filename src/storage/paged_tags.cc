@@ -4,16 +4,6 @@
 
 namespace sj::storage {
 
-uint64_t FragmentColumnsDigest(const DocTable& doc) {
-  return FragmentColumnsDigest(doc, DocColumnsDigest(doc));
-}
-
-uint64_t FragmentColumnsDigest(const DocTable& doc, uint64_t doc_digest) {
-  uint64_t h = doc_digest;
-  for (uint32_t tag : doc.tags_column()) h = FnvMixU32(h, tag);
-  return h;
-}
-
 Result<std::unique_ptr<PagedTagIndex>> PagedTagIndex::Create(
     const DocTable& doc, SimulatedDisk* disk) {
   if (disk == nullptr) {

@@ -31,16 +31,6 @@
 
 namespace sj::storage {
 
-/// FNV-1a digest identifying the encoding a PagedTagIndex images:
-/// DocColumnsDigest continued over the tag column (fragments depend on
-/// tags, which the plain doc digest does not cover -- two documents with
-/// identical post/kind/level columns can still fragment differently).
-uint64_t FragmentColumnsDigest(const DocTable& doc);
-
-/// Same, seeded with an already-computed DocColumnsDigest(doc) so the
-/// post/kind/level columns are not scanned a second time.
-uint64_t FragmentColumnsDigest(const DocTable& doc, uint64_t doc_digest);
-
 /// \brief One tag's paged projection: page directory + resident fences.
 struct PagedFragment {
   TagId tag = kNoTag;

@@ -1,6 +1,8 @@
 #include "xml/parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,10 @@ bool IsSpace(char c) {
 }
 
 /// Recursive-descent parser; recursion depth equals element nesting depth.
+/// The cursor is a plain byte offset: character data, attribute values,
+/// comments and the like are located with find/memchr, and the line and
+/// column of an error are worked out from the input only when one is
+/// reported.
 class Cursor {
  public:
   Cursor(std::string_view input, EventHandler* handler, ParseOptions options)
@@ -37,7 +43,7 @@ class Cursor {
     for (;;) {
       SkipWhitespace();
       if (AtEnd()) break;
-      if (input_.substr(pos_).starts_with("<!--")) {
+      if (LookingAt("<!--")) {
         SJ_RETURN_NOT_OK(ParseComment());
       } else if (Peek() == '<' && PeekAt(1) == '?') {
         SJ_RETURN_NOT_OK(ParseProcessingInstruction());
@@ -55,25 +61,45 @@ class Cursor {
     return pos_ + off < input_.size() ? input_[pos_ + off] : '\0';
   }
 
-  void Advance() {
-    if (input_[pos_] == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    ++pos_;
+  void Advance() { ++pos_; }
+
+  bool LookingAt(std::string_view token) const {
+    return input_.substr(pos_).starts_with(token);
   }
 
   bool Consume(std::string_view token) {
-    if (!input_.substr(pos_).starts_with(token)) return false;
-    for (size_t i = 0; i < token.size(); ++i) Advance();
+    if (!LookingAt(token)) return false;
+    pos_ += token.size();
     return true;
   }
 
+  /// Moves to the next occurrence of `token` (or to the end of the input
+  /// when there is none) and reports whether it was found.
+  bool SkipTo(std::string_view token) {
+    pos_ = std::min(input_.find(token, pos_), input_.size());
+    return !AtEnd();
+  }
+
+  /// Offset of the first `c` in [pos_, end), or `end` when absent.
+  size_t FindByte(char c, size_t end) const {
+    const void* hit = std::memchr(input_.data() + pos_, c, end - pos_);
+    return hit == nullptr
+               ? end
+               : static_cast<size_t>(static_cast<const char*>(hit) -
+                                     input_.data());
+  }
+
+  /// A ParseError at the cursor: 1-based line and column, counted in
+  /// bytes of the input (a newline starts a new line).
   Status Error(std::string msg) const {
-    return Status::ParseError(std::to_string(line_) + ":" +
-                              std::to_string(column_) + ": " + std::move(msg));
+    const std::string_view before = input_.substr(0, pos_);
+    const size_t line =
+        1 + static_cast<size_t>(std::count(before.begin(), before.end(), '\n'));
+    const size_t line_start = before.rfind('\n');
+    const size_t column =
+        1 + pos_ - (line_start == std::string_view::npos ? 0 : line_start + 1);
+    return Status::ParseError(std::to_string(line) + ":" +
+                              std::to_string(column) + ": " + std::move(msg));
   }
 
   void SkipWhitespace() {
@@ -85,10 +111,10 @@ class Cursor {
     for (;;) {
       SkipWhitespace();
       if (Consume("<?xml")) {
-        while (!AtEnd() && !Consume("?>")) Advance();
+        if (SkipTo("?>")) Consume("?>");
         continue;
       }
-      if (input_.substr(pos_).starts_with("<!DOCTYPE")) {
+      if (LookingAt("<!DOCTYPE")) {
         int bracket_depth = 0;  // internal subsets nest in [ ]
         while (!AtEnd()) {
           char c = Peek();
@@ -99,7 +125,7 @@ class Cursor {
         }
         continue;
       }
-      if (input_.substr(pos_).starts_with("<!--")) {
+      if (LookingAt("<!--")) {
         SJ_RETURN_NOT_OK(ParseComment());
         continue;
       }
@@ -193,15 +219,10 @@ class Cursor {
   Status ParseComment() {
     if (!Consume("<!--")) return Error("expected comment");
     size_t start = pos_;
-    while (!AtEnd()) {
-      if (input_.substr(pos_).starts_with("-->")) {
-        std::string_view body = input_.substr(start, pos_ - start);
-        Consume("-->");
-        return options_.emit_comments ? handler_->Comment(body) : Status::OK();
-      }
-      Advance();
-    }
-    return Error("unterminated comment");
+    if (!SkipTo("-->")) return Error("unterminated comment");
+    std::string_view body = input_.substr(start, pos_ - start);
+    Consume("-->");
+    return options_.emit_comments ? handler_->Comment(body) : Status::OK();
   }
 
   Status ParseProcessingInstruction() {
@@ -209,31 +230,21 @@ class Cursor {
     SJ_ASSIGN_OR_RETURN(std::string_view target, ParseName());
     SkipWhitespace();
     size_t start = pos_;
-    while (!AtEnd()) {
-      if (input_.substr(pos_).starts_with("?>")) {
-        std::string_view body = input_.substr(start, pos_ - start);
-        Consume("?>");
-        return options_.emit_processing_instructions
-                   ? handler_->ProcessingInstruction(target, body)
-                   : Status::OK();
-      }
-      Advance();
-    }
-    return Error("unterminated processing instruction");
+    if (!SkipTo("?>")) return Error("unterminated processing instruction");
+    std::string_view body = input_.substr(start, pos_ - start);
+    Consume("?>");
+    return options_.emit_processing_instructions
+               ? handler_->ProcessingInstruction(target, body)
+               : Status::OK();
   }
 
   Status ParseCdata() {
     if (!Consume("<![CDATA[")) return Error("expected CDATA section");
     size_t start = pos_;
-    while (!AtEnd()) {
-      if (input_.substr(pos_).starts_with("]]>")) {
-        std::string_view body = input_.substr(start, pos_ - start);
-        Consume("]]>");
-        return body.empty() ? Status::OK() : handler_->Text(body);
-      }
-      Advance();
-    }
-    return Error("unterminated CDATA section");
+    if (!SkipTo("]]>")) return Error("unterminated CDATA section");
+    std::string_view body = input_.substr(start, pos_ - start);
+    Consume("]]>");
+    return body.empty() ? Status::OK() : handler_->Text(body);
   }
 
   Status ParseAttributes() {
@@ -252,16 +263,24 @@ class Cursor {
       char quote = Peek();
       Advance();
       size_t start = pos_;
-      while (!AtEnd() && Peek() != quote) {
-        if (Peek() == '<') return Error("'<' in attribute value");
-        Advance();
-      }
+      const size_t close = FindByte(quote, input_.size());
+      pos_ = FindByte('<', close);
+      if (pos_ < close) return Error("'<' in attribute value");
       if (AtEnd()) return Error("unterminated attribute value");
       std::string_view raw = input_.substr(start, pos_ - start);
       Advance();  // closing quote
-      SJ_RETURN_NOT_OK(DecodeText(raw, &scratch_));
-      SJ_RETURN_NOT_OK(handler_->Attribute(name, scratch_));
+      SJ_ASSIGN_OR_RETURN(std::string_view value, Decoded(raw));
+      SJ_RETURN_NOT_OK(handler_->Attribute(name, value));
     }
+  }
+
+  /// `raw` with its references resolved: `raw` itself when it holds no
+  /// '&' (the common case, handed on as a view of the input), otherwise
+  /// the decoded copy in scratch_ (valid until the next call).
+  Result<std::string_view> Decoded(std::string_view raw) {
+    if (raw.find('&') == std::string_view::npos) return raw;
+    SJ_RETURN_NOT_OK(DecodeText(raw, &scratch_));
+    return std::string_view(scratch_);
   }
 
   /// Parses one element: start tag, attributes, content, end tag.
@@ -297,9 +316,9 @@ class Cursor {
           }
           return handler_->EndElement(name);
         }
-        if (input_.substr(pos_).starts_with("<!--")) {
+        if (LookingAt("<!--")) {
           SJ_RETURN_NOT_OK(ParseComment());
-        } else if (input_.substr(pos_).starts_with("<![CDATA[")) {
+        } else if (LookingAt("<![CDATA[")) {
           SJ_RETURN_NOT_OK(ParseCdata());
         } else if (PeekAt(1) == '?') {
           SJ_RETURN_NOT_OK(ParseProcessingInstruction());
@@ -310,15 +329,14 @@ class Cursor {
       }
       // Character data up to the next markup.
       size_t start = pos_;
-      while (!AtEnd() && Peek() != '<') Advance();
+      pos_ = FindByte('<', input_.size());
       std::string_view raw = input_.substr(start, pos_ - start);
-      SJ_RETURN_NOT_OK(DecodeText(raw, &scratch_));
-      if (options_.skip_whitespace_text) {
-        bool all_space = true;
-        for (char c : scratch_) all_space = all_space && IsSpace(c);
-        if (all_space) continue;
+      SJ_ASSIGN_OR_RETURN(std::string_view text, Decoded(raw));
+      if (options_.skip_whitespace_text &&
+          std::all_of(text.begin(), text.end(), IsSpace)) {
+        continue;
       }
-      SJ_RETURN_NOT_OK(handler_->Text(scratch_));
+      SJ_RETURN_NOT_OK(handler_->Text(text));
     }
   }
 
@@ -326,8 +344,6 @@ class Cursor {
   EventHandler* handler_;
   ParseOptions options_;
   size_t pos_ = 0;
-  int line_ = 1;
-  int column_ = 1;
   std::string scratch_;
 };
 

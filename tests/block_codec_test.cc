@@ -397,9 +397,9 @@ TEST(BlockCodecGolden, XMarkImagesMatchGolden) {
   std::string transcript;
   transcript += "nodes " + std::to_string(doc.size()) + "\n";
   transcript +=
-      "doc_digest " + std::to_string(storage::DocColumnsDigest(doc)) + "\n";
+      "doc_digest " + std::to_string(DocColumnsDigest(doc)) + "\n";
   transcript += "frag_digest " +
-                std::to_string(storage::FragmentColumnsDigest(doc)) + "\n";
+                std::to_string(FragmentColumnsDigest(doc)) + "\n";
 
   storage::SimulatedDisk paged_disk;
   auto paged_doc = storage::PagedDocTable::Create(doc, &paged_disk);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "encoding/loader.h"
 #include "test_util.h"
@@ -31,6 +33,46 @@ TEST(TagDictionaryTest, InternAndLookup) {
   EXPECT_EQ(dict.Lookup("nope"), std::nullopt);
   EXPECT_EQ(dict.Name(a), "site");
   EXPECT_EQ(dict.size(), 2u);
+}
+
+TEST(TagDictionaryTest, LookupBySubstringView) {
+  TagDictionary dict;
+  const std::string text = "site item";
+  const std::string_view view(text);
+  TagId site = dict.Intern(view.substr(0, 4));
+  EXPECT_EQ(dict.Lookup(view.substr(5)), std::nullopt);
+  TagId item = dict.Intern(view.substr(5));
+  EXPECT_EQ(dict.Lookup(view.substr(0, 4)), site);
+  EXPECT_EQ(dict.Lookup(view.substr(5)), item);
+  EXPECT_EQ(dict.Lookup(view.substr(0, 3)), std::nullopt);  // "sit"
+  EXPECT_EQ(dict.Name(item), "item");
+}
+
+TEST(EncodingTest, ColumnDigestsAgreeAcrossThreads) {
+  // The digests are memoized on the table behind std::call_once; racing
+  // first calls must all see the one computed pair (TSan covers the
+  // memo), and the two digests stay distinct.
+  auto doc = RandomDocument(7, RandomDocOptions{});
+  std::vector<uint64_t> docs(4);
+  std::vector<uint64_t> frags(4);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < docs.size(); ++i) {
+    threads.emplace_back([&, i] {
+      if (i % 2 == 0) {
+        frags[i] = FragmentColumnsDigest(*doc);
+        docs[i] = DocColumnsDigest(*doc);
+      } else {
+        docs[i] = DocColumnsDigest(*doc);
+        frags[i] = FragmentColumnsDigest(*doc);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t i = 1; i < docs.size(); ++i) {
+    EXPECT_EQ(docs[i], docs[0]);
+    EXPECT_EQ(frags[i], frags[0]);
+  }
+  EXPECT_NE(docs[0], frags[0]);
 }
 
 TEST(EncodingTest, PaperFigure2Table) {
