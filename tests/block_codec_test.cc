@@ -4,7 +4,9 @@
 // actually compress the column shapes the backend stores (monotone
 // fragment pre lists, near-constant kind/level runs, non-monotone parent
 // deltas, kNilNode extremes), and malformed headers must be rejected
-// rather than decoded into garbage.
+// rather than decoded into garbage. The encoder's output is also held
+// byte for byte to a sort-based reference encoder, and the images of one
+// XMark document to a golden transcript.
 
 #include <gtest/gtest.h>
 
@@ -342,21 +344,27 @@ TEST(BlockCodecReferenceTest, TiedLargestGapsPickTheFirst) {
   // Inner gaps of equal width, all wider than the wrap-around gap: the
   // frame must start past the first of them in value order, regardless
   // of the order the values arrive in.
-  const uint32_t gap = 0x50000000u;
-  std::vector<uint32_t> values{0, gap, 2 * gap};
-  ExpectMatchesReference(values, "three");
+  const uint32_t gap = 0x60000000u;
+  ExpectMatchesReference({0, gap, 2 * gap}, "three");
   ExpectMatchesReference({2 * gap, 0, gap}, "three shuffled");
-  ExpectMatchesReference({10, 11, 10 + gap, 12 + gap, 12 + 2 * gap},
-                         "tied with neighbours");
-  // Tied clusters repeated, with duplicates.
+  // Three clusters with offsets 0..2: two tied inner gaps of gap - 2.
   std::vector<uint32_t> clusters;
   Rng rng(5);
   for (int i = 0; i < 900; ++i) {
-    clusters.push_back(static_cast<uint32_t>(rng.Below(3)) * 0x40000000u +
+    clusters.push_back(static_cast<uint32_t>(rng.Below(3)) * gap +
+                       static_cast<uint32_t>(rng.Below(3)));
+  }
+  ExpectMatchesReference(clusters, "three clusters");
+  // Four clusters a quarter of the range apart, offsets 0..48 in steps
+  // of 16: the three inner gaps tie with the wrap-around gap, which
+  // must win.
+  std::vector<uint32_t> quarters;
+  for (int i = 0; i < 900; ++i) {
+    quarters.push_back(static_cast<uint32_t>(rng.Below(4)) * 0x40000000u +
                        static_cast<uint32_t>(rng.Below(4)) * 16u);
   }
-  ExpectMatchesReference(clusters, "clusters");
-  // An inner gap equal to the wrap-around gap loses to it.
+  ExpectMatchesReference(quarters, "wrap ties inner");
+  // An inner gap of exactly 2^31 ties with the wrap-around gap too.
   ExpectMatchesReference({0x10u, 0x10u + 0x80000000u}, "wrap tie");
   ExpectMatchesReference({5, 5 + 0x55555555u, 5 + 2 * 0x55555555u},
                          "three thirds");

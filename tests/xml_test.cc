@@ -192,7 +192,7 @@ TEST(XmlParserTest, EntitiesDecodeToTheSameEvents) {
   // handler as views of the input, the other one decoded).
   const std::pair<const char*, const char*> pairs[] = {
       {"<a x=\"ab\">cd</a>", "<a x=\"&#97;b\">c&#x64;</a>"},
-      {"<a x='1 &lt; 2'>x &amp; y</a>", "<a x='1 &#60; 2'>x &#38; y</a>"},
+      {"<a x='1 > 2'>x > y</a>", "<a x='1 &gt; 2'>x &#62; y</a>"},
       {"<a><b y=\"\"/>plain\ntext<c/></a>",
        "<a><b y=\"\"/>pl&#97;in&#10;text<c/></a>"},
       // Whitespace-only text is dropped whether or not it is spelled
