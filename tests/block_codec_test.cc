@@ -387,11 +387,35 @@ std::string ColumnLine(const std::string& what,
          " image_digest=" + std::to_string(column.image_digest) + "\n";
 }
 
+// One paged column's allocation: page count and first/last page id. Page
+// ids pick the pool shard, so these lines pin the allocation order.
+std::string PageRangeLine(const std::string& what,
+                          const std::vector<storage::PageId>& pages) {
+  std::string line = what + " pages=" + std::to_string(pages.size());
+  if (!pages.empty()) {
+    line += " first=" + std::to_string(pages.front()) +
+            " last=" + std::to_string(pages.back());
+  }
+  return line + "\n";
+}
+
+// The pages of a paged doc column, read back one page stride at a time.
+template <typename PageOf>
+std::vector<storage::PageId> DocColumnPages(size_t size, size_t per_page,
+                                            PageOf page_of) {
+  std::vector<storage::PageId> pages;
+  for (size_t v = 0; v < size; v += per_page) {
+    pages.push_back(page_of(static_cast<NodeId>(v)));
+  }
+  return pages;
+}
+
 // Pins the images of XMark 1.1 MB seed 1, parsed from its text: the
 // source digests, the paged page counts, and every compressed doc and
-// fragment column's page count, encoded size and image digest. Any
-// change to the parser's output, the digests or the encoder's frame
-// choice shows up here as a changed line.
+// fragment column's page count, encoded size and image digest, then every
+// paged column's page range. Any change to the parser's output, the
+// digests, the encoder's frame choice or the paged allocation order shows
+// up here as a changed line.
 TEST(BlockCodecGolden, XMarkImagesMatchGolden) {
   xmlgen::XMarkOptions xmark;
   xmark.size_mb = 1.1;
@@ -438,6 +462,32 @@ TEST(BlockCodecGolden, XMarkImagesMatchGolden) {
   }
   transcript += "compressed pages=" + std::to_string(disk.page_count()) +
                 "\n";
+
+  const storage::PagedDocTable& paged = *paged_doc.value();
+  const size_t n = paged.size();
+  const size_t ranks = storage::kRanksPerPage;
+  const size_t bytes = storage::kPageSize;
+  transcript += PageRangeLine(
+      "paged post",
+      DocColumnPages(n, ranks, [&](NodeId v) { return paged.PostPage(v); }));
+  transcript += PageRangeLine(
+      "paged kind",
+      DocColumnPages(n, bytes, [&](NodeId v) { return paged.KindPage(v); }));
+  transcript += PageRangeLine(
+      "paged level",
+      DocColumnPages(n, bytes, [&](NodeId v) { return paged.LevelPage(v); }));
+  transcript += PageRangeLine(
+      "paged parent",
+      DocColumnPages(n, ranks, [&](NodeId v) { return paged.ParentPage(v); }));
+  transcript += PageRangeLine(
+      "paged tag",
+      DocColumnPages(n, ranks, [&](NodeId v) { return paged.TagPage(v); }));
+  for (TagId t = 0; t < doc.tags().size(); ++t) {
+    const storage::PagedFragment& frag = paged_tags.value()->fragment(t);
+    const std::string name = "paged fragment " + doc.tags().Name(t);
+    transcript += PageRangeLine(name + " pre", frag.pre_pages);
+    transcript += PageRangeLine(name + " post", frag.post_pages);
+  }
 
   const std::filesystem::path golden =
       std::filesystem::path(__FILE__).parent_path() / "golden" /
