@@ -68,9 +68,7 @@ void Run() {
     open.build_tag_index = false;  // both backends join over the document
     auto db = MakeDatabase(mb, open);
     const size_t n = db->doc().size();
-    const size_t paged_pages =
-        3 * ((n + storage::kRanksPerPage - 1) / storage::kRanksPerPage) +
-        2 * ((n + storage::kPageSize - 1) / storage::kPageSize);
+    const size_t paged_pages = db->paged_doc()->page_count();
     const size_t compressed_pages = db->compressed_doc()->page_count();
     sizes.AddRow(
         {SizeLabel(mb), TablePrinter::Count(n),

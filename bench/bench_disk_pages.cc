@@ -26,7 +26,7 @@ void Run() {
   auto db = MakeDatabase(mb, open);
   std::printf("document %s: %zu nodes, %zu post pages of %zu bytes\n\n",
               SizeLabel(mb).c_str(), db->doc().size(),
-              db->paged_doc()->post_page_count(), storage::kPageSize);
+              db->paged_doc()->post().pages.size(), storage::kPageSize);
 
   TablePrinter t({"buffer [pages]", "skip mode", "page faults", "page pins",
                   "hit rate", "result", "time [ms]"});

@@ -15,17 +15,18 @@
 #include "bench_util.h"
 #include "core/fragment_impl.h"
 #include "core/staircase_impl.h"
-#include "storage/paged_accessor.h"
-#include "storage/paged_tags.h"
+#include "storage/compressed_accessor.h"
+#include "storage/compressed_tags.h"
 
 namespace sj::bench {
 namespace {
 
 using storage::BufferPool;
-using storage::PagedDocAccessor;
-using storage::PagedDocTable;
-using storage::PagedFragmentCursor;
-using storage::PagedTagIndex;
+using storage::ColumnLayout;
+using storage::CompressedDocAccessor;
+using storage::CompressedDocTable;
+using storage::CompressedFragmentCursor;
+using storage::CompressedTagIndex;
 using storage::SimulatedDisk;
 
 /// Q1 = /site//profile//education (two descendant steps + name tests).
@@ -87,9 +88,9 @@ double ColdBestOfMillis(BufferPool* pool, F&& f) {
 
 /// One descendant step of the generic staircase join through a fresh
 /// paged accessor (its pages are unpinned on return, between steps).
-NodeSequence PagedDescendant(const PagedDocTable& paged, BufferPool* pool,
+NodeSequence PagedDescendant(const CompressedDocTable& paged, BufferPool* pool,
                              const NodeSequence& context) {
-  PagedDocAccessor acc(paged, pool);
+  CompressedDocAccessor acc(paged, pool);
   return internal::StaircaseJoinOver(acc, context, Axis::kDescendant, {},
                                      nullptr)
       .value();
@@ -97,18 +98,18 @@ NodeSequence PagedDescendant(const PagedDocTable& paged, BufferPool* pool,
 
 /// One descendant step of the generic fragment join over `tag`'s paged
 /// fragment, likewise through fresh cursors.
-NodeSequence PagedFragmentDescendant(const PagedTagIndex& tags, TagId tag,
-                                     const PagedDocTable& paged,
+NodeSequence PagedFragmentDescendant(const CompressedTagIndex& tags, TagId tag,
+                                     const CompressedDocTable& paged,
                                      BufferPool* pool,
                                      const NodeSequence& context) {
-  PagedFragmentCursor frag(tags.fragment(tag), pool);
-  PagedDocAccessor acc(paged, pool);
+  CompressedFragmentCursor frag(tags.fragment(tag), pool);
+  CompressedDocAccessor acc(paged, pool);
   return internal::FragmentStaircaseJoinOver(frag, acc, context,
                                              Axis::kDescendant, {}, nullptr)
       .value();
 }
 
-size_t Q1PagedFullDoc(const Workload& w, const PagedDocTable& paged,
+size_t Q1PagedFullDoc(const Workload& w, const CompressedDocTable& paged,
                       BufferPool* pool) {
   const DocTable& doc = *w.doc;
   NodeSequence s1 = PagedDescendant(paged, pool, {doc.root()});
@@ -119,8 +120,8 @@ size_t Q1PagedFullDoc(const Workload& w, const PagedDocTable& paged,
   return educations.size();
 }
 
-size_t Q1PagedFragments(const Workload& w, const PagedDocTable& paged,
-                        const PagedTagIndex& tags, BufferPool* pool) {
+size_t Q1PagedFragments(const Workload& w, const CompressedDocTable& paged,
+                        const CompressedTagIndex& tags, BufferPool* pool) {
   const DocTable& doc = *w.doc;
   NodeSequence profiles = PagedFragmentDescendant(tags, w.Tag("profile"),
                                                   paged, pool, {doc.root()});
@@ -162,10 +163,13 @@ void Run() {
     json.push_back(
         {"Q1", "memory/fragments", mb, 0, frag, 0, q1_result, 0, 0, 0});
 
-    // The IO-conscious rerun: same Q1, columns behind the buffer pool.
+    // The IO-conscious rerun: same Q1, raw page columns behind the
+    // buffer pool.
     SimulatedDisk disk;
-    auto paged = PagedDocTable::Create(*w.doc, &disk).value();
-    auto tags = PagedTagIndex::Create(*w.doc, &disk).value();
+    auto paged =
+        CompressedDocTable::Create(*w.doc, &disk, ColumnLayout::kRaw).value();
+    auto tags =
+        CompressedTagIndex::Create(*w.doc, &disk, ColumnLayout::kRaw).value();
     BufferPool pool(&disk, 64);
 
     double paged_full_ms = ColdBestOfMillis(

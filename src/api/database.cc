@@ -45,129 +45,103 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
   if (build_missing && options.build_tag_index && img->tag_index == nullptr) {
     img->tag_index = std::make_unique<TagIndex>(doc);
   }
-  if (build_missing && options.build_paged && img->paged_doc == nullptr) {
-    if (img->disk == nullptr) {
-      img->disk = std::make_unique<storage::SimulatedDisk>();
-    }
-    SJ_ASSIGN_OR_RETURN(img->paged_doc,
-                        storage::PagedDocTable::Create(doc, img->disk.get()));
-    SJ_ASSIGN_OR_RETURN(img->paged_tags,
-                        storage::PagedTagIndex::Create(doc, img->disk.get()));
-  }
-  bool compressed_built_here = false;
-  if (build_missing && options.build_compressed &&
-      img->compressed_doc == nullptr) {
-    // The compressed image shares the paged image's disk (one pool
-    // serves every pool-backed backend); a compressed-only database
-    // still needs a disk of its own.
+  // The two pool-backed images share one disk (one pool serves both),
+  // built in this order: page ids pick the pool shard, so the allocation
+  // order is part of every fault count.
+  struct Pooled {
+    const char* name;
+    storage::ColumnLayout layout;
+    bool build;
+    PooledImage* image;
+    bool built_here = false;
+  };
+  Pooled pooled[] = {
+      {"paged", storage::ColumnLayout::kRaw, options.build_paged,
+       &img->paged},
+      {"compressed", storage::ColumnLayout::kCoded, options.build_compressed,
+       &img->compressed},
+  };
+  for (Pooled& p : pooled) {
+    if (!build_missing || !p.build || p.image->doc != nullptr) continue;
     if (img->disk == nullptr) {
       img->disk = std::make_unique<storage::SimulatedDisk>();
     }
     SJ_ASSIGN_OR_RETURN(
-        img->compressed_doc,
-        storage::CompressedDocTable::Create(doc, img->disk.get()));
+        p.image->doc,
+        storage::CompressedDocTable::Create(doc, img->disk.get(), p.layout));
     // Reuse the resident TagIndex when it exists; encoding should not
     // pay a second projection scan of the whole document.
     if (img->tag_index != nullptr) {
-      SJ_ASSIGN_OR_RETURN(img->compressed_tags,
-                          storage::CompressedTagIndex::Create(
-                              doc, *img->tag_index, img->disk.get()));
-    } else {
       SJ_ASSIGN_OR_RETURN(
-          img->compressed_tags,
-          storage::CompressedTagIndex::Create(doc, img->disk.get()));
+          p.image->tags,
+          storage::CompressedTagIndex::Create(doc, *img->tag_index,
+                                              img->disk.get(), p.layout));
+    } else {
+      SJ_ASSIGN_OR_RETURN(p.image->tags,
+                          storage::CompressedTagIndex::Create(
+                              doc, img->disk.get(), p.layout));
     }
-    compressed_built_here = true;
+    p.built_here = true;
   }
 
-  // Open-time coherence validation for *adopted* images: every paged
-  // image must carry the digest of THIS document's columns. A stale
+  // Open-time validation of both images: each must carry the layout of
+  // its backend and the digests of THIS document's columns. A stale
   // image (rebuilt document, image of a different document) is rejected
   // here with the failing column set named -- not lazily on the first
-  // paged query. The document computes its digests once (the image
-  // Creates above already paid that pass), and sessions get the
-  // validated images through one image handle, so neither session
-  // creation nor any query repeats it.
-  if (img->paged_doc != nullptr) {
-    if (img->disk == nullptr) {
-      return Status::InvalidArgument(
-          "paged document image adopted without its disk");
+  // query. The document computes its digests once (the image Creates
+  // above already paid that pass), and sessions get the validated images
+  // through one image handle, so neither session creation nor any query
+  // repeats it. Adopted coded images also get their encoded blocks
+  // re-read (ValidateImage), so bit rot never surfaces as silent wrong
+  // query results; images built in this very call are coherent by
+  // construction and skip that pass.
+  for (const Pooled& p : pooled) {
+    const std::string name = p.name;
+    const storage::CompressedDocTable* table = p.image->doc.get();
+    const storage::CompressedTagIndex* tags = p.image->tags.get();
+    if (table != nullptr) {
+      if (img->disk == nullptr) {
+        return Status::InvalidArgument(
+            name + " document image adopted without its disk");
+      }
+      if (table->layout() != p.layout) {
+        return Status::InvalidArgument(
+            name + " document image adopted in the wrong column layout");
+      }
+      if (table->size() != doc.size() ||
+          table->source_digest() != DocColumnsDigest(doc)) {
+        return Status::InvalidArgument(
+            "stale " + name +
+            " image: the document column set "
+            "(post/kind/level/parent/tag) has digest " +
+            std::to_string(table->source_digest()) +
+            " but this document's columns digest to " +
+            std::to_string(DocColumnsDigest(doc)) + "; the " + name +
+            " table does not image this document");
+      }
+      if (!p.built_here) SJ_RETURN_NOT_OK(table->ValidateImage(*img->disk));
     }
-    if (img->paged_doc->size() != doc.size() ||
-        img->paged_doc->source_digest() != DocColumnsDigest(doc)) {
-      return Status::InvalidArgument(
-          "stale paged image: the document column set "
-          "(post/kind/level/parent/tag) has digest " +
-          std::to_string(img->paged_doc->source_digest()) +
-          " but this document's columns digest to " +
-          std::to_string(DocColumnsDigest(doc)) +
-          "; the paged table does not image this document");
-    }
-  }
-  if (img->paged_tags != nullptr) {
-    if (img->paged_doc == nullptr) {
-      return Status::InvalidArgument(
-          "paged tag fragments adopted without a paged document image");
-    }
-    if (img->paged_tags->source_digest() != FragmentColumnsDigest(doc)) {
-      return Status::InvalidArgument(
-          "stale paged image: the tag fragment column set (per-tag "
-          "pre/post) has digest " +
-          std::to_string(img->paged_tags->source_digest()) +
-          " but this document's fragments digest to " +
-          std::to_string(FragmentColumnsDigest(doc)) +
-          "; the paged tag index does not image this document");
-    }
-  }
-
-  // Open-time validation of the compressed images: coherence with THIS
-  // document via the source digests (like the paged images above), plus
-  // integrity of the encoded blocks themselves -- ValidateImage re-reads
-  // the disk image and rejects a corrupt or stale block with a Status
-  // naming the column, so bit rot never surfaces as silent wrong query
-  // results. Images built in this very call are coherent by
-  // construction (the digests were captured from the bytes Create just
-  // wrote), so only ADOPTED images pay the re-read pass.
-  if (img->compressed_doc != nullptr) {
-    if (img->disk == nullptr) {
-      return Status::InvalidArgument(
-          "compressed document image adopted without its disk");
-    }
-    if (img->compressed_doc->size() != doc.size() ||
-        img->compressed_doc->source_digest() != DocColumnsDigest(doc)) {
-      return Status::InvalidArgument(
-          "stale compressed image: the document column set "
-          "(post/kind/level/parent/tag) has digest " +
-          std::to_string(img->compressed_doc->source_digest()) +
-          " but this document's columns digest to " +
-          std::to_string(DocColumnsDigest(doc)) +
-          "; the compressed table does not image this document");
-    }
-    if (!compressed_built_here) {
-      SJ_RETURN_NOT_OK(img->compressed_doc->ValidateImage(*img->disk));
-    }
-  }
-  if (img->compressed_tags != nullptr) {
-    if (img->compressed_doc == nullptr) {
-      return Status::InvalidArgument(
-          "compressed tag fragments adopted without a compressed document "
-          "image");
-    }
-    if (img->compressed_tags->source_digest() != FragmentColumnsDigest(doc)) {
-      return Status::InvalidArgument(
-          "stale compressed image: the tag fragment column set (per-tag "
-          "pre/post) has digest " +
-          std::to_string(img->compressed_tags->source_digest()) +
-          " but this document's fragments digest to " +
-          std::to_string(FragmentColumnsDigest(doc)) +
-          "; the compressed tag index does not image this document");
-    }
-    if (!compressed_built_here) {
-      SJ_RETURN_NOT_OK(img->compressed_tags->ValidateImage(*img->disk));
+    if (tags != nullptr) {
+      if (table == nullptr) {
+        return Status::InvalidArgument(
+            name + " tag fragments adopted without a " + name +
+            " document image");
+      }
+      if (tags->source_digest() != FragmentColumnsDigest(doc)) {
+        return Status::InvalidArgument(
+            "stale " + name +
+            " image: the tag fragment column set (per-tag "
+            "pre/post) has digest " +
+            std::to_string(tags->source_digest()) +
+            " but this document's fragments digest to " +
+            std::to_string(FragmentColumnsDigest(doc)) + "; the " + name +
+            " tag index does not image this document");
+      }
+      if (!p.built_here) SJ_RETURN_NOT_OK(tags->ValidateImage(*img->disk));
     }
   }
 
-  if (img->paged_doc != nullptr || img->compressed_doc != nullptr) {
+  if (img->paged.doc != nullptr || img->compressed.doc != nullptr) {
     size_t shards = options.pool_shards > 0 ? options.pool_shards
                                             : DefaultPoolShards();
     img->pool = std::make_unique<storage::BufferPool>(
@@ -270,8 +244,8 @@ Result<std::unique_ptr<Database>> Database::FromTable(
 Result<std::unique_ptr<Database>> Database::FromParts(
     std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
     std::unique_ptr<storage::SimulatedDisk> disk,
-    std::unique_ptr<storage::PagedDocTable> paged_doc,
-    std::unique_ptr<storage::PagedTagIndex> paged_tags,
+    std::unique_ptr<storage::CompressedDocTable> paged_doc,
+    std::unique_ptr<storage::CompressedTagIndex> paged_tags,
     DatabaseOptions options) {
   return FromParts(std::move(doc), std::move(tag_index), std::move(disk),
                    std::move(paged_doc), std::move(paged_tags),
@@ -282,8 +256,8 @@ Result<std::unique_ptr<Database>> Database::FromParts(
 Result<std::unique_ptr<Database>> Database::FromParts(
     std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
     std::unique_ptr<storage::SimulatedDisk> disk,
-    std::unique_ptr<storage::PagedDocTable> paged_doc,
-    std::unique_ptr<storage::PagedTagIndex> paged_tags,
+    std::unique_ptr<storage::CompressedDocTable> paged_doc,
+    std::unique_ptr<storage::CompressedTagIndex> paged_tags,
     std::unique_ptr<storage::CompressedDocTable> compressed_doc,
     std::unique_ptr<storage::CompressedTagIndex> compressed_tags,
     DatabaseOptions options) {
@@ -294,10 +268,8 @@ Result<std::unique_ptr<Database>> Database::FromParts(
   images->doc = std::move(doc);
   images->tag_index = std::move(tag_index);
   images->disk = std::move(disk);
-  images->paged_doc = std::move(paged_doc);
-  images->paged_tags = std::move(paged_tags);
-  images->compressed_doc = std::move(compressed_doc);
-  images->compressed_tags = std::move(compressed_tags);
+  images->paged = {std::move(paged_doc), std::move(paged_tags)};
+  images->compressed = {std::move(compressed_doc), std::move(compressed_tags)};
   return Finish(std::move(images), std::move(options),
                 /*build_missing=*/false, {});
 }
@@ -337,9 +309,9 @@ Result<xpath::EvalOptions> Database::MakeEvalOptions(
   SJ_ASSIGN_OR_RETURN(
       eval.image,
       xpath::BackendDispatch::MakeImage(
-          options.backend, img.tag_index.get(), img.paged_doc.get(),
-          img.paged_tags.get(), img.compressed_doc.get(),
-          img.compressed_tags.get(), session_pool));
+          options.backend, img.tag_index.get(), img.paged.doc.get(),
+          img.paged.tags.get(), img.compressed.doc.get(),
+          img.compressed.tags.get(), session_pool));
   eval.snapshot_epoch = snap->epoch();
   if (snap->edited()) eval.overlay = snap->overlay();
   *private_pool = std::move(pool);

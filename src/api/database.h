@@ -3,12 +3,13 @@
 // Sessions.
 //
 // Opening a database builds (or adopts) the resident DocTable, the
-// resident tag fragments (TagIndex), and -- unless disabled -- the paged
-// image (SimulatedDisk + PagedDocTable + PagedTagIndex) behind one
-// sharded BufferPool. The column/fragment digests are validated HERE, at
-// open time: a stale or mismatched paged image is rejected with a Status
-// naming the failing column set, instead of surfacing lazily on some
-// thread's first paged query.
+// resident tag fragments (TagIndex), and -- unless disabled -- two
+// pool-backed images on one SimulatedDisk behind one sharded BufferPool:
+// the paged image (CompressedDocTable + CompressedTagIndex in the raw
+// page layout) and the compressed one (the same types, FOR/delta coded).
+// The column/fragment digests are validated HERE, at open time: a stale
+// or mismatched image is rejected with a Status naming the failing
+// column set, instead of surfacing lazily on some thread's first query.
 //
 // The images themselves stay immutable forever; what varies is WHICH
 // images-plus-overlay a query sees. The database publishes epoch-stamped
@@ -37,8 +38,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/compressed_doc.h"
 #include "storage/compressed_tags.h"
-#include "storage/paged_doc.h"
-#include "storage/paged_tags.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
 #include "xmlgen/xmark.h"
@@ -54,7 +53,7 @@ struct DatabaseOptions {
   /// Build the resident tag fragments (name-test pushdown on the memory
   /// backend; also the selectivity statistics of kAuto pushdown).
   bool build_tag_index = true;
-  /// Build the paged image: disk + paged doc columns + paged tag
+  /// Build the paged image: disk + raw-page doc columns + raw-page tag
   /// fragments + shared buffer pool. Off saves the page-out for purely
   /// in-memory use; sessions then cannot choose StorageBackend::kPaged.
   bool build_paged = true;
@@ -175,30 +174,31 @@ class Database {
 
   /// Adopts externally built backend images instead of paging `doc` out
   /// afresh. This is where image coherence is enforced: the paged doc
-  /// columns and paged tag fragments are digest-checked against `doc`
-  /// and a mismatch is rejected with a Status naming the failing column
-  /// set -- at open time, not on the first paged query. `tag_index`,
-  /// `paged_doc` and `paged_tags` may be null (the corresponding
-  /// features are then unavailable); `paged_doc` requires `disk`.
-  /// `options.build`/`build_*`/pool sizing apply to the pool only.
+  /// columns and tag fragments (ColumnLayout::kRaw) are digest-checked
+  /// against `doc` and a mismatch is rejected with a Status naming the
+  /// failing column set -- at open time, not on the first paged query.
+  /// `tag_index`, `paged_doc` and `paged_tags` may be null (the
+  /// corresponding features are then unavailable); `paged_doc` requires
+  /// `disk`. `options.build`/`build_*`/pool sizing apply to the pool
+  /// only.
   static Result<std::unique_ptr<Database>> FromParts(
       std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
       std::unique_ptr<storage::SimulatedDisk> disk,
-      std::unique_ptr<storage::PagedDocTable> paged_doc,
-      std::unique_ptr<storage::PagedTagIndex> paged_tags,
+      std::unique_ptr<storage::CompressedDocTable> paged_doc,
+      std::unique_ptr<storage::CompressedTagIndex> paged_tags,
       DatabaseOptions options = {});
 
-  /// Same, additionally adopting compressed images. The compressed doc
-  /// columns and fragments are digest-checked against `doc` AND their
-  /// on-disk encoded blocks are re-read and verified against the image
-  /// digests, so a corrupt (bit-flipped) or stale compressed block is
-  /// rejected here with a Status naming the column -- never served to a
-  /// query. `compressed_doc` requires `disk`.
+  /// Same, additionally adopting compressed images (ColumnLayout::kCoded).
+  /// The compressed doc columns and fragments are digest-checked against
+  /// `doc` AND their on-disk encoded blocks are re-read and verified
+  /// against the image digests, so a corrupt (bit-flipped) or stale
+  /// compressed block is rejected here with a Status naming the column
+  /// -- never served to a query. `compressed_doc` requires `disk`.
   static Result<std::unique_ptr<Database>> FromParts(
       std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
       std::unique_ptr<storage::SimulatedDisk> disk,
-      std::unique_ptr<storage::PagedDocTable> paged_doc,
-      std::unique_ptr<storage::PagedTagIndex> paged_tags,
+      std::unique_ptr<storage::CompressedDocTable> paged_doc,
+      std::unique_ptr<storage::CompressedTagIndex> paged_tags,
       std::unique_ptr<storage::CompressedDocTable> compressed_doc,
       std::unique_ptr<storage::CompressedTagIndex> compressed_tags,
       DatabaseOptions options);
@@ -236,11 +236,11 @@ class Database {
 
   /// True when sessions may choose StorageBackend::kPaged.
   bool has_paged_backend() const {
-    return CurrentSnapshot()->images().paged_doc != nullptr;
+    return CurrentSnapshot()->images().paged.doc != nullptr;
   }
   /// True when sessions may choose StorageBackend::kCompressed.
   bool has_compressed_backend() const {
-    return CurrentSnapshot()->images().compressed_doc != nullptr;
+    return CurrentSnapshot()->images().compressed.doc != nullptr;
   }
 
   /// Resident tag fragments; null when disabled at open time. Borrowed
@@ -248,29 +248,29 @@ class Database {
   const TagIndex* tag_index() const {
     return CurrentSnapshot()->images().tag_index.get();
   }
-  /// Paged doc columns; null without a paged image.
-  const storage::PagedDocTable* paged_doc() const {
-    return CurrentSnapshot()->images().paged_doc.get();
+  /// Paged (raw-layout) doc columns; null without a paged image.
+  const storage::CompressedDocTable* paged_doc() const {
+    return CurrentSnapshot()->images().paged.doc.get();
   }
-  /// Paged tag fragments; null without a paged image.
-  const storage::PagedTagIndex* paged_tags() const {
-    return CurrentSnapshot()->images().paged_tags.get();
+  /// Paged (raw-layout) tag fragments; null without a paged image.
+  const storage::CompressedTagIndex* paged_tags() const {
+    return CurrentSnapshot()->images().paged.tags.get();
   }
   /// Compressed doc columns; null without a compressed image.
   const storage::CompressedDocTable* compressed_doc() const {
-    return CurrentSnapshot()->images().compressed_doc.get();
+    return CurrentSnapshot()->images().compressed.doc.get();
   }
   /// Compressed tag fragments; null without a compressed image.
   const storage::CompressedTagIndex* compressed_tags() const {
-    return CurrentSnapshot()->images().compressed_tags.get();
+    return CurrentSnapshot()->images().compressed.tags.get();
   }
   /// The shared buffer pool (internally synchronized); null without a
-  /// paged image. Exposed for experiment control (cold starts, fault
-  /// accounting).
+  /// pool-backed image. Exposed for experiment control (cold starts,
+  /// fault accounting).
   storage::BufferPool* buffer_pool() const {
     return CurrentSnapshot()->images().pool.get();
   }
-  /// The disk image behind the paged backend; null without one.
+  /// The disk image behind the pool-backed backends; null without one.
   storage::SimulatedDisk* disk() const {
     return CurrentSnapshot()->images().disk.get();
   }
@@ -280,7 +280,7 @@ class Database {
   /// -- the resident columns ARE the document).
   std::optional<uint64_t> doc_digest() const {
     const DatabaseImages& images = CurrentSnapshot()->images();
-    if (images.paged_doc == nullptr && images.compressed_doc == nullptr) {
+    if (images.paged.doc == nullptr && images.compressed.doc == nullptr) {
       return std::nullopt;
     }
     return DocColumnsDigest(*images.doc);

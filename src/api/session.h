@@ -86,10 +86,11 @@ struct SessionOptions {
   /// >1 runs the partitioned parallel staircase join with this many
   /// workers (per query -- independent of how many sessions exist).
   unsigned num_threads = 1;
-  /// Storage backend: kMemory (resident BATs), kPaged (buffer pool over
-  /// the database's disk image; requires DatabaseOptions::build_paged)
-  /// or kCompressed (FOR/delta block-compressed columns behind the same
-  /// pool; requires DatabaseOptions::build_compressed).
+  /// Storage backend: kMemory (resident BATs), kPaged (raw page columns
+  /// behind the buffer pool over the database's disk image; requires
+  /// DatabaseOptions::build_paged) or kCompressed (FOR/delta
+  /// block-compressed columns behind the same pool; requires
+  /// DatabaseOptions::build_compressed).
   StorageBackend backend = StorageBackend::kMemory;
   /// Pool-backed backends only: 0 shares the database's pool with every
   /// other session (the production configuration); >0 gives this session

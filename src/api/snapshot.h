@@ -31,12 +31,17 @@
 #include "storage/buffer_pool.h"
 #include "storage/compressed_doc.h"
 #include "storage/compressed_tags.h"
-#include "storage/paged_doc.h"
-#include "storage/paged_tags.h"
 #include "util/result.h"
 #include "xpath/cost_model.h"
 
 namespace sj {
+
+/// \brief One pool-backed image on the database's disk: doc columns plus
+/// tag fragments, both in one ColumnLayout.
+struct PooledImage {
+  std::unique_ptr<storage::CompressedDocTable> doc;
+  std::unique_ptr<storage::CompressedTagIndex> tags;
+};
 
 /// \brief One coherent, immutable set of backend images over one encoded
 /// document (see file comment). Members may be null per the open-time
@@ -45,10 +50,8 @@ struct DatabaseImages {
   std::unique_ptr<DocTable> doc;
   std::unique_ptr<TagIndex> tag_index;
   std::unique_ptr<storage::SimulatedDisk> disk;
-  std::unique_ptr<storage::PagedDocTable> paged_doc;
-  std::unique_ptr<storage::PagedTagIndex> paged_tags;
-  std::unique_ptr<storage::CompressedDocTable> compressed_doc;
-  std::unique_ptr<storage::CompressedTagIndex> compressed_tags;
+  PooledImage paged;       ///< raw layout, StorageBackend::kPaged
+  PooledImage compressed;  ///< coded layout, StorageBackend::kCompressed
   /// Internally synchronized; shared by every session on these images.
   std::unique_ptr<storage::BufferPool> pool;
   /// Planner statistics of `doc` (level histogram, per-tag counts and

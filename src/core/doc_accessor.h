@@ -13,9 +13,10 @@
 //   * MemoryDocAccessor (below) reads the DocTable BATs directly; every
 //     method inlines to a raw array access, so the instantiated kernels
 //     compile to the same loops as the historical in-memory join;
-//   * storage::PagedDocAccessor reads columns through a BufferPool, so
-//     the same kernels turn "nodes never touched" into disk pages never
-//     read (the paper's Section 6 disk-based outlook).
+//   * storage::CompressedDocAccessor reads columns (raw pages or
+//     FOR/delta-coded blocks) through a BufferPool, so the same kernels
+//     turn "nodes never touched" into disk pages never read (the
+//     paper's Section 6 disk-based outlook).
 //
 // Contract: reads are valid for pre ranks in [0, size()). A backend whose
 // reads can fail (e.g. a buffer pool with every frame pinned) records the

@@ -14,9 +14,10 @@
 //   * MemoryFragmentCursor (below) reads the TagView vectors directly;
 //     every method inlines to an array access or a std::lower_bound, so
 //     the instantiated join compiles to the historical in-memory loops;
-//   * storage::PagedFragmentCursor reads per-fragment pre/post column
-//     pages through a BufferPool, so pushdown turns "nodes never
-//     touched" into fragment pages never read.
+//   * storage::CompressedFragmentCursor reads per-fragment pre/post
+//     column blocks (raw pages or FOR/delta-coded) through a BufferPool,
+//     so pushdown turns "nodes never touched" into fragment pages never
+//     read.
 //
 // Contract: reads are valid for slots in [0, size()); LowerBound(pre)
 // returns the first slot whose pre rank is >= pre (size() if none). A

@@ -10,8 +10,8 @@
 // Everything is parameterized over a FragmentCursor (the fragment's
 // pre/post columns, core/fragment_cursor.h) plus a DocAccessor (the
 // context nodes' postorder ranks, core/doc_accessor.h), so one body
-// serves the in-memory TagView and the buffer-pool-backed paged
-// fragments (storage/paged_tags.h).
+// serves the in-memory TagView and the buffer-pool-backed fragments
+// (storage/compressed_tags.h).
 //
 // Skipping on a fragment uses binary search on the pre column instead of
 // pre-rank arithmetic -- fragment slots are not dense in pre order. The

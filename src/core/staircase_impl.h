@@ -6,8 +6,8 @@
 // following/preceding region queries (Section 3.1). Everything is
 // parameterized over a DocAccessor (core/doc_accessor.h); the public
 // entry points instantiate it with the in-memory backend
-// (core/staircase_join.cc, core/parallel.cc) and with the paged backend
-// (storage/paged_doc.cc).
+// (core/staircase_join.cc, core/parallel.cc), and the evaluator with the
+// pool-backed one (storage/compressed_accessor.h).
 
 #ifndef STAIRJOIN_CORE_STAIRCASE_IMPL_H_
 #define STAIRJOIN_CORE_STAIRCASE_IMPL_H_

@@ -10,8 +10,8 @@
 // resolve to inserted nodes are resident array lookups in the Overlay.
 //
 // The Base cursor is constructed IN PLACE from forwarded constructor
-// arguments: paged accessors own non-movable PageGuards, so the wrapper
-// can never require moving one.
+// arguments: pool-backed accessors own non-movable PageGuards, so the
+// wrapper can never require moving one.
 
 #ifndef STAIRJOIN_DELTA_DELTA_ACCESSOR_H_
 #define STAIRJOIN_DELTA_DELTA_ACCESSOR_H_

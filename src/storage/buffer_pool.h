@@ -4,8 +4,9 @@
 // *disk-based* RDBMS. This module provides the substrate to study that on
 // a laptop: fixed-size pages on a simulated disk (a RAM image with fault
 // accounting -- see DESIGN.md substitutions) behind a pinning LRU buffer
-// pool. The paged staircase join (storage/paged_doc.h) runs the Section 3
-// algorithms against it; skipping then saves page *faults*, not just CPU.
+// pool. The pool-backed staircase join (storage/compressed_accessor.h)
+// runs the Section 3 algorithms against it; skipping then saves page
+// *faults*, not just CPU.
 
 #ifndef STAIRJOIN_STORAGE_BUFFER_POOL_H_
 #define STAIRJOIN_STORAGE_BUFFER_POOL_H_

@@ -2,21 +2,24 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace sj::storage {
 namespace {
 
 constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
 
-/// Packs encoded blocks onto disk pages, first-fit in block order; a
-/// block never spans pages. Also folds every encoded byte into the
-/// column's image digest, so the digest covers exactly what lands on
-/// disk.
+/// Packs blocks onto disk pages, first-fit in block order; a block never
+/// spans pages, so every full raw block gets a page of its own. For the
+/// coded layout it also folds every encoded byte into the column's image
+/// digest, so the digest covers exactly what lands on disk.
 class BlockPageWriter {
  public:
   explicit BlockPageWriter(SimulatedDisk* disk, CompressedColumn* column)
       : disk_(disk), column_(column) {
-    column_->image_digest = kFnvBasis;
+    if (column_->layout == ColumnLayout::kCoded) {
+      column_->image_digest = kFnvBasis;
+    }
   }
 
   Status Append(const uint8_t* data, size_t bytes) {
@@ -31,7 +34,9 @@ class BlockPageWriter {
     std::memcpy(page_.bytes + used_, data, bytes);
     column_->blocks.push_back({id_, static_cast<uint16_t>(used_),
                                static_cast<uint16_t>(bytes)});
-    column_->image_digest = FnvMixBytes(column_->image_digest, data, bytes);
+    if (column_->layout == ColumnLayout::kCoded) {
+      column_->image_digest = FnvMixBytes(column_->image_digest, data, bytes);
+    }
     column_->encoded_bytes += bytes;
     used_ += bytes;
     return Status::OK();
@@ -52,23 +57,38 @@ class BlockPageWriter {
   bool open_ = false;
 };
 
-/// WriteCompressedColumn for a byte column (kind/level), widened
-/// block-wise; FOR packs the handful of distinct kinds/levels into a
-/// few bits per value.
-Status WriteCompressedByteColumn(SimulatedDisk* disk,
-                                 std::span<const uint8_t> values,
-                                 CompressedColumn* column) {
+/// Writes one column of `T` values (uint32 ranks, or kind/level bytes)
+/// block by block: raw blocks are copied as they are, coded blocks are
+/// widened to uint32 where needed and encoded -- FOR packs the handful of
+/// distinct kinds/levels into a few bits per value.
+template <typename T>
+Status WriteColumn(SimulatedDisk* disk, ColumnLayout layout,
+                   std::span<const T> values, CompressedColumn* column,
+                   std::vector<uint32_t>* fence_pre = nullptr) {
+  column->layout = layout;
+  column->raw_width = sizeof(T);
   column->values = values.size();
+  const size_t per_block = column->BlockValues();
   BlockPageWriter writer(disk, column);
   uint8_t scratch[encoding::MaxEncodedBlockBytes(encoding::kBlockValues)];
   uint32_t widened[encoding::kBlockValues];
-  for (size_t start = 0; start < values.size();
-       start += encoding::kBlockValues) {
-    const size_t count =
-        std::min(encoding::kBlockValues, values.size() - start);
-    for (size_t i = 0; i < count; ++i) widened[i] = values[start + i];
-    const size_t bytes = encoding::EncodeBlock(
-        std::span<const uint32_t>(widened, count), scratch);
+  for (size_t start = 0; start < values.size(); start += per_block) {
+    const size_t count = std::min(per_block, values.size() - start);
+    const std::span<const T> block = values.subspan(start, count);
+    if (fence_pre != nullptr) fence_pre->push_back(block.front());
+    if (layout == ColumnLayout::kRaw) {
+      SJ_RETURN_NOT_OK(writer.Append(
+          reinterpret_cast<const uint8_t*>(block.data()), block.size_bytes()));
+      continue;
+    }
+    std::span<const uint32_t> wide;
+    if constexpr (std::is_same_v<T, uint32_t>) {
+      wide = block;
+    } else {
+      std::copy(block.begin(), block.end(), widened);
+      wide = std::span<const uint32_t>(widened, count);
+    }
+    const size_t bytes = encoding::EncodeBlock(wide, scratch);
     SJ_RETURN_NOT_OK(writer.Append(scratch, bytes));
   }
   return writer.Flush();
@@ -84,23 +104,11 @@ uint64_t FnvMixBytes(uint64_t h, const uint8_t* data, size_t n) {
   return h;
 }
 
-Status WriteCompressedColumn(SimulatedDisk* disk,
+Status WriteCompressedColumn(SimulatedDisk* disk, ColumnLayout layout,
                              std::span<const uint32_t> values,
                              CompressedColumn* column,
                              std::vector<uint32_t>* fence_pre) {
-  column->values = values.size();
-  BlockPageWriter writer(disk, column);
-  uint8_t scratch[encoding::MaxEncodedBlockBytes(encoding::kBlockValues)];
-  for (size_t start = 0; start < values.size();
-       start += encoding::kBlockValues) {
-    const size_t count =
-        std::min(encoding::kBlockValues, values.size() - start);
-    const size_t bytes =
-        encoding::EncodeBlock(values.subspan(start, count), scratch);
-    SJ_RETURN_NOT_OK(writer.Append(scratch, bytes));
-    if (fence_pre != nullptr) fence_pre->push_back(values[start]);
-  }
-  return writer.Flush();
+  return WriteColumn(disk, layout, values, column, fence_pre);
 }
 
 Status ValidateCompressedColumn(const SimulatedDisk& disk,
@@ -115,6 +123,7 @@ Status ValidateCompressedColumn(const SimulatedDisk& disk,
       return Status::InvalidArgument("compressed image: the " + what +
                                      "'s block directory overruns a page");
     }
+    if (column.layout == ColumnLayout::kRaw) continue;
     if (!have_page || loaded != ref.page) {
       SJ_RETURN_NOT_OK(disk.Read(ref.page, &page));
       loaded = ref.page;
@@ -122,7 +131,7 @@ Status ValidateCompressedColumn(const SimulatedDisk& disk,
     }
     h = FnvMixBytes(h, page.bytes + ref.offset, ref.bytes);
   }
-  if (h != column.image_digest) {
+  if (column.layout == ColumnLayout::kCoded && h != column.image_digest) {
     return Status::InvalidArgument(
         "corrupt compressed image: the " + what +
         "'s encoded blocks digest to " + std::to_string(h) +
@@ -133,7 +142,7 @@ Status ValidateCompressedColumn(const SimulatedDisk& disk,
 }
 
 Result<std::unique_ptr<CompressedDocTable>> CompressedDocTable::Create(
-    const DocTable& doc, SimulatedDisk* disk) {
+    const DocTable& doc, SimulatedDisk* disk, ColumnLayout layout) {
   if (disk == nullptr) {
     return Status::InvalidArgument(
         "CompressedDocTable: disk must not be null");
@@ -144,16 +153,14 @@ Result<std::unique_ptr<CompressedDocTable>> CompressedDocTable::Create(
   compressed->height_ = doc.height();
   compressed->source_digest_ = DocColumnsDigest(doc);
 
+  SJ_RETURN_NOT_OK(WriteColumn(disk, layout, doc.posts(), &compressed->post_));
+  SJ_RETURN_NOT_OK(WriteColumn(disk, layout, doc.kinds(), &compressed->kind_));
   SJ_RETURN_NOT_OK(
-      WriteCompressedColumn(disk, doc.posts(), &compressed->post_));
+      WriteColumn(disk, layout, doc.levels(), &compressed->level_));
   SJ_RETURN_NOT_OK(
-      WriteCompressedByteColumn(disk, doc.kinds(), &compressed->kind_));
+      WriteColumn(disk, layout, doc.parents(), &compressed->parent_));
   SJ_RETURN_NOT_OK(
-      WriteCompressedByteColumn(disk, doc.levels(), &compressed->level_));
-  SJ_RETURN_NOT_OK(
-      WriteCompressedColumn(disk, doc.parents(), &compressed->parent_));
-  SJ_RETURN_NOT_OK(
-      WriteCompressedColumn(disk, doc.tags_column(), &compressed->tag_));
+      WriteColumn(disk, layout, doc.tags_column(), &compressed->tag_));
   return compressed;
 }
 

@@ -8,15 +8,16 @@
 namespace sj::storage {
 
 Result<std::unique_ptr<CompressedTagIndex>> CompressedTagIndex::Create(
-    const DocTable& doc, SimulatedDisk* disk) {
+    const DocTable& doc, SimulatedDisk* disk, ColumnLayout layout) {
   // One scan of the document materializes every projection (transient;
   // only the encoded images and the directories survive).
   TagIndex index(doc);
-  return Create(doc, index, disk);
+  return Create(doc, index, disk, layout);
 }
 
 Result<std::unique_ptr<CompressedTagIndex>> CompressedTagIndex::Create(
-    const DocTable& doc, const TagIndex& index, SimulatedDisk* disk) {
+    const DocTable& doc, const TagIndex& index, SimulatedDisk* disk,
+    ColumnLayout layout) {
   if (disk == nullptr) {
     return Status::InvalidArgument(
         "CompressedTagIndex: disk must not be null");
@@ -30,9 +31,10 @@ Result<std::unique_ptr<CompressedTagIndex>> CompressedTagIndex::Create(
     CompressedFragment& frag = compressed->fragments_[t];
     frag.tag = static_cast<TagId>(t);
     frag.size = static_cast<uint32_t>(view.size());
+    SJ_RETURN_NOT_OK(WriteCompressedColumn(disk, layout, view.pre, &frag.pre,
+                                           &frag.fence_pre));
     SJ_RETURN_NOT_OK(
-        WriteCompressedColumn(disk, view.pre, &frag.pre, &frag.fence_pre));
-    SJ_RETURN_NOT_OK(WriteCompressedColumn(disk, view.post, &frag.post));
+        WriteCompressedColumn(disk, layout, view.post, &frag.post));
     compressed->page_count_ += frag.pre.pages.size() + frag.post.pages.size();
   }
   return compressed;

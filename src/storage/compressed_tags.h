@@ -1,23 +1,24 @@
-// Compressed tag fragments: fragmentation by tag name, FOR/delta
-// encoded, behind the buffer pool.
+// Pool-backed tag fragments: fragmentation by tag name behind the
+// buffer pool, in either column layout.
 //
 // CompressedTagIndex lays every element tag's pre/post fragment columns
-// (core/tag_view.h) out as block-compressed images
-// (encoding/block_codec.h) behind the shared BufferPool; a fragment's
-// strictly monotone pre list is the codec's best case (small positive
-// deltas). CompressedFragmentCursor implements the FragmentCursor
+// (core/tag_view.h) out as CompressedColumns (storage/compressed_doc.h)
+// behind the shared BufferPool: FOR/delta-coded for the compressed
+// backend -- a fragment's strictly monotone pre list is the codec's best
+// case (small positive deltas) -- or one raw page per block for the
+// paged backend. CompressedFragmentCursor implements the FragmentCursor
 // concept (core/fragment_cursor.h) over one such fragment; the
 // evaluator builds it at its one fragment-cursor construction site
 // (xpath/backend_dispatch.h) for the ONE fragment and twig join bodies
-// (core/fragment_impl.h, core/twig_impl.h). Name-test pushdown then
-// faults compressed fragment pages: strictly fewer of them than the
-// paged fragments at equal page size.
+// (core/fragment_impl.h, core/twig_impl.h). Name-test pushdown (paper
+// Section 4.4) then turns "nodes never touched" into fragment pages
+// never read -- coded, strictly fewer of them than raw.
 //
 // Only the block directories and the per-block fence keys (the first
 // pre rank in each pre block, for IO-free block location during binary
 // search) stay memory-resident. Integrity mirrors CompressedDocTable:
-// per-column digests over the encoded bytes, re-checked by
-// ValidateImage at Database open time.
+// the source digest, plus per-column digests over the encoded bytes of
+// the coded layout, re-checked by ValidateImage at Database open time.
 
 #ifndef STAIRJOIN_STORAGE_COMPRESSED_TAGS_H_
 #define STAIRJOIN_STORAGE_COMPRESSED_TAGS_H_
@@ -33,38 +34,41 @@
 
 namespace sj::storage {
 
-/// \brief One tag's compressed projection: block directories + resident
+/// \brief One tag's pool-backed projection: block directories + resident
 /// fences.
 struct CompressedFragment {
   TagId tag = kNoTag;
   /// Number of element nodes carrying the tag (== slots).
   uint32_t size = 0;
-  /// Compressed image of the fragment's pre column.
+  /// Image of the fragment's pre column.
   CompressedColumn pre;
-  /// Compressed image of the fragment's post column.
+  /// Image of the fragment's post column, block-parallel to `pre`.
   CompressedColumn post;
   /// First pre rank in each pre block (resident fence keys, so
   /// LowerBound decodes at most one block).
   std::vector<NodeId> fence_pre;
 };
 
-/// \brief Fragmentation by tag name, block-compressed: one image per
-/// element tag, built in a single scan of the document.
+/// \brief Fragmentation by tag name on disk pages: one image per element
+/// tag, built in a single scan of the document.
 class CompressedTagIndex {
  public:
-  /// Encodes every tag fragment of `doc` onto `disk` (borrowed; must
-  /// outlive this). Use the same disk as the document's images so one
-  /// BufferPool serves everything. Materializes a transient TagIndex;
-  /// callers that already hold one should pass it to the overload below
-  /// and skip the second projection scan.
+  /// Writes every tag fragment of `doc` onto `disk` (borrowed; must
+  /// outlive this) in `layout`, allocating pages fragment by fragment in
+  /// TagId order, pre column before post. Use the same disk as the
+  /// document's images so one BufferPool serves everything. Materializes
+  /// a transient TagIndex; callers that already hold one should pass it
+  /// to the overload below and skip the second projection scan.
   static Result<std::unique_ptr<CompressedTagIndex>> Create(
-      const DocTable& doc, SimulatedDisk* disk);
+      const DocTable& doc, SimulatedDisk* disk,
+      ColumnLayout layout = ColumnLayout::kCoded);
 
   /// Same, reusing an already-built `index` over `doc` instead of
-  /// materializing the projections a second time (Database::Finish
+  /// materializing the projections a second time (Database::BuildImages
   /// passes its resident TagIndex here).
   static Result<std::unique_ptr<CompressedTagIndex>> Create(
-      const DocTable& doc, const TagIndex& index, SimulatedDisk* disk);
+      const DocTable& doc, const TagIndex& index, SimulatedDisk* disk,
+      ColumnLayout layout = ColumnLayout::kCoded);
 
   /// The fragment for `tag` (empty fragment for unknown/attribute-only
   /// tags).
@@ -83,9 +87,9 @@ class CompressedTagIndex {
   /// Total pages written for all fragments (for the bench report).
   size_t page_count() const { return page_count_; }
 
-  /// Re-reads every fragment's blocks from `disk` and verifies them
-  /// against the captured image digests; a corrupt or stale block fails
-  /// with InvalidArgument naming the fragment column.
+  /// Re-reads every coded fragment's blocks from `disk` and verifies
+  /// them against the captured image digests; a corrupt or stale block
+  /// fails with InvalidArgument naming the fragment column.
   Status ValidateImage(const SimulatedDisk& disk) const;
 
  private:
@@ -97,15 +101,15 @@ class CompressedTagIndex {
   size_t page_count_ = 0;
 };
 
-/// \brief FragmentCursor over one compressed fragment behind a buffer
-/// pool.
+/// \brief FragmentCursor over one pool-backed fragment of either layout.
 ///
 /// Borrows the fragment and the pool; both must outlive the cursor. One
 /// cursor holds up to two pinned pages (one per column) plus two
 /// decoded-block frames. LowerBound locates the block through the
-/// resident fence keys and binary-searches inside the decoded frame, so
-/// a whole-fragment search costs at most one page pin and one decode.
-/// Sticky-error like CompressedDocAccessor.
+/// resident fence keys and binary-searches inside it, so a
+/// whole-fragment search costs at most one page pin and one decode.
+/// Sticky-error like CompressedDocAccessor: reads return 0 (LowerBound:
+/// size()) after the first failure and the join surfaces status() once.
 class CompressedFragmentCursor {
  public:
   CompressedFragmentCursor(const CompressedFragment& frag, BufferPool* pool)
@@ -138,7 +142,9 @@ class CompressedFragmentCursor {
                        std::lower_bound(fence.begin(), fence.end(), pre) -
                        fence.begin()) -
                    1;
-    size_t lo = block * encoding::kBlockValues;
+    const bool raw = frag_->pre.layout == ColumnLayout::kRaw;
+    const size_t per_block = pre_.block_values();
+    size_t lo = block * per_block;
     size_t hi = std::min<size_t>(lo + frag_->pre.BlockValueCount(block),
                                  frag_->size);
     // A seek lands here next: the pre block is decoded immediately below
@@ -150,15 +156,16 @@ class CompressedFragmentCursor {
       size_t count = 0;
       hints[count++] = pre_.PageFor(lo);
       hints[count++] = post_.PageFor(lo);
-      if (lo + encoding::kBlockValues < frag_->size) {
-        hints[count++] = pre_.PageFor(lo + encoding::kBlockValues);
-        hints[count++] = post_.PageFor(lo + encoding::kBlockValues);
+      if (lo + per_block < frag_->size) {
+        hints[count++] = pre_.PageFor(lo + per_block);
+        hints[count++] = post_.PageFor(lo + per_block);
       }
       pool_->Prefetch({hints, count});
     }
+    // A raw block switch would only announce the pages just hinted.
     while (lo < hi) {
       size_t mid = lo + (hi - lo) / 2;
-      if (pre_.At(mid, &status_) < pre) {
+      if (pre_.At(mid, &status_, /*announce=*/!raw) < pre) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -175,13 +182,17 @@ class CompressedFragmentCursor {
     if (pool_->prefetch_enabled() && slot < frag_->size) {
       // Landing blocks' pages plus a one-block readahead window per
       // column: the leapfrog scans forward from the landing slot, so
-      // the next block's page rides the same seek.
+      // the next block's page rides the same seek. The window exists
+      // when the next raw block does, or when a coded block's length
+      // past `slot` is still inside the fragment.
       PageId hints[4];
       size_t count = 0;
       AddSkipHint(pre_.guard(), pre_.PageFor(slot), hints, &count);
       AddSkipHint(post_.guard(), post_.PageFor(slot), hints, &count);
-      if (slot + encoding::kBlockValues < frag_->size) {
-        const size_t next = slot + encoding::kBlockValues;
+      const size_t next = pre_.NextBlockStart(slot);
+      if (frag_->pre.layout == ColumnLayout::kRaw
+              ? next < frag_->size
+              : slot + pre_.block_values() < frag_->size) {
         AddSkipHint(pre_.guard(), pre_.PageFor(next), hints, &count);
         AddSkipHint(post_.guard(), post_.PageFor(next), hints, &count);
       }

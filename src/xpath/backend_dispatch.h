@@ -39,8 +39,6 @@
 #include "delta/delta_accessor.h"
 #include "storage/compressed_accessor.h"
 #include "storage/compressed_tags.h"
-#include "storage/paged_accessor.h"
-#include "storage/paged_tags.h"
 #include "xpath/evaluator.h"
 #include "xpath/explain_strings.h"
 
@@ -67,40 +65,39 @@ struct ImageTraits<MemoryImage> {
   }
 };
 
-template <>
-struct ImageTraits<PagedImage> {
-  using Accessor = storage::PagedDocAccessor;
-  using Cursor = storage::PagedFragmentCursor;
-  static constexpr const char* kLabel = explain::kLabelPaged;
-  static constexpr const char* kOverlayLabel = explain::kLabelOverlayPaged;
-  static constexpr BackendCosts kCosts = kPagedCosts;
-  static auto AccessorArgs(const DocTable&, const PagedImage& img) {
+/// The pool-backed images differ only in their columns' layout, which
+/// the cursors read from the image itself.
+struct PooledImageTraits {
+  using Accessor = storage::CompressedDocAccessor;
+  using Cursor = storage::CompressedFragmentCursor;
+  template <typename Image>
+  static auto AccessorArgs(const DocTable&, const Image& img) {
     return std::forward_as_tuple(*img.doc, img.pool);
   }
-  static auto CursorArgs(const PagedImage& img, TagId tag) {
+  template <typename Image>
+  static auto CursorArgs(const Image& img, TagId tag) {
     return std::forward_as_tuple(img.tags->fragment(tag), img.pool);
   }
 };
 
 template <>
-struct ImageTraits<CompressedImage> {
-  using Accessor = storage::CompressedDocAccessor;
-  using Cursor = storage::CompressedFragmentCursor;
+struct ImageTraits<PagedImage> : PooledImageTraits {
+  static constexpr const char* kLabel = explain::kLabelPaged;
+  static constexpr const char* kOverlayLabel = explain::kLabelOverlayPaged;
+  static constexpr BackendCosts kCosts = kPagedCosts;
+};
+
+template <>
+struct ImageTraits<CompressedImage> : PooledImageTraits {
   static constexpr const char* kLabel = explain::kLabelCompressed;
   static constexpr const char* kOverlayLabel =
       explain::kLabelOverlayCompressed;
   static constexpr BackendCosts kCosts = kCompressedCosts;
-  static auto AccessorArgs(const DocTable&, const CompressedImage& img) {
-    return std::forward_as_tuple(*img.doc, img.pool);
-  }
-  static auto CursorArgs(const CompressedImage& img, TagId tag) {
-    return std::forward_as_tuple(img.tags->fragment(tag), img.pool);
-  }
 };
 
 /// \brief The cursors one step reads through: the image's backend
 /// cursors, wrapped in the merging delta cursors when `kOverlay`. Both
-/// factories return by value -- paged cursors own non-movable
+/// factories return by value -- pool-backed cursors own non-movable
 /// PageGuards, so callers rely on guaranteed copy elision.
 template <typename Image, bool kOverlay>
 class StepBackend {
@@ -190,8 +187,8 @@ class BackendDispatch {
   template <typename PoolFn>
   static Result<BackendImage> MakeImage(
       StorageBackend backend, const TagIndex* tag_index,
-      const storage::PagedDocTable* paged_doc,
-      const storage::PagedTagIndex* paged_tags,
+      const storage::CompressedDocTable* paged_doc,
+      const storage::CompressedTagIndex* paged_tags,
       const storage::CompressedDocTable* compressed_doc,
       const storage::CompressedTagIndex* compressed_tags, PoolFn&& pool) {
     switch (backend) {

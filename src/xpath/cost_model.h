@@ -16,15 +16,15 @@
 //     pass at Database open (api/database.cc BuildImages).
 //
 // Costs are expressed in estimated page-fault equivalents of the paged
-// image layout (storage/paged_doc.h: u32 columns pack kCostRanksPerPage
-// ranks per page, byte columns pack kCostBytesPerPage), scaled by a
-// per-backend unit -- resident reads are cheap, compressed pages
-// amortize more ranks, paged pages are the reference -- plus a
-// per-backend price for the fragment join's per-context seek. Every
-// cost constant lives in THIS header and nowhere else: sj-lint
-// (tools/lint/sj_lint.py, rule cost-literal) fails the build when a
-// cost-constant definition appears in another src/xpath/ file, so the
-// planner's arithmetic cannot fork silently.
+// image's raw layout (storage/compressed_doc.h: u32 columns pack
+// kCostRanksPerPage ranks per page, byte columns pack
+// kCostBytesPerPage), scaled by a per-backend unit -- resident reads
+// are cheap, compressed pages amortize more ranks, paged pages are the
+// reference -- plus a per-backend price for the fragment join's
+// per-context seek. Every cost constant lives in THIS header and nowhere
+// else: sj-lint (tools/lint/sj_lint.py, rule cost-literal) fails the
+// build when a cost-constant definition appears in another src/xpath/
+// file, so the planner's arithmetic cannot fork silently.
 //
 // All estimates are deterministic in (statistics, options): compiled
 // plans and the dynamic per-step path derive identical numbers, which is
@@ -73,9 +73,9 @@ struct DocStatistics {
   static DocStatistics Collect(const DocTable& doc);
 };
 
-/// Page math of the paged image layout (storage/paged_doc.h): u32
-/// columns (post/parent/tag, fragment pre/post) pack this many ranks per
-/// page; byte columns (kind/level) pack kCostBytesPerPage.
+/// Page math of the paged image's raw layout (storage/compressed_doc.h):
+/// u32 columns (post/parent/tag, fragment pre/post) pack this many ranks
+/// per page; byte columns (kind/level) pack kCostBytesPerPage.
 inline constexpr uint64_t kCostRanksPerPage = 2048;
 inline constexpr uint64_t kCostBytesPerPage = 8192;
 

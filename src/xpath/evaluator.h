@@ -36,8 +36,6 @@
 #include "encoding/doc_table.h"
 #include "storage/compressed_doc.h"
 #include "storage/compressed_tags.h"
-#include "storage/paged_doc.h"
-#include "storage/paged_tags.h"
 #include "util/result.h"
 #include "xpath/ast.h"
 #include "xpath/cost_model.h"
@@ -48,7 +46,7 @@ namespace sj::xpath {
 /// Which storage backend the staircase joins read the doc columns from.
 enum class StorageBackend : uint8_t {
   kMemory,      ///< in-memory DocTable BATs
-  kPaged,       ///< paged columns behind a BufferPool (IO-conscious)
+  kPaged,       ///< raw page columns behind a BufferPool (IO-conscious)
   kCompressed,  ///< block-compressed (FOR/delta) columns behind a BufferPool
 };
 
@@ -74,16 +72,16 @@ struct MemoryImage {
   static constexpr storage::BufferPool* pool = nullptr;
 };
 
-/// The paged backend's image: paged doc columns and (null: no pushdown,
-/// no twig) paged tag fragments, every read charged to `pool`.
+/// The paged backend's image: raw-layout doc columns and (null: no
+/// pushdown, no twig) tag fragments, every read charged to `pool`.
 struct PagedImage {
-  const storage::PagedDocTable* doc = nullptr;
-  const storage::PagedTagIndex* tags = nullptr;
+  const storage::CompressedDocTable* doc = nullptr;
+  const storage::CompressedTagIndex* tags = nullptr;
   storage::BufferPool* pool = nullptr;
 };
 
-/// The compressed backend's image: block-compressed doc columns and
-/// (null: no pushdown, no twig) fragments behind `pool`.
+/// The compressed backend's image: coded-layout (FOR/delta) doc columns
+/// and (null: no pushdown, no twig) fragments behind `pool`.
 struct CompressedImage {
   const storage::CompressedDocTable* doc = nullptr;
   const storage::CompressedTagIndex* tags = nullptr;

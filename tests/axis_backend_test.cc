@@ -19,8 +19,6 @@
 #include "core/axis_step.h"
 #include "storage/compressed_accessor.h"
 #include "storage/compressed_doc.h"
-#include "storage/paged_accessor.h"
-#include "storage/paged_doc.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -32,6 +30,8 @@ using sj::testing::RandomContext;
 using sj::testing::RandomDocOptions;
 using sj::testing::RandomDocument;
 using sj::testing::RegionOracle;
+
+constexpr ColumnLayout kRaw = ColumnLayout::kRaw;
 
 constexpr Axis kCursorAxes[] = {
     Axis::kChild,          Axis::kParent,           Axis::kAttribute,
@@ -125,7 +125,7 @@ TEST_P(AxisBackendEquivalenceTest, CursorStepsAreByteIdenticalAcrossBackends) {
     if (doc->size() < 500) continue;
     ++exercised;
     SimulatedDisk disk;
-    auto paged = PagedDocTable::Create(*doc, &disk).value();
+    auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
     auto compressed = CompressedDocTable::Create(*doc, &disk).value();
     BufferPool pool(&disk, 16);
     Rng rng(seed * 131 + shape);
@@ -138,8 +138,8 @@ TEST_P(AxisBackendEquivalenceTest, CursorStepsAreByteIdenticalAcrossBackends) {
         JoinStats mem_stats, io_stats, zip_stats;
         auto expected = AxisCursorStep(*doc, *ctx, axis, {}, &mem_stats);
         ASSERT_TRUE(expected.ok()) << expected.status();
-        auto got = AxisStepVia<PagedDocAccessor>(*paged, &pool, *ctx, axis,
-                                                 {}, &io_stats);
+        auto got = AxisStepVia<CompressedDocAccessor>(*paged, &pool, *ctx,
+                                                      axis, {}, &io_stats);
         ASSERT_TRUE(got.ok()) << got.status();
         EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
             << AxisName(axis) << " seed " << seed << " shape " << shape;
@@ -190,7 +190,7 @@ TEST(AxisCursorTest, DeepChainsStressTheFrameMerge) {
   auto doc = LoadDocument(xml).value();
   ASSERT_GT(doc->size(), 2u * static_cast<unsigned>(depth));
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
   BufferPool pool(&disk, 8);
   // Context: every chain node plus every third leaf (ancestor-nested by
   // construction).
@@ -205,7 +205,7 @@ TEST(AxisCursorTest, DeepChainsStressTheFrameMerge) {
     ASSERT_TRUE(expected.ok());
     auto mem = AxisCursorStep(*doc, ctx, axis);
     ASSERT_TRUE(mem.ok()) << mem.status();
-    auto io = AxisStepVia<PagedDocAccessor>(*paged, &pool, ctx, axis);
+    auto io = AxisStepVia<CompressedDocAccessor>(*paged, &pool, ctx, axis);
     ASSERT_TRUE(io.ok()) << io.status();
     auto zip =
         AxisStepVia<CompressedDocAccessor>(*compressed, &pool, ctx, axis);
@@ -281,7 +281,7 @@ TEST(PagedAxisCursorTest, ColdPoolStepsChargeFaults) {
                                 .attribute_percent = 40});
   ASSERT_GT(doc->size(), 10000u);
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
   Rng rng(9);
   NodeSequence ctx = RandomContext(rng, *doc, 10);
   std::optional<TagId> t0 = doc->tags().Lookup("t0");
@@ -293,7 +293,8 @@ TEST(PagedAxisCursorTest, ColdPoolStepsChargeFaults) {
     AxisNodeTest test = AxisNodeTest::OfKindAndTag(
         axis == Axis::kAttribute ? NodeKind::kAttribute : NodeKind::kElement,
         *t0);
-    auto r = AxisStepVia<PagedDocAccessor>(*paged, &pool, ctx, axis, test);
+    auto r =
+        AxisStepVia<CompressedDocAccessor>(*paged, &pool, ctx, axis, test);
     ASSERT_TRUE(r.ok()) << AxisName(axis) << ": " << r.status();
     EXPECT_GT(pool.stats().faults, 0u)
         << AxisName(axis) << " read no pages on a cold pool";
@@ -305,7 +306,7 @@ TEST(CompressedAxisCursorTest, ColdPoolStepsChargeFaultsButFewerThanPaged) {
                                 .attribute_percent = 40});
   ASSERT_GT(doc->size(), 10000u);
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
   auto compressed = CompressedDocTable::Create(*doc, &disk).value();
   Rng rng(9);
   NodeSequence ctx = RandomContext(rng, *doc, 10);
@@ -316,8 +317,8 @@ TEST(CompressedAxisCursorTest, ColdPoolStepsChargeFaultsButFewerThanPaged) {
         axis == Axis::kAttribute ? NodeKind::kAttribute : NodeKind::kElement,
         *t0);
     BufferPool paged_pool(&disk, 16);
-    auto r =
-        AxisStepVia<PagedDocAccessor>(*paged, &paged_pool, ctx, axis, test);
+    auto r = AxisStepVia<CompressedDocAccessor>(*paged, &paged_pool, ctx,
+                                                axis, test);
     ASSERT_TRUE(r.ok()) << AxisName(axis) << ": " << r.status();
     BufferPool zip_pool(&disk, 16);
     auto z = AxisStepVia<CompressedDocAccessor>(*compressed, &zip_pool, ctx,
@@ -335,12 +336,13 @@ TEST(CompressedAxisCursorTest, ColdPoolStepsChargeFaultsButFewerThanPaged) {
 TEST(PagedAxisCursorTest, SurfacesPoolExhaustion) {
   auto doc = RandomDocument(33, {.target_nodes = 500});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
   BufferPool pool(&disk, 1);
-  ASSERT_TRUE(pool.Pin(paged->KindPage(0)).ok());  // starve the cursor
-  auto r = AxisStepVia<PagedDocAccessor>(*paged, &pool, {0}, Axis::kChild);
+  ASSERT_TRUE(pool.Pin(paged->kind().pages.front()).ok());  // starve the cursor
+  auto r =
+      AxisStepVia<CompressedDocAccessor>(*paged, &pool, {0}, Axis::kChild);
   EXPECT_FALSE(r.ok());
-  ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
+  ASSERT_TRUE(pool.Unpin(paged->kind().pages.front()).ok());
 }
 
 TEST(PagedAxisCursorTest, TerminatesOnMidScanPoolExhaustion) {
@@ -352,11 +354,11 @@ TEST(PagedAxisCursorTest, TerminatesOnMidScanPoolExhaustion) {
   // frame cursor must clamp forward instead of spinning.
   auto doc = LoadDocument("<a><b/><b/><b/><b/><b/><b/></a>").value();
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
   BufferPool pool(&disk, 3);
   std::optional<TagId> b = doc->tags().Lookup("b");
   ASSERT_TRUE(b.has_value());
-  auto r = AxisStepVia<PagedDocAccessor>(
+  auto r = AxisStepVia<CompressedDocAccessor>(
       *paged, &pool, {0}, Axis::kChild,
       AxisNodeTest::OfKindAndTag(NodeKind::kElement, *b));
   EXPECT_FALSE(r.ok());
@@ -372,7 +374,8 @@ TEST(PagedAxisCursorTest, StaleTagColumnPagesAreRejected) {
   auto doc_c = LoadDocument("<a><c/><b/></a>").value();
   ASSERT_NE(DocColumnsDigest(*doc_b), DocColumnsDigest(*doc_c));
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged_wrong = PagedDocTable::Create(*doc_c, disk.get()).value();
+  auto paged_wrong =
+      CompressedDocTable::Create(*doc_c, disk.get(), kRaw).value();
   auto spoofed = Database::FromParts(std::move(doc_b), nullptr,
                                      std::move(disk),
                                      std::move(paged_wrong), nullptr);
@@ -380,7 +383,8 @@ TEST(PagedAxisCursorTest, StaleTagColumnPagesAreRejected) {
 
   auto doc_b2 = LoadDocument("<a><b/><b/></a>").value();
   auto disk2 = std::make_unique<SimulatedDisk>();
-  auto paged_right = PagedDocTable::Create(*doc_b2, disk2.get()).value();
+  auto paged_right =
+      CompressedDocTable::Create(*doc_b2, disk2.get(), kRaw).value();
   auto genuine = Database::FromParts(std::move(doc_b2), nullptr,
                                      std::move(disk2),
                                      std::move(paged_right), nullptr);

@@ -23,8 +23,6 @@
 #include "encoding/loader.h"
 #include "storage/compressed_doc.h"
 #include "storage/compressed_tags.h"
-#include "storage/paged_doc.h"
-#include "storage/paged_tags.h"
 #include "util/rng.h"
 #include "xmlgen/xmark.h"
 
@@ -399,17 +397,6 @@ std::string PageRangeLine(const std::string& what,
   return line + "\n";
 }
 
-// The pages of a paged doc column, read back one page stride at a time.
-template <typename PageOf>
-std::vector<storage::PageId> DocColumnPages(size_t size, size_t per_page,
-                                            PageOf page_of) {
-  std::vector<storage::PageId> pages;
-  for (size_t v = 0; v < size; v += per_page) {
-    pages.push_back(page_of(static_cast<NodeId>(v)));
-  }
-  return pages;
-}
-
 // Pins the images of XMark 1.1 MB seed 1, parsed from its text: the
 // source digests, the paged page counts, and every compressed doc and
 // fragment column's page count, encoded size and image digest, then every
@@ -433,12 +420,14 @@ TEST(BlockCodecGolden, XMarkImagesMatchGolden) {
   transcript += "frag_digest " +
                 std::to_string(FragmentColumnsDigest(doc)) + "\n";
 
+  const storage::ColumnLayout raw = storage::ColumnLayout::kRaw;
   storage::SimulatedDisk paged_disk;
-  auto paged_doc = storage::PagedDocTable::Create(doc, &paged_disk);
+  auto paged_doc = storage::CompressedDocTable::Create(doc, &paged_disk, raw);
   ASSERT_TRUE(paged_doc.ok()) << paged_doc.status();
   transcript +=
       "paged doc pages=" + std::to_string(paged_disk.page_count()) + "\n";
-  auto paged_tags = storage::PagedTagIndex::Create(doc, &paged_disk);
+  auto paged_tags =
+      storage::CompressedTagIndex::Create(doc, &paged_disk, raw);
   ASSERT_TRUE(paged_tags.ok()) << paged_tags.status();
   transcript += "paged tags pages=" +
                 std::to_string(paged_tags.value()->page_count()) + "\n";
@@ -463,30 +452,17 @@ TEST(BlockCodecGolden, XMarkImagesMatchGolden) {
   transcript += "compressed pages=" + std::to_string(disk.page_count()) +
                 "\n";
 
-  const storage::PagedDocTable& paged = *paged_doc.value();
-  const size_t n = paged.size();
-  const size_t ranks = storage::kRanksPerPage;
-  const size_t bytes = storage::kPageSize;
-  transcript += PageRangeLine(
-      "paged post",
-      DocColumnPages(n, ranks, [&](NodeId v) { return paged.PostPage(v); }));
-  transcript += PageRangeLine(
-      "paged kind",
-      DocColumnPages(n, bytes, [&](NodeId v) { return paged.KindPage(v); }));
-  transcript += PageRangeLine(
-      "paged level",
-      DocColumnPages(n, bytes, [&](NodeId v) { return paged.LevelPage(v); }));
-  transcript += PageRangeLine(
-      "paged parent",
-      DocColumnPages(n, ranks, [&](NodeId v) { return paged.ParentPage(v); }));
-  transcript += PageRangeLine(
-      "paged tag",
-      DocColumnPages(n, ranks, [&](NodeId v) { return paged.TagPage(v); }));
+  const storage::CompressedDocTable& paged = *paged_doc.value();
+  transcript += PageRangeLine("paged post", paged.post().pages);
+  transcript += PageRangeLine("paged kind", paged.kind().pages);
+  transcript += PageRangeLine("paged level", paged.level().pages);
+  transcript += PageRangeLine("paged parent", paged.parent().pages);
+  transcript += PageRangeLine("paged tag", paged.tag().pages);
   for (TagId t = 0; t < doc.tags().size(); ++t) {
-    const storage::PagedFragment& frag = paged_tags.value()->fragment(t);
+    const storage::CompressedFragment& frag = paged_tags.value()->fragment(t);
     const std::string name = "paged fragment " + doc.tags().Name(t);
-    transcript += PageRangeLine(name + " pre", frag.pre_pages);
-    transcript += PageRangeLine(name + " post", frag.post_pages);
+    transcript += PageRangeLine(name + " pre", frag.pre.pages);
+    transcript += PageRangeLine(name + " post", frag.post.pages);
   }
 
   const std::filesystem::path golden =

@@ -26,7 +26,6 @@
 #include "core/tag_view.h"
 #include "encoding/loader.h"
 #include "storage/compressed_tags.h"
-#include "storage/paged_tags.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -35,6 +34,8 @@ namespace {
 
 using sj::testing::RandomContext;
 using sj::testing::RandomDocument;
+
+constexpr ColumnLayout kRaw = ColumnLayout::kRaw;
 
 constexpr Axis kStaircaseAxes[] = {
     Axis::kDescendant, Axis::kDescendantOrSelf, Axis::kAncestor,
@@ -108,16 +109,16 @@ struct BackendImages {
   explicit BackendImages(const DocTable& d)
       : doc(d),
         index(d),
-        paged_doc(PagedDocTable::Create(d, &disk).value()),
-        paged_tags(PagedTagIndex::Create(d, &disk).value()),
+        paged_doc(CompressedDocTable::Create(d, &disk, kRaw).value()),
+        paged_tags(CompressedTagIndex::Create(d, &disk, kRaw).value()),
         compressed_doc(CompressedDocTable::Create(d, &disk).value()),
         compressed_tags(CompressedTagIndex::Create(d, &disk).value()) {}
 
   const DocTable& doc;
   TagIndex index;
   SimulatedDisk disk;
-  std::unique_ptr<PagedDocTable> paged_doc;
-  std::unique_ptr<PagedTagIndex> paged_tags;
+  std::unique_ptr<CompressedDocTable> paged_doc;
+  std::unique_ptr<CompressedTagIndex> paged_tags;
   std::unique_ptr<CompressedDocTable> compressed_doc;
   std::unique_ptr<CompressedTagIndex> compressed_tags;
   BufferPool pool{&disk, 16};
@@ -134,7 +135,7 @@ void JoinOnEveryBackend(BackendImages& im, TagId tag, const NodeSequence& ctx,
   auto mem = StaircaseJoinView(im.doc, im.index.view(tag), ctx, axis, opt,
                                stats);
   ASSERT_TRUE(mem.ok()) << mem.status();
-  auto io = PushdownVia<PagedFragmentCursor, PagedDocAccessor>(
+  auto io = PushdownVia<CompressedFragmentCursor, CompressedDocAccessor>(
       *im.paged_tags, tag, *im.paged_doc, &im.pool, ctx, axis, opt,
       &io_stats);
   ASSERT_TRUE(io.ok()) << io.status();
@@ -370,14 +371,14 @@ TEST(PagedFragmentCursorTest, MultiPageLowerBoundMatchesMemory) {
   TagIndex index(*doc);
   TagId t = doc->tags().Lookup("t").value();
   const TagView& view = index.view(t);
-  ASSERT_GT(view.size(), kRanksPerPage);
+  ASSERT_GT(view.size(), kPageSize / sizeof(uint32_t));
 
   SimulatedDisk disk;
-  auto paged_tags = PagedTagIndex::Create(*doc, &disk).value();
-  ASSERT_GT(paged_tags->fragment(t).pre_pages.size(), 1u);
+  auto paged_tags = CompressedTagIndex::Create(*doc, &disk, kRaw).value();
+  ASSERT_GT(paged_tags->fragment(t).pre.pages.size(), 1u);
   BufferPool pool(&disk, 4);
   MemoryFragmentCursor mem(view);
-  PagedFragmentCursor io(paged_tags->fragment(t), &pool);
+  CompressedFragmentCursor io(paged_tags->fragment(t), &pool);
   ASSERT_EQ(mem.size(), io.size());
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
@@ -426,22 +427,22 @@ TEST(CompressedFragmentCursorTest, MultiBlockLowerBoundMatchesMemory) {
 TEST(PagedFragmentCursorTest, StickyErrorOnPoolExhaustion) {
   auto doc = RandomDocument(51, {.target_nodes = 3000});
   SimulatedDisk disk;
-  auto paged_doc = PagedDocTable::Create(*doc, &disk).value();
-  auto paged_tags = PagedTagIndex::Create(*doc, &disk).value();
+  auto paged_doc = CompressedDocTable::Create(*doc, &disk, kRaw).value();
+  auto paged_tags = CompressedTagIndex::Create(*doc, &disk, kRaw).value();
   TagId t = doc->tags().Lookup("t0").value();
   ASSERT_GT(paged_tags->tag_count(t), 0u);
   BufferPool pool(&disk, 1);
   // Starve the cursor: an outside pin occupies the single frame.
-  ASSERT_TRUE(pool.Pin(paged_doc->KindPage(0)).ok());
-  PagedFragmentCursor io(paged_tags->fragment(t), &pool);
+  ASSERT_TRUE(pool.Pin(paged_doc->kind().pages.front()).ok());
+  CompressedFragmentCursor io(paged_tags->fragment(t), &pool);
   (void)io.Pre(0);
   EXPECT_FALSE(io.ok());
   EXPECT_EQ(io.LowerBound(0), io.size());  // terminates joins quickly
   // And the join surfaces the error instead of returning garbage.
-  auto r = PushdownVia<PagedFragmentCursor, PagedDocAccessor>(
+  auto r = PushdownVia<CompressedFragmentCursor, CompressedDocAccessor>(
       *paged_tags, t, *paged_doc, &pool, {0}, Axis::kDescendant);
   EXPECT_FALSE(r.ok());
-  ASSERT_TRUE(pool.Unpin(paged_doc->KindPage(0)).ok());
+  ASSERT_TRUE(pool.Unpin(paged_doc->kind().pages.front()).ok());
 }
 
 /// The ISSUE's acceptance experiment: with StorageBackend::kPaged and
@@ -554,7 +555,7 @@ TEST(PagedPushdownTest, MemoryTagIndexDoesNotBypassThePool) {
   auto doc = RandomDocument(17, {.target_nodes = 20000});
   auto index = std::make_unique<TagIndex>(*doc);
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged_doc = PagedDocTable::Create(*doc, disk.get()).value();
+  auto paged_doc = CompressedDocTable::Create(*doc, disk.get(), kRaw).value();
   auto db = Database::FromParts(std::move(doc), std::move(index),
                                 std::move(disk), std::move(paged_doc),
                                 /*paged_tags=*/nullptr)
@@ -583,8 +584,9 @@ TEST(PagedPushdownTest, DigestMismatchIsRejectedAtOpenTime) {
   auto doc_b = LoadDocument("<a><b/><b/></a>").value();
   auto doc_c = LoadDocument("<a><c/><b/></a>").value();
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged_doc = PagedDocTable::Create(*doc_b, disk.get()).value();
-  auto wrong_tags = PagedTagIndex::Create(*doc_c, disk.get()).value();
+  auto paged_doc = CompressedDocTable::Create(*doc_b, disk.get(), kRaw).value();
+  auto wrong_tags =
+      CompressedTagIndex::Create(*doc_c, disk.get(), kRaw).value();
   ASSERT_NE(paged_doc->source_digest(), DocColumnsDigest(*doc_c));
   ASSERT_NE(wrong_tags->source_digest(), FragmentColumnsDigest(*doc_b));
 
@@ -598,8 +600,10 @@ TEST(PagedPushdownTest, DigestMismatchIsRejectedAtOpenTime) {
 
   auto doc_b2 = LoadDocument("<a><b/><b/></a>").value();
   auto disk2 = std::make_unique<SimulatedDisk>();
-  auto paged_doc2 = PagedDocTable::Create(*doc_b2, disk2.get()).value();
-  auto right_tags = PagedTagIndex::Create(*doc_b2, disk2.get()).value();
+  auto paged_doc2 =
+      CompressedDocTable::Create(*doc_b2, disk2.get(), kRaw).value();
+  auto right_tags =
+      CompressedTagIndex::Create(*doc_b2, disk2.get(), kRaw).value();
   auto genuine = Database::FromParts(std::move(doc_b2), nullptr,
                                      std::move(disk2), std::move(paged_doc2),
                                      std::move(right_tags));

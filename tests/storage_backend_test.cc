@@ -17,8 +17,6 @@
 #include "core/staircase_impl.h"
 #include "storage/compressed_accessor.h"
 #include "storage/compressed_doc.h"
-#include "storage/paged_accessor.h"
-#include "storage/paged_doc.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -28,6 +26,8 @@ namespace {
 using sj::testing::RandomContext;
 using sj::testing::RandomDocOptions;
 using sj::testing::RandomDocument;
+
+constexpr ColumnLayout kRaw = ColumnLayout::kRaw;
 
 constexpr Axis kStaircaseAxes[] = {
     Axis::kDescendant, Axis::kDescendantOrSelf, Axis::kAncestor,
@@ -73,10 +73,10 @@ TEST(DocAccessorTest, MemoryAndPagedCursorsReadTheSameColumns) {
   auto doc = RandomDocument(11, {.target_nodes = 60000});
   ASSERT_GT(doc->size(), 10000u);
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
   BufferPool pool(&disk, 8);
   MemoryDocAccessor mem(*doc);
-  PagedDocAccessor io(*paged, &pool);
+  CompressedDocAccessor io(*paged, &pool);
   ASSERT_EQ(mem.size(), io.size());
   Rng rng(5);
   for (int i = 0; i < 500; ++i) {
@@ -84,6 +84,8 @@ TEST(DocAccessorTest, MemoryAndPagedCursorsReadTheSameColumns) {
     EXPECT_EQ(mem.Post(pre), io.Post(pre)) << "pre " << pre;
     EXPECT_EQ(mem.Kind(pre), io.Kind(pre)) << "pre " << pre;
     EXPECT_EQ(mem.Level(pre), io.Level(pre)) << "pre " << pre;
+    EXPECT_EQ(mem.Parent(pre), io.Parent(pre)) << "pre " << pre;
+    EXPECT_EQ(mem.Tag(pre), io.Tag(pre)) << "pre " << pre;
     if (i % 7 == 0) io.SkipTo(rng.Below(doc->size() + 1));
   }
   EXPECT_TRUE(io.ok()) << io.status();
@@ -137,20 +139,20 @@ TEST(DocAccessorTest, CompressedCursorIsStickyOnPoolExhaustion) {
 TEST(DocAccessorTest, PagedCursorIsStickyOnPoolExhaustion) {
   auto doc = RandomDocument(78, {.target_nodes = 500});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
   BufferPool pool(&disk, 1);
   // Starve the accessor: an outside pin occupies the single frame.
-  ASSERT_TRUE(pool.Pin(paged->KindPage(0)).ok());
-  PagedDocAccessor io(*paged, &pool);
+  ASSERT_TRUE(pool.Pin(paged->kind().pages.front()).ok());
+  CompressedDocAccessor io(*paged, &pool);
   (void)io.Post(0);
   EXPECT_FALSE(io.ok());
   (void)io.Post(1);  // still failed, no crash, no new pins
   EXPECT_FALSE(io.status().ok());
   // And the join surfaces the error instead of returning garbage.
-  auto r =
-      StaircaseVia<PagedDocAccessor>(*paged, &pool, {0}, Axis::kDescendant);
+  auto r = StaircaseVia<CompressedDocAccessor>(*paged, &pool, {0},
+                                               Axis::kDescendant);
   EXPECT_FALSE(r.ok());
-  ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
+  ASSERT_TRUE(pool.Unpin(paged->kind().pages.front()).ok());
 }
 
 class BackendEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
@@ -166,7 +168,7 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
   auto doc = RandomDocument(seed, doc_opt);
   ASSERT_GT(doc->size(), 10000u) << "degenerate random doc for seed " << seed;
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
   auto compressed = CompressedDocTable::Create(*doc, &disk).value();
   BufferPool pool(&disk, 16);
   Rng rng(seed * 31 + 7);
@@ -181,8 +183,8 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
           JoinStats mem_stats, io_stats, zip_stats;
           auto expected = StaircaseJoin(*doc, ctx, axis, opt, &mem_stats);
           ASSERT_TRUE(expected.ok()) << expected.status();
-          auto got = StaircaseVia<PagedDocAccessor>(*paged, &pool, ctx, axis,
-                                                    opt, &io_stats);
+          auto got = StaircaseVia<CompressedDocAccessor>(
+              *paged, &pool, ctx, axis, opt, &io_stats);
           ASSERT_TRUE(got.ok()) << got.status();
           EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
               << AxisName(axis) << " mode " << static_cast<int>(mode)
@@ -202,8 +204,8 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
           EXPECT_EQ(zip_stats.nodes_copied, mem_stats.nodes_copied);
           EXPECT_EQ(zip_stats.nodes_skipped, mem_stats.nodes_skipped);
 
-          auto par = ParallelStaircaseVia<PagedDocAccessor>(*paged, &pool,
-                                                            ctx, axis, opt, 4);
+          auto par = ParallelStaircaseVia<CompressedDocAccessor>(
+              *paged, &pool, ctx, axis, opt, 4);
           ASSERT_TRUE(par.ok()) << par.status();
           EXPECT_TRUE(BytesEqual(par.value(), expected.value()))
               << "parallel " << AxisName(axis) << " seed " << seed;
@@ -225,7 +227,7 @@ TEST(BackendEquivalenceTest, KeepAttributesAndExactLevelMatchToo) {
   auto doc = RandomDocument(13, {.target_nodes = 20000,
                                  .attribute_percent = 60});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = CompressedDocTable::Create(*doc, &disk, kRaw).value();
   auto compressed = CompressedDocTable::Create(*doc, &disk).value();
   BufferPool pool(&disk, 16);
   Rng rng(17);
@@ -237,7 +239,7 @@ TEST(BackendEquivalenceTest, KeepAttributesAndExactLevelMatchToo) {
       opt.use_exact_level = true;  // exercises the pool-backed level column
       auto expected = StaircaseJoin(*doc, ctx, axis, opt);
       auto got =
-          StaircaseVia<PagedDocAccessor>(*paged, &pool, ctx, axis, opt);
+          StaircaseVia<CompressedDocAccessor>(*paged, &pool, ctx, axis, opt);
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
           << AxisName(axis) << " keep_attributes " << keep_attributes;
@@ -310,7 +312,8 @@ TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {
   auto doc = RandomDocument(9, {.target_nodes = 500});
   auto other = RandomDocument(10, {.target_nodes = 800});
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged_other = PagedDocTable::Create(*other, disk.get()).value();
+  auto paged_other =
+      CompressedDocTable::Create(*other, disk.get(), kRaw).value();
   auto db = Database::FromParts(std::move(doc), nullptr, std::move(disk),
                                 std::move(paged_other), nullptr);
   ASSERT_FALSE(db.ok());
@@ -324,7 +327,8 @@ TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {
   auto flat = sj::LoadDocument("<a><b/><c/></a>").value();
   ASSERT_EQ(chain->size(), flat->size());
   auto disk2 = std::make_unique<SimulatedDisk>();
-  auto paged_chain = PagedDocTable::Create(*chain, disk2.get()).value();
+  auto paged_chain =
+      CompressedDocTable::Create(*chain, disk2.get(), kRaw).value();
   auto spoofed = Database::FromParts(std::move(flat), nullptr,
                                      std::move(disk2),
                                      std::move(paged_chain), nullptr);
@@ -336,7 +340,8 @@ TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {
   // The genuine pairing passes validation and serves paged queries.
   auto chain2 = sj::LoadDocument("<a><b><c/></b></a>").value();
   auto disk3 = std::make_unique<SimulatedDisk>();
-  auto paged_chain2 = PagedDocTable::Create(*chain2, disk3.get()).value();
+  auto paged_chain2 =
+      CompressedDocTable::Create(*chain2, disk3.get(), kRaw).value();
   auto genuine = Database::FromParts(std::move(chain2), nullptr,
                                      std::move(disk3),
                                      std::move(paged_chain2), nullptr);
@@ -352,11 +357,34 @@ TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {
 TEST(DatabaseOpenTest, PagedImageWithoutDiskRejected) {
   auto doc = RandomDocument(9, {.target_nodes = 500});
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged = PagedDocTable::Create(*doc, disk.get()).value();
+  auto paged = CompressedDocTable::Create(*doc, disk.get(), kRaw).value();
   // Adopting the paged table while dropping its disk is incoherent.
   auto db = Database::FromParts(std::move(doc), nullptr, nullptr,
                                 std::move(paged), nullptr);
   EXPECT_FALSE(db.ok());
+}
+
+TEST(DatabaseOpenTest, ImageInTheOtherLayoutRejected) {
+  // A coded image adopted as the paged one (or a raw image as the
+  // compressed one) would be served under the wrong backend's label and
+  // costs, so the open rejects it.
+  auto doc = RandomDocument(9, {.target_nodes = 500});
+  auto disk = std::make_unique<SimulatedDisk>();
+  auto coded = CompressedDocTable::Create(*doc, disk.get()).value();
+  auto db = Database::FromParts(std::move(doc), nullptr, std::move(disk),
+                                std::move(coded), nullptr);
+  ASSERT_FALSE(db.ok());
+  EXPECT_NE(db.status().ToString().find("wrong column layout"),
+            std::string::npos)
+      << db.status();
+
+  auto doc2 = RandomDocument(9, {.target_nodes = 500});
+  auto disk2 = std::make_unique<SimulatedDisk>();
+  auto raw = CompressedDocTable::Create(*doc2, disk2.get(), kRaw).value();
+  auto db2 = Database::FromParts(std::move(doc2), nullptr, std::move(disk2),
+                                 nullptr, nullptr, std::move(raw), nullptr,
+                                 DatabaseOptions{});
+  EXPECT_FALSE(db2.ok());
 }
 
 TEST(PagedEvaluatorTest, SkippingSavesFaultsOnMultiStepQuery) {

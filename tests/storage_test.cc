@@ -1,16 +1,18 @@
 // Tests for the paged-storage substrate: simulated disk, LRU buffer pool
-// semantics, and the paged staircase join (results identical to the
-// in-memory join; skipping saves page faults).
+// semantics, the raw page layout's columns, and the paged staircase join
+// (results identical to the in-memory join; skipping saves page faults).
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/staircase_impl.h"
+#include "encoding/loader.h"
 #include "storage/buffer_pool.h"
-#include "storage/paged_accessor.h"
-#include "storage/paged_doc.h"
+#include "storage/compressed_accessor.h"
+#include "storage/compressed_doc.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -204,19 +206,98 @@ TEST(ShardedBufferPoolTest, ConcurrentPinsKeepExactCounters) {
   EXPECT_EQ(disk.reads(), ps.faults);
 }
 
-TEST(PagedDocTest, PostAtMatchesDocTable) {
+/// The paged backend's image of `doc`: every column in the raw layout.
+std::unique_ptr<CompressedDocTable> RawTable(const DocTable& doc,
+                                             SimulatedDisk* disk) {
+  return CompressedDocTable::Create(doc, disk, ColumnLayout::kRaw).value();
+}
+
+TEST(PagedDocTest, RandomReadsMatchDocTable) {
   auto doc = RandomDocument(7, {.target_nodes = 5000});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = RawTable(*doc, &disk);
   BufferPool pool(&disk, 8);
   EXPECT_EQ(paged->size(), doc->size());
   EXPECT_EQ(paged->height(), doc->height());
+  EXPECT_EQ(paged->layout(), ColumnLayout::kRaw);
+  CompressedDocAccessor acc(*paged, &pool);
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     NodeId v = static_cast<NodeId>(rng.Below(doc->size()));
-    EXPECT_EQ(paged->PostAt(&pool, v).value(), doc->post(v));
+    EXPECT_EQ(acc.Post(v), doc->post(v));
+    EXPECT_EQ(acc.Kind(v), static_cast<uint8_t>(doc->kind(v)));
+    EXPECT_EQ(acc.Level(v), doc->level(v));
+    EXPECT_EQ(acc.Parent(v), doc->parent(v));
+    EXPECT_EQ(acc.Tag(v), doc->tag(v));
   }
-  EXPECT_FALSE(paged->PostAt(&pool, static_cast<NodeId>(doc->size())).ok());
+  EXPECT_TRUE(acc.ok()) << acc.status();
+}
+
+/// A document of exactly `nodes` nodes under one root: three-node
+/// a/b/text runs (mixed kinds, levels and parents), padded with leaves.
+std::unique_ptr<DocTable> DocumentOfSize(size_t nodes) {
+  std::string xml = "<r>";
+  size_t left = nodes - 1;
+  for (; left >= 3; left -= 3) xml += "<a><b>t</b></a>";
+  for (; left > 0; --left) xml += "<c/>";
+  xml += "</r>";
+  return LoadDocument(xml).value();
+}
+
+struct RawColumnCase {
+  const char* column;
+  size_t per_page;  // values per raw page: 2048 ranks or 8192 bytes
+  const CompressedColumn& (CompressedDocTable::*image)() const;
+  uint32_t (*want)(const DocTable&, NodeId);
+};
+
+// For both raw widths, at one value short of a page, exactly a page and
+// one value past it: the column reads back equal to the DocTable, and a
+// sequential scan pins each of its pages exactly once.
+TEST(PagedDocTest, RawColumnsReadBackAndScanEachPageOnce) {
+  const RawColumnCase cases[] = {
+      {"post", kPageSize / sizeof(uint32_t), &CompressedDocTable::post,
+       [](const DocTable& d, NodeId v) { return d.post(v); }},
+      {"parent", kPageSize / sizeof(uint32_t), &CompressedDocTable::parent,
+       [](const DocTable& d, NodeId v) { return d.parent(v); }},
+      {"tag", kPageSize / sizeof(uint32_t), &CompressedDocTable::tag,
+       [](const DocTable& d, NodeId v) { return d.tag(v); }},
+      {"kind", kPageSize, &CompressedDocTable::kind,
+       [](const DocTable& d, NodeId v) {
+         return static_cast<uint32_t>(d.kind(v));
+       }},
+      {"level", kPageSize, &CompressedDocTable::level,
+       [](const DocTable& d, NodeId v) {
+         return static_cast<uint32_t>(d.level(v));
+       }},
+  };
+  for (const RawColumnCase& c : cases) {
+    for (size_t nodes : {c.per_page - 1, c.per_page, c.per_page + 1}) {
+      SCOPED_TRACE(std::string(c.column) + " nodes=" + std::to_string(nodes));
+      auto doc = DocumentOfSize(nodes);
+      ASSERT_EQ(doc->size(), nodes);
+      SimulatedDisk disk;
+      auto paged = RawTable(*doc, &disk);
+      const CompressedColumn& column = ((*paged).*c.image)();
+      const size_t pages = (nodes + c.per_page - 1) / c.per_page;
+      ASSERT_EQ(column.pages.size(), pages);
+      ASSERT_EQ(column.blocks.size(), pages);
+      EXPECT_EQ(column.BlockValues(), c.per_page);
+      BufferPool pool(&disk, 4);
+      {
+        CompressedColumnCursor cursor(column, &pool);
+        Status status;
+        for (size_t v = 0; v < nodes; ++v) {
+          ASSERT_EQ(cursor.At(v, &status),
+                    c.want(*doc, static_cast<NodeId>(v)))
+              << "value " << v;
+        }
+        ASSERT_TRUE(status.ok()) << status;
+      }
+      EXPECT_EQ(pool.stats().pins, pages);
+      EXPECT_EQ(pool.stats().faults, pages);
+    }
+  }
 }
 
 using PagedParam = std::tuple<uint64_t, Axis, SkipMode, size_t>;
@@ -227,7 +308,7 @@ TEST_P(PagedJoinPropertyTest, MatchesInMemoryJoin) {
   auto [seed, axis, mode, pool_pages] = GetParam();
   auto doc = RandomDocument(seed, {.target_nodes = 4000});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = RawTable(*doc, &disk);
   BufferPool pool(&disk, pool_pages);
   Rng rng(seed ^ 0xBEEF);
   for (uint32_t percent : {5u, 30u}) {
@@ -236,7 +317,7 @@ TEST_P(PagedJoinPropertyTest, MatchesInMemoryJoin) {
     opt.skip_mode = mode;
     JoinStats mem_stats, paged_stats;
     auto expected = StaircaseJoin(*doc, ctx, axis, opt, &mem_stats);
-    PagedDocAccessor acc(*paged, &pool);
+    CompressedDocAccessor acc(*paged, &pool);
     auto got =
         internal::StaircaseJoinOver(acc, ctx, axis, opt, &paged_stats);
     ASSERT_TRUE(got.ok()) << got.status();
@@ -263,7 +344,7 @@ TEST(PagedJoinTest, SkippingSavesPageFaults) {
   // guaranteed-descendant copy phase reads no post pages at all.
   auto doc = RandomDocument(21, {.target_nodes = 60000});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = RawTable(*doc, &disk);
   NodeSequence ctx = {doc->root()};
 
   StaircaseOptions none, est;
@@ -272,11 +353,11 @@ TEST(PagedJoinTest, SkippingSavesPageFaults) {
   est.keep_attributes = true;  // pure copy: no kind pages either
 
   BufferPool cold_none(&disk, 4);
-  PagedDocAccessor none_acc(*paged, &cold_none);
+  CompressedDocAccessor none_acc(*paged, &cold_none);
   (void)internal::StaircaseJoinOver(none_acc, ctx, Axis::kDescendant, none,
                                     nullptr);
   BufferPool cold_est(&disk, 4);
-  PagedDocAccessor est_acc(*paged, &cold_est);
+  CompressedDocAccessor est_acc(*paged, &cold_est);
   (void)internal::StaircaseJoinOver(est_acc, ctx, Axis::kDescendant, est,
                                     nullptr);
 
@@ -289,9 +370,9 @@ TEST(PagedJoinTest, SkippingSavesPageFaults) {
 TEST(PagedJoinTest, RejectsBadInput) {
   auto doc = RandomDocument(31);
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = RawTable(*doc, &disk);
   BufferPool pool(&disk, 4);
-  PagedDocAccessor acc(*paged, &pool);
+  CompressedDocAccessor acc(*paged, &pool);
   auto join = [&acc](const NodeSequence& ctx, Axis axis) {
     return internal::StaircaseJoinOver(acc, ctx, axis, {}, nullptr);
   };
@@ -300,7 +381,8 @@ TEST(PagedJoinTest, RejectsBadInput) {
   // since the join runs through the backend-generic kernels.
   EXPECT_FALSE(join({0}, Axis::kChild).ok());
   EXPECT_TRUE(join({0}, Axis::kFollowing).ok());
-  EXPECT_FALSE(PagedDocTable::Create(*doc, nullptr).ok());
+  EXPECT_FALSE(
+      CompressedDocTable::Create(*doc, nullptr, ColumnLayout::kRaw).ok());
 }
 
 }  // namespace

@@ -5,23 +5,35 @@
 // per-backend shim family the dispatch's two construction sites
 // retired; every new backend would need another copy of it.
 
+#include "core/fragment_impl.h"
 #include "core/staircase_impl.h"
 #include "delta/delta_accessor.h"
-#include "storage/paged_accessor.h"
+#include "storage/compressed_tags.h"
 
 namespace sj::storage {
 
-Result<NodeSequence> RoguePagedJoin(const PagedDocTable& doc, BufferPool* pool,
-                                    const NodeSequence& context, Axis axis) {
-  PagedDocAccessor acc(doc, pool);  // violation: paged cursor construction
+Result<NodeSequence> RoguePooledJoin(const CompressedDocTable& doc,
+                                     BufferPool* pool,
+                                     const NodeSequence& context, Axis axis) {
+  CompressedDocAccessor acc(doc, pool);  // violation: pooled cursor
   return internal::StaircaseJoinOver(acc, context, axis, {}, nullptr);
 }
 
+Result<NodeSequence> RogueFragmentJoin(const CompressedTagIndex& tags,
+                                       TagId tag, const CompressedDocTable& doc,
+                                       BufferPool* pool,
+                                       const NodeSequence& context, Axis axis) {
+  CompressedFragmentCursor frag(tags.fragment(tag), pool);  // violation
+  CompressedDocAccessor acc(doc, pool);                     // violation
+  return internal::FragmentStaircaseJoinOver(frag, acc, context, axis, {},
+                                             nullptr);
+}
+
 Result<NodeSequence> RogueOverlayJoin(const delta::Overlay& overlay,
-                                      const PagedDocTable& doc,
+                                      const CompressedDocTable& doc,
                                       BufferPool* pool,
                                       const NodeSequence& context, Axis axis) {
-  delta::DeltaDocAccessor<PagedDocAccessor> acc(  // violation: delta cursor
+  delta::DeltaDocAccessor<CompressedDocAccessor> acc(  // violation: delta
       overlay, doc, pool);
   return internal::StaircaseJoinOver(acc, context, axis, {}, nullptr);
 }

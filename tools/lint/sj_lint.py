@@ -16,7 +16,7 @@ enforces. This pass makes them hard failures in CI:
                     its -Wswitch exhaustiveness net. Likewise it is the
                     one place outside src/storage/ and src/delta/ that
                     constructs the pool-backed or merging cursors
-                    (Paged/Compressed DocAccessor and FragmentCursor,
+                    (CompressedDocAccessor, CompressedFragmentCursor,
                     DeltaDocAccessor<, DeltaFragmentCursor<): a cursor
                     built anywhere else is a per-backend shim growing
                     back next to the step's two construction sites.
@@ -171,8 +171,7 @@ _BACKEND_SWITCH_RE = re.compile(r"switch\s*\(([^()]|\([^()]*\))*backend")
 _DISPATCH_FILE = "src/xpath/backend_dispatch.h"
 
 _CURSOR_RE = re.compile(
-    r"\b(?:PagedDocAccessor|CompressedDocAccessor|PagedFragmentCursor|"
-    r"CompressedFragmentCursor)\b"
+    r"\b(?:CompressedDocAccessor|CompressedFragmentCursor)\b"
     r"|\b(?:DeltaDocAccessor|DeltaFragmentCursor)\s*<")
 
 # Where storage and delta cursors may be constructed: their own layers
