@@ -550,6 +550,10 @@ const char* const kMatrixQueries[] = {
     "/descendant::t4/preceding::t3[2]",
     "/descendant::t3/following-sibling::t4[2]",
     "/descendant::t4/preceding-sibling::t3[1]",
+    "/descendant::t0[child::t1[child::t2]]",
+    "/descendant::t1[/descendant::t5]",
+    "/descendant::t0/child::t1[1][child::t2]",
+    "/descendant::t2[ancestor::t0]",
 };
 
 /// The matrix document (9285 nodes) and the edit script shared by the
