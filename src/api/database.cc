@@ -308,10 +308,7 @@ Result<xpath::EvalOptions> Database::MakeEvalOptions(
   };
   SJ_ASSIGN_OR_RETURN(
       eval.image,
-      xpath::BackendDispatch::MakeImage(
-          options.backend, img.tag_index.get(), img.paged.doc.get(),
-          img.paged.tags.get(), img.compressed.doc.get(),
-          img.compressed.tags.get(), session_pool));
+      xpath::BackendDispatch::MakeImage(options.backend, img, session_pool));
   eval.snapshot_epoch = snap->epoch();
   if (snap->edited()) eval.overlay = snap->overlay();
   *private_pool = std::move(pool);

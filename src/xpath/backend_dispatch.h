@@ -16,7 +16,9 @@
 // memory, paged and compressed backends -- pristine or overlaid -- run
 // the same template instantiations through the same lines. The only
 // per-backend knowledge is the ImageTraits table below (cursor types,
-// constructor arguments, EXPLAIN labels, page-cost unit).
+// constructor arguments, EXPLAIN labels, page-cost unit) -- one entry
+// per image type, and the two pool-backed backends share one, their
+// labels and units carried by the PoolImage that MakeImage fills.
 //
 // This file is also the only place allowed to compare or switch on
 // StorageBackend (MakeImage): sj-lint (tools/lint/sj_lint.py, rule
@@ -54,9 +56,10 @@ template <>
 struct ImageTraits<MemoryImage> {
   using Accessor = MemoryDocAccessor;
   using Cursor = MemoryFragmentCursor;
-  static constexpr const char* kLabel = explain::kLabelMemory;
-  static constexpr const char* kOverlayLabel = explain::kLabelOverlayMemory;
-  static constexpr BackendCosts kCosts = kMemoryCosts;
+  static const char* Label(const MemoryImage&, bool overlaid) {
+    return overlaid ? explain::kLabelOverlayMemory : explain::kLabelMemory;
+  }
+  static BackendCosts Costs(const MemoryImage&) { return kMemoryCosts; }
   static auto AccessorArgs(const DocTable& doc, const MemoryImage&) {
     return std::forward_as_tuple(doc);
   }
@@ -65,34 +68,22 @@ struct ImageTraits<MemoryImage> {
   }
 };
 
-/// The pool-backed images differ only in their columns' layout, which
-/// the cursors read from the image itself.
-struct PooledImageTraits {
+/// Both pool-backed backends: the cursors read each column's layout
+/// from the image itself.
+template <>
+struct ImageTraits<PoolImage> {
   using Accessor = storage::CompressedDocAccessor;
   using Cursor = storage::CompressedFragmentCursor;
-  template <typename Image>
-  static auto AccessorArgs(const DocTable&, const Image& img) {
+  static const char* Label(const PoolImage& img, bool overlaid) {
+    return overlaid ? img.overlay_label : img.label;
+  }
+  static BackendCosts Costs(const PoolImage& img) { return img.costs; }
+  static auto AccessorArgs(const DocTable&, const PoolImage& img) {
     return std::forward_as_tuple(*img.doc, img.pool);
   }
-  template <typename Image>
-  static auto CursorArgs(const Image& img, TagId tag) {
+  static auto CursorArgs(const PoolImage& img, TagId tag) {
     return std::forward_as_tuple(img.tags->fragment(tag), img.pool);
   }
-};
-
-template <>
-struct ImageTraits<PagedImage> : PooledImageTraits {
-  static constexpr const char* kLabel = explain::kLabelPaged;
-  static constexpr const char* kOverlayLabel = explain::kLabelOverlayPaged;
-  static constexpr BackendCosts kCosts = kPagedCosts;
-};
-
-template <>
-struct ImageTraits<CompressedImage> : PooledImageTraits {
-  static constexpr const char* kLabel = explain::kLabelCompressed;
-  static constexpr const char* kOverlayLabel =
-      explain::kLabelOverlayCompressed;
-  static constexpr BackendCosts kCosts = kCompressedCosts;
 };
 
 /// \brief The cursors one step reads through: the image's backend
@@ -180,36 +171,38 @@ class BackendDispatch {
   BackendDispatch(const DocTable& doc, const EvalOptions& opt)
       : doc_(doc), opt_(opt) {}
 
-  /// Facade wiring (sj::Database): the image handle of `backend`, or a
-  /// failure when the database holds no such image. `pool()` is called
-  /// once, for the pool-backed backends only (shared vs session-private
-  /// is the caller's choice).
-  template <typename PoolFn>
-  static Result<BackendImage> MakeImage(
-      StorageBackend backend, const TagIndex* tag_index,
-      const storage::CompressedDocTable* paged_doc,
-      const storage::CompressedTagIndex* paged_tags,
-      const storage::CompressedDocTable* compressed_doc,
-      const storage::CompressedTagIndex* compressed_tags, PoolFn&& pool) {
+  /// Facade wiring (sj::Database): the image handle of `backend` over
+  /// `images` (a sj::DatabaseImages: `tag_index` plus the `paged` and
+  /// `compressed` pool-backed images; a template so xpath/ does not
+  /// depend on api/), or a failure when the database holds no such
+  /// image. `pool()` is called once, for the pool-backed backends only
+  /// (shared vs session-private is the caller's choice).
+  template <typename Images, typename PoolFn>
+  static Result<BackendImage> MakeImage(StorageBackend backend,
+                                        const Images& images, PoolFn&& pool) {
     switch (backend) {
       case StorageBackend::kMemory:
-        return BackendImage(MemoryImage{tag_index});
+        return BackendImage(MemoryImage{images.tag_index.get()});
       case StorageBackend::kPaged:
-        if (paged_doc == nullptr) {
+        if (images.paged.doc == nullptr) {
           return Status::InvalidArgument(
               "session requests the paged backend but the database was "
               "opened without a paged image (DatabaseOptions::build_paged)");
         }
-        return BackendImage(PagedImage{paged_doc, paged_tags, pool()});
+        return BackendImage(PoolImage{
+            images.paged.doc.get(), images.paged.tags.get(), pool(),
+            explain::kLabelPaged, explain::kLabelOverlayPaged, kPagedCosts});
       case StorageBackend::kCompressed:
-        if (compressed_doc == nullptr) {
+        if (images.compressed.doc == nullptr) {
           return Status::InvalidArgument(
               "session requests the compressed backend but the database was "
               "opened without a compressed image "
               "(DatabaseOptions::build_compressed)");
         }
-        return BackendImage(
-            CompressedImage{compressed_doc, compressed_tags, pool()});
+        return BackendImage(PoolImage{
+            images.compressed.doc.get(), images.compressed.tags.get(), pool(),
+            explain::kLabelCompressed, explain::kLabelOverlayCompressed,
+            kCompressedCosts});
     }
     return Status::Internal("unreachable");
   }
@@ -219,8 +212,8 @@ class BackendDispatch {
   const char* Label() const {
     return std::visit(
         [this](const auto& img) {
-          using Traits = ImageTraits<std::decay_t<decltype(img)>>;
-          return Overlaid(opt_) ? Traits::kOverlayLabel : Traits::kLabel;
+          return ImageTraits<std::decay_t<decltype(img)>>::Label(
+              img, Overlaid(opt_));
         },
         opt_.image);
   }
@@ -259,7 +252,7 @@ class BackendDispatch {
   BackendCosts Costs() const {
     return std::visit(
         [](const auto& img) {
-          return ImageTraits<std::decay_t<decltype(img)>>::kCosts;
+          return ImageTraits<std::decay_t<decltype(img)>>::Costs(img);
         },
         opt_.image);
   }

@@ -44,6 +44,89 @@ AxisNodeTest MakeAxisNodeTest(const Step& step,
   return {};
 }
 
+/// True for the axes whose position counts against document order
+/// (XPath reverse axes).
+bool IsReverseAxis(Axis axis) {
+  switch (axis) {
+    case Axis::kAncestor:
+    case Axis::kAncestorOrSelf:
+    case Axis::kParent:
+    case Axis::kPreceding:
+    case Axis::kPrecedingSibling:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The EXPLAIN text of one executed non-twig step, by its operator.
+std::string DescribeStep(const Step& step, const PlannedStep& plan,
+                         const BackendDispatch& dispatch,
+                         const JoinStats& stats) {
+  std::string desc = ToString(step);
+  const std::string pool_suffix =
+      dispatch.Pooled() ? explain::kBufferPoolSuffix : "";
+  switch (plan.op) {
+    case StepOperator::kEmpty:
+      return desc + explain::kEmptyUnknownTag;
+    case StepOperator::kPositional:
+      desc += explain::kVia + std::string(dispatch.Label()) +
+              std::string(AxisName(step.axis)) + explain::kPositionalRankJoin;
+      if (plan.pushdown) {
+        desc += explain::kPositionalOverFragmentOpen + step.test.name +
+                explain::kPositionalOverFragmentClose;
+      }
+      return desc + pool_suffix;
+    case StepOperator::kPushdown:
+      return desc + explain::kVia + dispatch.Label() + explain::kPushdownOpen +
+             step.test.name + explain::kPushdownClose;
+    case StepOperator::kStaircase:
+      // stats.workers reports what actually ran: the parallel driver
+      // falls back to the serial join for small contexts, degenerate
+      // axes, or undersized pools.
+      if (stats.workers > 1) {
+        return desc + explain::kVia + explain::kParallelPrefix +
+               dispatch.Label() + explain::kStaircaseJoin +
+               explain::kWorkersOpen + std::to_string(stats.workers) +
+               explain::kWorkersClose;
+      }
+      return desc + explain::kVia + dispatch.Label() + explain::kStaircaseJoin +
+             pool_suffix;
+    default:  // kAxisCursor
+      return desc + explain::kVia + dispatch.Label() +
+             std::string(AxisName(step.axis)) + explain::kAxisCursorJoin +
+             pool_suffix;
+  }
+}
+
+/// The EXPLAIN text of one executed twig run over steps[first, ...).
+std::string DescribeTwigRun(const std::vector<Step>& steps, size_t first,
+                            const PlannedStep& plan,
+                            const BackendDispatch& dispatch,
+                            const std::vector<TwigLevelStats>& level_stats) {
+  std::string desc;
+  for (size_t s = 0; s < plan.twig_consumed; ++s) {
+    if (s > 0) desc += explain::kStepSep;
+    desc += ToString(steps[first + s]);
+  }
+  desc += explain::kVia;
+  desc += dispatch.Label();
+  desc += explain::kTwigJoinOverFragments;
+  for (size_t l = 0; l < plan.twig_names.size(); ++l) {
+    if (l > 0) desc += explain::kTwigLevelSep;
+    desc += explain::kTwigQuote + plan.twig_names[l] + explain::kTwigQuote;
+  }
+  desc += explain::kTwigK + std::to_string(plan.twig_levels.size());
+  desc += explain::kTwigSkipsOpen;
+  for (size_t l = 0; l < level_stats.size(); ++l) {
+    desc += (l > 0 ? explain::kTwigSkipsNext : explain::kTwigSkipsFirst) +
+            plan.twig_names[l] + explain::kTwigSkipsEq +
+            std::to_string(level_stats[l].slots_skipped);
+  }
+  desc += explain::kCloseParen;
+  return desc;
+}
+
 }  // namespace
 
 Evaluator::Evaluator(const DocTable& doc, EvalOptions options)
@@ -78,8 +161,7 @@ Result<NodeSequence> Evaluator::EvaluateBranch(const LocationPath& path,
   if (!start.empty() && start.back() >= LogicalSize()) {
     return Status::InvalidArgument("context node out of range");
   }
-  return EvalSteps(path.steps, 0, std::move(start), /*top_level=*/true,
-                   &planned);
+  return EvalSteps(path.steps, planned, std::move(start), /*top_level=*/true);
 }
 
 Result<NodeSequence> Evaluator::Evaluate(const CompiledPlan& plan,
@@ -109,8 +191,9 @@ CompiledPlan Evaluator::Compile(UnionExpr expr) const {
   CompiledPlan plan;
   plan.expr = std::move(expr);
   plan.branches.reserve(plan.expr.branches.size());
+  const CardinalityEstimator est = MakeEstimator();
   for (const LocationPath& branch : plan.expr.branches) {
-    plan.branches.push_back(PlanPath(branch.steps));
+    plan.branches.push_back(PlanPath(branch.steps, est));
   }
   return plan;
 }
@@ -137,15 +220,15 @@ CardinalityEstimator Evaluator::MakeEstimator() const {
                               std::move(tag_count));
 }
 
-PlannedPath Evaluator::PlanPath(const std::vector<Step>& steps) const {
+PlannedPath Evaluator::PlanPath(const std::vector<Step>& steps,
+                                const CardinalityEstimator& est) const {
   // The same walk EvalSteps performs at execution time: a twig match
   // consumes its whole run, every other step is planned individually.
-  // ContextEstimates chain from the root -- like Compile-time planning,
-  // per-run context sizes must not influence decisions, or cached and
-  // uncached plans (and their traces) would diverge.
+  // ContextEstimates chain from the root -- per-run context sizes must
+  // not influence decisions, or cached and uncached plans (and their
+  // traces) would diverge.
   PlannedPath planned;
   planned.steps.resize(steps.size());
-  const CardinalityEstimator est = MakeEstimator();
   ContextEstimate ctx = est.Root();
   for (size_t i = 0; i < steps.size();) {
     PlannedStep step = MatchTwigRun(steps, i);
@@ -170,20 +253,16 @@ PlannedPath Evaluator::PlanPath(const std::vector<Step>& steps) const {
 }
 
 Result<NodeSequence> Evaluator::EvalSteps(const std::vector<Step>& steps,
-                                          size_t first, NodeSequence context,
-                                          bool top_level,
-                                          const PlannedPath* planned) {
-  NodeSequence current = std::move(context);
-  // Predicate paths arrive unplanned (Compile plans only the top-level
-  // branches); PlanPath derives their decisions here, exactly as
-  // Compile would have.
-  PlannedPath local;
-  if (planned == nullptr) {
-    local = PlanPath(steps);
-    planned = &local;
-  }
-  for (size_t i = first; i < steps.size();) {
-    if (current.empty()) {
+                                          const PlannedPath& planned,
+                                          NodeSequence context,
+                                          bool top_level) {
+  const BackendDispatch dispatch(doc_, options_);
+  storage::BufferPool* const pool = dispatch.Pool();
+  auto pool_faults = [pool]() -> uint64_t {
+    return pool != nullptr ? pool->stats().faults : 0;
+  };
+  for (size_t i = 0; i < steps.size();) {
+    if (context.empty()) {
       // The remaining steps cannot produce anything, but EXPLAIN must
       // still list one entry per step of the query -- a trace shorter
       // than the path would misreport the executed plan.
@@ -192,25 +271,51 @@ Result<NodeSequence> Evaluator::EvalSteps(const std::vector<Step>& steps,
           StepTrace skipped;
           skipped.description =
               ToString(steps[k]) + explain::kEmptyShortCircuited;
-          skipped.op = planned->steps[k].op;
-          skipped.estimated_rows = planned->steps[k].estimated_rows;
+          skipped.op = planned.steps[k].op;
+          skipped.estimated_rows = planned.steps[k].estimated_rows;
           trace_.push_back(std::move(skipped));
         }
       }
       return NodeSequence{};
     }
-    const PlannedStep* plan = &planned->steps[i];
-    if (plan->twig_consumed > 0) {
-      SJ_ASSIGN_OR_RETURN(current,
-                          EvalTwigRun(steps, i, *plan, current, top_level));
-      i += plan->twig_consumed;
-    } else {
-      SJ_ASSIGN_OR_RETURN(current,
-                          EvalStep(steps[i], current, top_level, *plan));
-      ++i;
+    const PlannedStep& plan = planned.steps[i];
+    const bool twig = plan.twig_consumed > 0;
+    Timer timer;
+    const uint64_t faults_before = top_level ? pool_faults() : 0;
+    JoinStats stats;
+    std::vector<TwigLevelStats> level_stats;
+    SJ_ASSIGN_OR_RETURN(
+        context, twig ? dispatch.Twig(context, plan.twig_levels, &stats,
+                                      &level_stats)
+                      : EvalStep(steps[i], plan, context, &stats));
+    if (top_level) {
+      StepTrace trace;
+      trace.millis = timer.ElapsedMillis();
+      trace.pool_faults = pool_faults() - faults_before;
+      trace.description =
+          twig ? DescribeTwigRun(steps, i, plan, dispatch, level_stats)
+               : DescribeStep(steps[i], plan, dispatch, stats);
+      stats.result_size = context.size();
+      trace.stats = stats;
+      trace.op = plan.op;
+      trace.estimated_rows = plan.estimated_rows;
+      trace_.push_back(std::move(trace));
+      // A twig run keeps one entry per query step: a "subsumed" marker
+      // per remaining step points back at the twig entry (1-based).
+      const size_t twig_entry = trace_.size();
+      for (size_t s = 1; s < plan.twig_consumed; ++s) {
+        StepTrace subsumed;
+        subsumed.description = ToString(steps[i + s]) +
+                               explain::kSubsumedByTwigOpen +
+                               std::to_string(twig_entry) +
+                               explain::kCloseParen;
+        subsumed.op = StepOperator::kTwigSubsumed;
+        trace_.push_back(std::move(subsumed));
+      }
     }
+    i += twig ? plan.twig_consumed : 1;
   }
-  return current;
+  return context;
 }
 
 /// True for a predicate-free step the twig join can carry as one level.
@@ -294,6 +399,9 @@ PlannedStep Evaluator::PlanStep(const Step& step,
   for (const Predicate& pred : step.predicates) {
     out.rows = est.EstimatePredicate(
         out.rows, ctx->rows, pred.kind != Predicate::Kind::kExists);
+    plan.predicate_paths.push_back(pred.kind == Predicate::Kind::kExists
+                                       ? PlanPath(pred.path->steps, est)
+                                       : PlannedPath{});
   }
   plan.estimated_rows = RoundedEstimate(out.rows);
   *ctx = out;
@@ -310,69 +418,6 @@ PlannedStep Evaluator::PlanStep(const Step& step,
     plan.op = StepOperator::kAxisCursor;
   }
   return plan;
-}
-
-Result<NodeSequence> Evaluator::EvalTwigRun(const std::vector<Step>& steps,
-                                            size_t first,
-                                            const PlannedStep& plan,
-                                            const NodeSequence& context,
-                                            bool top_level) {
-  Timer timer;
-  JoinStats stats;
-  std::vector<TwigLevelStats> level_stats;
-  const BackendDispatch dispatch(doc_, options_);
-  storage::BufferPool* const pool = dispatch.Pool();
-  const uint64_t faults_before = pool != nullptr ? pool->stats().faults : 0;
-  SJ_ASSIGN_OR_RETURN(NodeSequence result,
-                      dispatch.Twig(context, plan.twig_levels, &stats,
-                                    &level_stats));
-  if (top_level) {
-    // One twig entry carrying the collapsed plan, then one "subsumed"
-    // marker per remaining step: EXPLAIN keeps listing exactly one entry
-    // per step of the query, and no step text silently vanishes.
-    const size_t twig_entry = trace_.size() + 1;  // 1-based, as printed
-    std::string desc;
-    for (size_t s = 0; s < plan.twig_consumed; ++s) {
-      if (s > 0) desc += explain::kStepSep;
-      desc += ToString(steps[first + s]);
-    }
-    desc += explain::kVia;
-    desc += dispatch.Label();
-    desc += explain::kTwigJoinOverFragments;
-    for (size_t l = 0; l < plan.twig_names.size(); ++l) {
-      if (l > 0) desc += explain::kTwigLevelSep;
-      desc += explain::kTwigQuote + plan.twig_names[l] + explain::kTwigQuote;
-    }
-    desc += explain::kTwigK + std::to_string(plan.twig_levels.size());
-    desc += explain::kTwigSkipsOpen;
-    for (size_t l = 0; l < level_stats.size(); ++l) {
-      desc += (l > 0 ? explain::kTwigSkipsNext : explain::kTwigSkipsFirst) +
-              plan.twig_names[l] + explain::kTwigSkipsEq +
-              std::to_string(level_stats[l].slots_skipped);
-    }
-    desc += explain::kCloseParen;
-    StepTrace trace;
-    trace.description = std::move(desc);
-    stats.result_size = result.size();
-    trace.stats = stats;
-    trace.millis = timer.ElapsedMillis();
-    trace.op = StepOperator::kTwig;
-    trace.estimated_rows = plan.estimated_rows;
-    if (pool != nullptr) {
-      trace.pool_faults = pool->stats().faults - faults_before;
-    }
-    trace_.push_back(std::move(trace));
-    for (size_t s = 1; s < plan.twig_consumed; ++s) {
-      StepTrace subsumed;
-      subsumed.description = ToString(steps[first + s]) +
-                             explain::kSubsumedByTwigOpen +
-                             std::to_string(twig_entry) +
-                             explain::kCloseParen;
-      subsumed.op = StepOperator::kTwigSubsumed;
-      trace_.push_back(std::move(subsumed));
-    }
-  }
-  return result;
 }
 
 bool Evaluator::ShouldPushdown(const Step& step, TagId tag,
@@ -418,58 +463,17 @@ bool Evaluator::RankOverFragment(const Step& step) const {
   return BackendDispatch(doc_, options_).HasFragments();
 }
 
-Result<bool> Evaluator::PredicateHolds(const Predicate& pred, NodeId node) {
-  if (pred.kind != Predicate::Kind::kExists || pred.path == nullptr) {
-    return Status::Internal("positional predicate on the set-at-a-time path");
-  }
+Result<bool> Evaluator::PredicateHolds(const Predicate& pred,
+                                       const PlannedPath& planned,
+                                       NodeId node) {
+  NodeSequence start{node};
   if (pred.path->absolute) {
-    SJ_ASSIGN_OR_RETURN(
-        NodeSequence r,
-        EvalSteps(pred.path->steps, 0,
-                  doc_.empty() ? NodeSequence{} : NodeSequence{doc_.root()},
-                  /*top_level=*/false));
-    return !r.empty();
+    start = doc_.empty() ? NodeSequence{} : NodeSequence{doc_.root()};
   }
-  SJ_ASSIGN_OR_RETURN(NodeSequence r, EvalSteps(pred.path->steps, 0, {node},
-                                                /*top_level=*/false));
+  SJ_ASSIGN_OR_RETURN(NodeSequence r,
+                      EvalSteps(pred.path->steps, planned, std::move(start),
+                                /*top_level=*/false));
   return !r.empty();
-}
-
-Result<NodeSequence> Evaluator::ApplyPredicates(const Step& step,
-                                                NodeSequence nodes) {
-  for (const Predicate& pred : step.predicates) {
-    if (nodes.empty()) break;
-    if (pred.path != nullptr && pred.path->absolute) {
-      // An absolute predicate path is context-invariant: one evaluation
-      // settles the verdict for every node of the step.
-      SJ_ASSIGN_OR_RETURN(bool holds, PredicateHolds(pred, nodes.front()));
-      if (!holds) nodes.clear();
-      continue;
-    }
-    NodeSequence kept;
-    kept.reserve(nodes.size());
-    for (NodeId v : nodes) {
-      SJ_ASSIGN_OR_RETURN(bool holds, PredicateHolds(pred, v));
-      if (holds) kept.push_back(v);
-    }
-    nodes = std::move(kept);
-  }
-  return nodes;
-}
-
-/// True for the axes whose position counts against document order
-/// (XPath reverse axes).
-static bool IsReverseAxis(Axis axis) {
-  switch (axis) {
-    case Axis::kAncestor:
-    case Axis::kAncestorOrSelf:
-    case Axis::kParent:
-    case Axis::kPreceding:
-    case Axis::kPrecedingSibling:
-      return true;
-    default:
-      return false;
-  }
 }
 
 /// Positional predicates rank within ONE context node's axis output:
@@ -477,195 +481,140 @@ static bool IsReverseAxis(Axis axis) {
 /// node*, in axis order". RankWithinGroup applies a step's predicate
 /// chain to one such group (already reversed for reverse axes);
 /// predicates apply in order, each positional predicate indexing the
-/// list surviving the previous ones.
+/// list surviving the previous ones. A step without positional
+/// predicates is one group: its whole output.
 Result<NodeSequence> Evaluator::RankWithinGroup(
-    const Step& step, size_t first, NodeSequence axis_nodes,
-    std::vector<std::optional<bool>>* absolute_verdict) {
+    const Step& step, const PlannedStep& plan, size_t first,
+    NodeSequence nodes, std::vector<std::optional<bool>>* absolute_verdict) {
   for (size_t p = first; p < step.predicates.size(); ++p) {
     const Predicate& pred = step.predicates[p];
-    if (axis_nodes.empty()) break;
+    if (nodes.empty()) break;
     NodeSequence kept;
     switch (pred.kind) {
       case Predicate::Kind::kPosition:
-        if (pred.position <= axis_nodes.size()) {
-          kept.push_back(axis_nodes[pred.position - 1]);
+        if (pred.position <= nodes.size()) {
+          kept.push_back(nodes[pred.position - 1]);
         }
         break;
       case Predicate::Kind::kLast:
-        kept.push_back(axis_nodes.back());
+        kept.push_back(nodes.back());
         break;
-      case Predicate::Kind::kExists:
-        if (pred.path != nullptr && pred.path->absolute) {
+      case Predicate::Kind::kExists: {
+        const PlannedPath& path_plan = plan.predicate_paths[p];
+        if (pred.path->absolute) {
           // Context-invariant: memoized once per step.
           if (!(*absolute_verdict)[p].has_value()) {
             SJ_ASSIGN_OR_RETURN(bool holds,
-                                PredicateHolds(pred, axis_nodes.front()));
+                                PredicateHolds(pred, path_plan, nodes.front()));
             (*absolute_verdict)[p] = holds;
           }
-          if (*(*absolute_verdict)[p]) kept = std::move(axis_nodes);
+          if (*(*absolute_verdict)[p]) kept = std::move(nodes);
           break;
         }
-        for (NodeId v : axis_nodes) {
-          SJ_ASSIGN_OR_RETURN(bool holds, PredicateHolds(pred, v));
+        kept.reserve(nodes.size());
+        for (NodeId v : nodes) {
+          SJ_ASSIGN_OR_RETURN(bool holds, PredicateHolds(pred, path_plan, v));
           if (holds) kept.push_back(v);
         }
         break;
+      }
     }
-    axis_nodes = std::move(kept);
+    nodes = std::move(kept);
   }
-  return axis_nodes;
+  return nodes;
 }
 
 Result<NodeSequence> Evaluator::EvalStep(const Step& step,
+                                         const PlannedStep& plan,
                                          const NodeSequence& context,
-                                         bool top_level,
-                                         const PlannedStep& plan) {
-  Timer timer;
-  StepTrace trace;
-  JoinStats stats;
-  NodeSequence result;
-
+                                         JoinStats* stats) {
   const BackendDispatch dispatch(doc_, options_);
-  storage::BufferPool* const pool = dispatch.Pool();
-  const uint64_t faults_before = pool != nullptr ? pool->stats().faults : 0;
-
-  const bool staircase_axis = IsStaircaseAxis(step.axis);
-  const std::optional<TagId>& tag = plan.tag;
-
-  if (plan.needs_tag && !tag.has_value()) {
-    // Before any evaluation, positional or not: a never-interned name
-    // is statically empty.
-    trace.description = ToString(step) + explain::kEmptyUnknownTag;
-    result.clear();
-  } else if (plan.positional) {
-    // Set-at-a-time positional rank join: one group per context node,
-    // predicates rank within each group. Every read is charged to the
-    // backend. Over a tag fragment the leading [k] / [last()] is settled
-    // by fragment probes (one match per group); otherwise one cursor
-    // pass builds every group from the document (core/axis_impl.h).
-    internal::PositionalGroups groups;
-    size_t first_predicate = 0;
-    trace.description = ToString(step) + explain::kVia + dispatch.Label() +
-                        std::string(AxisName(step.axis)) +
-                        explain::kPositionalRankJoin;
-    if (plan.pushdown) {
-      const Predicate& lead = step.predicates.front();
-      const internal::PositionalRank rank{
-          lead.kind == Predicate::Kind::kLast, lead.position};
-      SJ_ASSIGN_OR_RETURN(groups,
-                          dispatch.PositionalRankSelect(*tag, context,
-                                                        step.axis, rank,
-                                                        &stats));
-      first_predicate = 1;
-      trace.description += explain::kPositionalOverFragmentOpen +
-                           step.test.name +
-                           explain::kPositionalOverFragmentClose;
-    } else {
-      SJ_ASSIGN_OR_RETURN(
-          groups, dispatch.PositionalAxis(context, step.axis,
-                                          MakeAxisNodeTest(step, tag),
-                                          &stats));
-    }
-    if (dispatch.Pooled()) trace.description += explain::kBufferPoolSuffix;
-    NodeSequence collected;
-    if (first_predicate == step.predicates.size()) {
-      // The fragment probes settled the whole predicate chain.
-      collected = std::move(groups.nodes);
-    } else {
-      std::vector<std::optional<bool>> absolute_verdict(
-          step.predicates.size());
-      for (size_t g = 0; g + 1 < groups.offsets.size(); ++g) {
-        NodeSequence axis_nodes(groups.nodes.begin() + groups.offsets[g],
-                                groups.nodes.begin() + groups.offsets[g + 1]);
-        if (IsReverseAxis(step.axis)) {
-          std::reverse(axis_nodes.begin(), axis_nodes.end());
+  std::vector<std::optional<bool>> absolute_verdict(step.predicates.size());
+  NodeSequence result;
+  switch (plan.op) {
+    case StepOperator::kEmpty:
+      // A never-interned name is statically empty, positional or not.
+      return NodeSequence{};
+    case StepOperator::kPositional: {
+      // Set-at-a-time positional rank join: one group per context node,
+      // predicates rank within each group. Every read is charged to the
+      // backend. Over a tag fragment the leading [k] / [last()] is
+      // settled by fragment probes (one match per group); otherwise one
+      // cursor pass builds every group from the document
+      // (core/axis_impl.h).
+      internal::PositionalGroups groups;
+      size_t first_predicate = 0;
+      if (plan.pushdown) {
+        const Predicate& lead = step.predicates.front();
+        const internal::PositionalRank rank{
+            lead.kind == Predicate::Kind::kLast, lead.position};
+        SJ_ASSIGN_OR_RETURN(groups,
+                            dispatch.PositionalRankSelect(*plan.tag, context,
+                                                          step.axis, rank,
+                                                          stats));
+        first_predicate = 1;
+      } else {
+        SJ_ASSIGN_OR_RETURN(
+            groups, dispatch.PositionalAxis(context, step.axis,
+                                            MakeAxisNodeTest(step, plan.tag),
+                                            stats));
+      }
+      if (first_predicate == step.predicates.size()) {
+        // The fragment probes settled the whole predicate chain.
+        result = std::move(groups.nodes);
+      } else {
+        for (size_t g = 0; g + 1 < groups.offsets.size(); ++g) {
+          NodeSequence group(groups.nodes.begin() + groups.offsets[g],
+                             groups.nodes.begin() + groups.offsets[g + 1]);
+          if (IsReverseAxis(step.axis)) {
+            std::reverse(group.begin(), group.end());
+          }
+          SJ_ASSIGN_OR_RETURN(group,
+                              RankWithinGroup(step, plan, first_predicate,
+                                              std::move(group),
+                                              &absolute_verdict));
+          result.insert(result.end(), group.begin(), group.end());
         }
-        SJ_ASSIGN_OR_RETURN(axis_nodes,
-                            RankWithinGroup(step, first_predicate,
-                                            std::move(axis_nodes),
-                                            &absolute_verdict));
-        collected.insert(collected.end(), axis_nodes.begin(),
-                         axis_nodes.end());
       }
+      std::sort(result.begin(), result.end());
+      result.erase(std::unique(result.begin(), result.end()), result.end());
+      return result;
     }
-    std::sort(collected.begin(), collected.end());
-    collected.erase(std::unique(collected.begin(), collected.end()),
-                    collected.end());
-    result = std::move(collected);
-    stats.result_size = result.size();
-    if (top_level) {
-      trace.stats = stats;
-      trace.millis = timer.ElapsedMillis();
-      trace.op = plan.op;
-      trace.estimated_rows = plan.estimated_rows;
-      if (pool != nullptr) {
-        trace.pool_faults = pool->stats().faults - faults_before;
-      }
-      trace_.push_back(std::move(trace));
-    }
-    return result;
-  } else if (staircase_axis) {
-    if (plan.pushdown) {
+    case StepOperator::kPushdown: {
       // The unified fragment join over the backend's cursor: the
       // pushed-down step's fragment reads AND its context postorder
       // reads are charged to the step's backend (the image's pool when
       // pool-backed). The fragment already applies the name test.
-      SJ_ASSIGN_OR_RETURN(
-          result, dispatch.PushdownView(*tag, context, step.axis, &stats));
-      trace.description = ToString(step) + explain::kVia + dispatch.Label() +
-                          explain::kPushdownOpen + step.test.name +
-                          explain::kPushdownClose;
-    } else {
+      SJ_ASSIGN_OR_RETURN(result, dispatch.PushdownView(*plan.tag, context,
+                                                        step.axis, stats));
+      break;
+    }
+    case StepOperator::kStaircase: {
       // The unified kernels over the backend's cursor: the same join,
-      // IO-conscious when pool-backed. stats.workers reports what
-      // actually ran -- the parallel driver falls back to the serial
-      // join for small contexts, degenerate axes, or undersized pools.
-      SJ_ASSIGN_OR_RETURN(result,
-                          dispatch.Staircase(context, step.axis, &stats));
-      trace.description =
-          ToString(step) + explain::kVia +
-          (stats.workers > 1 ? std::string(explain::kParallelPrefix)
-                             : std::string()) +
-          dispatch.Label() + explain::kStaircaseJoin +
-          (stats.workers > 1
-               ? explain::kWorkersOpen + std::to_string(stats.workers) +
-                     explain::kWorkersClose
-               : (dispatch.Pooled() ? std::string(explain::kBufferPoolSuffix)
-                                    : std::string()));
+      // IO-conscious when pool-backed.
+      SJ_ASSIGN_OR_RETURN(result, dispatch.Staircase(context, step.axis, stats));
       if (step.test.kind != NodeTestKind::kAnyNode) {
         // The node-test pass reads kind/tag through the step's backend
         // cursor, so even the filter is charged to the pool on the
         // pool-backed backends.
         SJ_ASSIGN_OR_RETURN(
-            result, dispatch.Filter(result, MakeAxisNodeTest(step, tag)));
+            result, dispatch.Filter(result, MakeAxisNodeTest(step, plan.tag)));
       }
+      break;
     }
-  } else {
-    // Non-staircase axis: the set-at-a-time cursor kernels with the
-    // node test folded into the scan.
-    SJ_ASSIGN_OR_RETURN(
-        result, dispatch.AxisCursor(context, step.axis,
-                                    MakeAxisNodeTest(step, tag), &stats));
-    trace.description = ToString(step) + explain::kVia + dispatch.Label() +
-                        std::string(AxisName(step.axis)) +
-                        explain::kAxisCursorJoin +
-                        (dispatch.Pooled() ? explain::kBufferPoolSuffix : "");
-  }
-
-  SJ_ASSIGN_OR_RETURN(result, ApplyPredicates(step, std::move(result)));
-
-  if (top_level) {
-    stats.result_size = result.size();
-    trace.stats = stats;
-    trace.millis = timer.ElapsedMillis();
-    trace.op = plan.op;
-    trace.estimated_rows = plan.estimated_rows;
-    if (pool != nullptr) {
-      trace.pool_faults = pool->stats().faults - faults_before;
+    case StepOperator::kAxisCursor: {
+      // Non-staircase axis: the set-at-a-time cursor kernels with the
+      // node test folded into the scan.
+      SJ_ASSIGN_OR_RETURN(
+          result, dispatch.AxisCursor(context, step.axis,
+                                      MakeAxisNodeTest(step, plan.tag), stats));
+      break;
     }
-    trace_.push_back(std::move(trace));
+    default:
+      return Status::Internal("step operator has no single-step route");
   }
-  return result;
+  // Existence predicates only: the whole output is one group.
+  return RankWithinGroup(step, plan, 0, std::move(result), &absolute_verdict);
 }
 
 std::string ExplainTrace(const std::vector<StepTrace>& trace) {

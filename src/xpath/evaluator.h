@@ -72,20 +72,21 @@ struct MemoryImage {
   static constexpr storage::BufferPool* pool = nullptr;
 };
 
-/// The paged backend's image: raw-layout doc columns and (null: no
-/// pushdown, no twig) tag fragments, every read charged to `pool`.
-struct PagedImage {
+/// The pool-backed backends' image: doc columns and (null: no pushdown,
+/// no twig) tag fragments in one storage::ColumnLayout -- raw pages for
+/// the paged backend, FOR/delta blocks for the compressed one -- every
+/// read charged to `pool`. The cursors read the layout from the columns
+/// themselves, so the two backends differ only in their EXPLAIN labels
+/// and cost-model units, which BackendDispatch::MakeImage fills in.
+struct PoolImage {
   const storage::CompressedDocTable* doc = nullptr;
   const storage::CompressedTagIndex* tags = nullptr;
   storage::BufferPool* pool = nullptr;
-};
-
-/// The compressed backend's image: coded-layout (FOR/delta) doc columns
-/// and (null: no pushdown, no twig) fragments behind `pool`.
-struct CompressedImage {
-  const storage::CompressedDocTable* doc = nullptr;
-  const storage::CompressedTagIndex* tags = nullptr;
-  storage::BufferPool* pool = nullptr;
+  /// EXPLAIN label prefix, pristine and under a delta overlay.
+  const char* label = nullptr;
+  const char* overlay_label = nullptr;
+  /// The cost model's page and probe units of this backend.
+  BackendCosts costs{};
 };
 
 /// \brief The one image handle of an evaluator: which backend serves
@@ -93,7 +94,7 @@ struct CompressedImage {
 /// backend and its images cannot disagree. sj::Database fills it once
 /// per session from one coherent, open-time-validated image set
 /// (xpath/backend_dispatch.h builds the step cursors from it).
-using BackendImage = std::variant<MemoryImage, PagedImage, CompressedImage>;
+using BackendImage = std::variant<MemoryImage, PoolImage>;
 
 /// The pool the image charges its reads to; null for the memory image.
 inline storage::BufferPool* ImagePool(const BackendImage& image) {
@@ -175,7 +176,8 @@ class Evaluator {
 
   /// Analyzes `expr` into an immutable CompiledPlan: twig-run collapse,
   /// positional detection, tag interning and the pushdown decision are
-  /// settled HERE, once, instead of on every run. The decisions depend
+  /// settled HERE, once, for every branch and every existence
+  /// predicate's path (nested ones included) -- evaluation never plans. The decisions depend
   /// only on the document (its statistics, and under an overlay the
   /// merged dictionary and fragment counts) and the semantic options
   /// (backend, pushdown, twig, pushdown_selectivity, cost_model), so a
@@ -201,11 +203,20 @@ class Evaluator {
   Result<NodeSequence> EvaluateBranch(const LocationPath& path,
                                       const NodeSequence& context,
                                       const PlannedPath& planned);
-  Result<NodeSequence> EvalSteps(const std::vector<Step>& steps, size_t first,
-                                 NodeSequence context, bool top_level,
-                                 const PlannedPath* planned = nullptr);
-  Result<NodeSequence> EvalStep(const Step& step, const NodeSequence& context,
-                                bool top_level, const PlannedStep& plan);
+  /// Runs a planned path from `context`: each step (or twig run) through
+  /// its frozen operator. The one trace site: when `top_level`, every
+  /// step appends its StepTrace here (a twig run adds one "subsumed"
+  /// marker per remaining step, an empty context one "short-circuited"
+  /// entry per remaining step, so EXPLAIN lists one entry per query
+  /// step); predicate paths run with `top_level` false and leave no trace.
+  Result<NodeSequence> EvalSteps(const std::vector<Step>& steps,
+                                 const PlannedPath& planned,
+                                 NodeSequence context, bool top_level);
+  /// One non-twig step, predicates included, routed by `plan.op`; the
+  /// operator's counters go to `stats`.
+  Result<NodeSequence> EvalStep(const Step& step, const PlannedStep& plan,
+                                const NodeSequence& context,
+                                JoinStats* stats);
   /// Longest eligible twig run starting at steps[first] (>= 2 levels, no
   /// predicates, name tests only, twig axes only): twig_consumed > 0 and
   /// one TwigLevel per chain level (a folded `descendant-or-self::node()`
@@ -218,36 +229,33 @@ class Evaluator {
   /// size, the backend's page-cost unit, and per-tag counts read through
   /// BackendDispatch::TagCount -- on an edited snapshot that is the
   /// overlay's MERGED dictionary, so fresh delta tags estimate from
-  /// their real fragment sizes.
+  /// their real fragment sizes. Built once per Compile.
   CardinalityEstimator MakeEstimator() const;
-  /// Plans a whole location path: the same walk Compile freezes per
-  /// branch, chaining ContextEstimates from the root so every step
-  /// carries estimated_rows and a cost-chosen operator. EvalSteps calls
-  /// this for predicate paths, which Compile leaves unplanned -- one
-  /// shared derivation, so every path decides the same way.
-  PlannedPath PlanPath(const std::vector<Step>& steps) const;
+  /// Plans a whole location path: a twig match consumes its run, every
+  /// other step goes through PlanStep, and ContextEstimates chain from
+  /// the root so every step carries estimated_rows and a cost-chosen
+  /// operator. Compile calls it per branch and PlanStep per existence
+  /// predicate -- one derivation, so every path decides the same way.
+  PlannedPath PlanPath(const std::vector<Step>& steps,
+                       const CardinalityEstimator& est) const;
   /// The per-step planning decisions of one non-twig step (positional
-  /// detection, tag interning, operator choice by cost); advances `ctx`
-  /// to the step's output estimate.
+  /// detection, tag interning, operator choice by cost, the predicate
+  /// paths' plans); advances `ctx` to the step's output estimate.
   PlannedStep PlanStep(const Step& step, const CardinalityEstimator& est,
                        ContextEstimate* ctx) const;
-  /// Evaluates a matched run as one twig join and records its trace:
-  /// one twig entry plus a "subsumed" marker per remaining step, so
-  /// EXPLAIN still lists one entry per query step.
-  Result<NodeSequence> EvalTwigRun(const std::vector<Step>& steps,
-                                   size_t first, const PlannedStep& plan,
-                                   const NodeSequence& context,
-                                   bool top_level);
-  /// Applies a positional step's predicate chain, from predicate
-  /// `first` on, to one context node's axis output (already reversed for
-  /// reverse axes): positions index the list surviving the previous
+  /// Applies a step's predicate chain, from predicate `first` on, to
+  /// `nodes` -- one context node's axis output (already reversed for
+  /// reverse axes) on a positional step, the whole step output on an
+  /// existence-only one. Positions index the list surviving the previous
   /// predicates. `absolute_verdict` memoizes context-invariant absolute
   /// predicate paths per step.
   Result<NodeSequence> RankWithinGroup(
-      const Step& step, size_t first, NodeSequence axis_nodes,
-      std::vector<std::optional<bool>>* absolute_verdict);
-  Result<NodeSequence> ApplyPredicates(const Step& step, NodeSequence nodes);
-  Result<bool> PredicateHolds(const Predicate& pred, NodeId node);
+      const Step& step, const PlannedStep& plan, size_t first,
+      NodeSequence nodes, std::vector<std::optional<bool>>* absolute_verdict);
+  /// Whether existence predicate `pred` (planned as `planned`) selects
+  /// anything from `node` (absolute paths ignore it).
+  Result<bool> PredicateHolds(const Predicate& pred, const PlannedPath& planned,
+                              NodeId node);
   /// The pushdown decision: hint pins (kAlways/kNever) win; kAuto defers
   /// to the estimator's page-cost comparison (cost_model kAuto) or the
   /// legacy static selectivity threshold (cost_model kOff).

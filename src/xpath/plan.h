@@ -5,10 +5,11 @@
 // it at execution time and freezes the outcome of each decision point:
 // twig-run collapse (which step runs start a holistic twig join and
 // over which fragment levels), positional-predicate detection, tag
-// interning, and the pushdown choice of the cost model. Executing a
-// CompiledPlan via Evaluator::Evaluate(plan, context) then takes the
-// exact same code paths -- and produces byte-identical EXPLAIN traces --
-// as evaluating the raw AST, minus the re-planning work.
+// interning, and the pushdown choice of the cost model. Every path is
+// planned there once -- the union branches and, recursively, every
+// existence predicate's path -- so evaluation never plans (paper
+// Section 2.1: the plan of axis-step joins is fixed before the context
+// sequence flows).
 //
 // A CompiledPlan is immutable after Compile and self-contained (it owns
 // a copy of the AST), so one plan is safely shared by any number of
@@ -46,6 +47,8 @@ enum class StepOperator : uint8_t {
   kEmpty,         ///< statically empty (unknown tag)
 };
 
+struct PlannedPath;
+
 /// The analyzed form of one location step.
 struct PlannedStep {
   /// >0: this step starts a twig run -- `twig_consumed` consecutive
@@ -76,6 +79,11 @@ struct PlannedStep {
   /// The estimator's output-cardinality guess for this step, rounded.
   /// EXPLAIN prints it as "est=N" next to the actual row count.
   uint64_t estimated_rows = 0;
+
+  /// One plan per predicate, index-parallel to Step::predicates: an
+  /// existence predicate's path planned like a branch (its own nested
+  /// predicates recursively); [k] and [last()] keep an empty slot.
+  std::vector<PlannedPath> predicate_paths;
 };
 
 /// Planned steps of one union branch, index-parallel to

@@ -233,10 +233,11 @@ TEST_F(ApiConcurrencyTest, ConcurrentPlanCacheHitsServeTheUncachedResult) {
   // produce node-for-node the uncached oracle, and the TSan job proves
   // the cache latch and the shared_ptr plan handoff are clean. The
   // queries are unique to this test so the first run of each config is
-  // genuinely uncached.
+  // genuinely uncached; the last one shares nested predicate-path plans.
   constexpr const char* kCachedQueries[] = {
       "/descendant::bidder/child::increase",
       "/descendant::category/child::name",
+      "/descendant::open_auction[child::bidder[child::increase]]",
   };
   std::vector<SessionOptions> configs;
   for (StorageBackend backend :

@@ -167,30 +167,40 @@ TEST_F(PlanCacheDatabaseTest, ExecutionOnlyOptionsShareAPlan) {
 }
 
 TEST_F(PlanCacheDatabaseTest, CachedExplainIsByteIdenticalModuloCacheLine) {
+  // A twig chain, and an existence predicate nested in another: the
+  // cached plan carries the predicate paths' plans too.
+  constexpr const char* kQueries[] = {
+      kQuery,
+      "/descendant::person[child::profile[child::education]]",
+  };
   auto db = OpenDb(16);
-  Session cold = std::move(db->CreateSession()).value();
-  auto uncached = cold.Run(kQuery);
-  ASSERT_TRUE(uncached.ok()) << uncached.status();
-  ASSERT_FALSE(uncached.value().plan_cached);
+  for (const char* q : kQueries) {
+    SCOPED_TRACE(q);
+    Session cold = std::move(db->CreateSession()).value();
+    auto uncached = cold.Run(q);
+    ASSERT_TRUE(uncached.ok()) << uncached.status();
+    ASSERT_FALSE(uncached.value().plan_cached);
+    ASSERT_FALSE(uncached.value().nodes.empty());
 
-  // A fresh session (empty local memo) is served from the shared cache.
-  Session warm = std::move(db->CreateSession()).value();
-  auto cached = warm.Run(kQuery);
-  ASSERT_TRUE(cached.ok()) << cached.status();
-  ASSERT_TRUE(cached.value().plan_cached);
-  EXPECT_EQ(cached.value().nodes, uncached.value().nodes);
-  EXPECT_GE(cached.value().plan_cache_hits, 1u);
+    // A fresh session (empty local memo) is served from the shared cache.
+    Session warm = std::move(db->CreateSession()).value();
+    auto cached = warm.Run(q);
+    ASSERT_TRUE(cached.ok()) << cached.status();
+    ASSERT_TRUE(cached.value().plan_cached);
+    EXPECT_EQ(cached.value().nodes, uncached.value().nodes);
+    EXPECT_GE(cached.value().plan_cache_hits, 1u);
 
-  const std::string plain = uncached.value().Explain();
-  const std::string served = cached.value().Explain();
-  ASSERT_NE(served.find('\n'), std::string::npos);
-  const std::string head = served.substr(0, served.find('\n'));
-  EXPECT_EQ(head.rfind(xpath::explain::kPlanCachedOpen, 0), 0u)
-      << "cached EXPLAIN must lead with the cache line, got: " << head;
-  // Everything after the cache line is the uncached report, byte for byte
-  // (modulo the wall-clock numbers, which no two runs share).
-  EXPECT_EQ(StripMillis(served.substr(served.find('\n') + 1)),
-            StripMillis(plain));
+    const std::string plain = uncached.value().Explain();
+    const std::string served = cached.value().Explain();
+    ASSERT_NE(served.find('\n'), std::string::npos);
+    const std::string head = served.substr(0, served.find('\n'));
+    EXPECT_EQ(head.rfind(xpath::explain::kPlanCachedOpen, 0), 0u)
+        << "cached EXPLAIN must lead with the cache line, got: " << head;
+    // Everything after the cache line is the uncached report, byte for
+    // byte (modulo the wall-clock numbers, which no two runs share).
+    EXPECT_EQ(StripMillis(served.substr(served.find('\n') + 1)),
+              StripMillis(plain));
+  }
 }
 
 TEST_F(PlanCacheDatabaseTest, RepeatRunsInOneSessionCountServes) {

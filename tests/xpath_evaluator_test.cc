@@ -17,6 +17,8 @@
 #include "path_oracle.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "xpath/evaluator.h"
+#include "xpath/parser.h"
 
 namespace sj {
 namespace {
@@ -381,6 +383,42 @@ TEST_P(XPathEnginePropertyTest, MatchesPathOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XPathEnginePropertyTest,
                          ::testing::Values(301, 302, 303, 304, 305));
+
+TEST_F(XPathEvaluatorTest, CompilePlansEveryPredicatePath) {
+  xpath::Evaluator evaluator(*doc_);
+  const xpath::CompiledPlan plan = evaluator.Compile(
+      xpath::ParseXPathUnion("/descendant::person[child::name][1]"
+                             "[child::profile[child::education]][last()]")
+          .value());
+  ASSERT_EQ(plan.branches.size(), 1u);
+  const xpath::Step& step = plan.expr.branches[0].steps[0];
+  const xpath::PlannedStep& planned = plan.branches[0].steps[0];
+  // One slot per predicate, in predicate order.
+  ASSERT_EQ(planned.predicate_paths.size(), step.predicates.size());
+  ASSERT_EQ(planned.predicate_paths.size(), 4u);
+  // [1] and [last()] have no path to plan.
+  EXPECT_TRUE(planned.predicate_paths[1].steps.empty());
+  EXPECT_TRUE(planned.predicate_paths[3].steps.empty());
+  // child::name is planned like a branch step.
+  ASSERT_EQ(planned.predicate_paths[0].steps.size(), 1u);
+  EXPECT_EQ(planned.predicate_paths[0].steps[0].tag,
+            doc_->tags().Lookup("name"));
+  // child::profile[child::education]: the nested predicate is planned
+  // too, one level down.
+  const xpath::PlannedPath& outer = planned.predicate_paths[2];
+  ASSERT_EQ(outer.steps.size(), 1u);
+  EXPECT_EQ(outer.steps[0].tag, doc_->tags().Lookup("profile"));
+  ASSERT_EQ(outer.steps[0].predicate_paths.size(), 1u);
+  const xpath::PlannedPath& inner = outer.steps[0].predicate_paths[0];
+  ASSERT_EQ(inner.steps.size(), 1u);
+  EXPECT_EQ(inner.steps[0].tag, doc_->tags().Lookup("education"));
+  EXPECT_TRUE(inner.steps[0].predicate_paths.empty());
+
+  // The compiled plan runs to the answer of the session facade.
+  auto nodes = evaluator.Evaluate(plan, {});
+  ASSERT_TRUE(nodes.ok()) << nodes.status();
+  EXPECT_EQ(Names(nodes.value()), (std::vector<std::string>{"person"}));
+}
 
 TEST(XPathEvaluatorErrorTest, BadInputs) {
   DatabaseOptions open;
