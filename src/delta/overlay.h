@@ -298,8 +298,10 @@ class OverlayBuilder {
 };
 
 /// \brief Rebuilds the merged document as a fresh DocTable whose pre
-/// ranks equal the overlay's logical ranks (the compaction fold; also
-/// serves the evaluator's per-context naive paths).
+/// ranks equal the overlay's logical ranks. Called by Database::Compact
+/// (the compaction fold) and DatabaseSnapshot::MergedDoc() (a lazily
+/// built merged view of one edited snapshot); the evaluator never
+/// materializes, it reads the overlay through the delta cursors.
 ///
 /// Reads base columns from the resident `base` image and synthesizes the
 /// builder event stream (attributes before content, in logical pre

@@ -136,7 +136,7 @@ struct ContextEstimate {
 
 /// \brief Estimates per-step output cardinality and per-operator page
 /// cost. Cheap to construct (borrows the statistics); one instance
-/// lives for the duration of one PlanPath walk.
+/// serves every path of one Evaluator::Compile.
 class CardinalityEstimator {
  public:
   /// `stats` may be null (a raw Evaluator without a Database): the

@@ -284,10 +284,12 @@ Result<NodeSequence> Evaluator::EvalSteps(const std::vector<Step>& steps,
     const uint64_t faults_before = top_level ? pool_faults() : 0;
     JoinStats stats;
     std::vector<TwigLevelStats> level_stats;
-    SJ_ASSIGN_OR_RETURN(
-        context, twig ? dispatch.Twig(context, plan.twig_levels, &stats,
-                                      &level_stats)
-                      : EvalStep(steps[i], plan, context, &stats));
+    if (twig) {
+      SJ_ASSIGN_OR_RETURN(context, dispatch.Twig(context, plan.twig_levels,
+                                                 &stats, &level_stats));
+    } else {
+      SJ_ASSIGN_OR_RETURN(context, EvalStep(steps[i], plan, context, &stats));
+    }
     if (top_level) {
       StepTrace trace;
       trace.millis = timer.ElapsedMillis();
@@ -484,8 +486,8 @@ Result<bool> Evaluator::PredicateHolds(const Predicate& pred,
 /// list surviving the previous ones. A step without positional
 /// predicates is one group: its whole output.
 Result<NodeSequence> Evaluator::RankWithinGroup(
-    const Step& step, const PlannedStep& plan, size_t first,
-    NodeSequence nodes, std::vector<std::optional<bool>>* absolute_verdict) {
+    const Step& step, const PlannedStep& plan, size_t first, NodeSequence nodes,
+    std::vector<std::optional<bool>>* absolute_verdict) {
   for (size_t p = first; p < step.predicates.size(); ++p) {
     const Predicate& pred = step.predicates[p];
     if (nodes.empty()) break;
@@ -592,7 +594,8 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
     case StepOperator::kStaircase: {
       // The unified kernels over the backend's cursor: the same join,
       // IO-conscious when pool-backed.
-      SJ_ASSIGN_OR_RETURN(result, dispatch.Staircase(context, step.axis, stats));
+      SJ_ASSIGN_OR_RETURN(result,
+                          dispatch.Staircase(context, step.axis, stats));
       if (step.test.kind != NodeTestKind::kAnyNode) {
         // The node-test pass reads kind/tag through the step's backend
         // cursor, so even the filter is charged to the pool on the

@@ -177,14 +177,14 @@ class Evaluator {
   /// Analyzes `expr` into an immutable CompiledPlan: twig-run collapse,
   /// positional detection, tag interning and the pushdown decision are
   /// settled HERE, once, for every branch and every existence
-  /// predicate's path (nested ones included) -- evaluation never plans. The decisions depend
-  /// only on the document (its statistics, and under an overlay the
-  /// merged dictionary and fragment counts) and the semantic options
-  /// (backend, pushdown, twig, pushdown_selectivity, cost_model), so a
-  /// plan compiled by one evaluator is valid for any evaluator over the
-  /// same snapshot with equal semantic options -- the sharing contract
-  /// of the Database plan cache, whose key is exactly those fields plus
-  /// the snapshot epoch.
+  /// predicate's path (nested ones included) -- evaluation never plans.
+  /// The decisions depend only on the document (its statistics, and
+  /// under an overlay the merged dictionary and fragment counts) and the
+  /// semantic options (backend, pushdown, twig, pushdown_selectivity,
+  /// cost_model), so a plan compiled by one evaluator is valid for any
+  /// evaluator over the same snapshot with equal semantic options -- the
+  /// sharing contract of the Database plan cache, whose key is exactly
+  /// those fields plus the snapshot epoch.
   CompiledPlan Compile(UnionExpr expr) const;
 
   /// Evaluates a compiled plan from `context` (document order, duplicate
