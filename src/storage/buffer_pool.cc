@@ -8,9 +8,14 @@
 namespace sj::storage {
 
 PageId SimulatedDisk::Allocate() {
-  pages_.push_back(std::make_unique<Page>());
-  std::memset(pages_.back()->bytes, 0, kPageSize);
+  pages_.emplace_back();  // all zeros until written
   return static_cast<PageId>(pages_.size() - 1);
+}
+
+void SimulatedDisk::CopyOut(PageId id, Page* out) const {
+  const std::vector<uint8_t>& stored = pages_[id];
+  if (!stored.empty()) std::memcpy(out->bytes, stored.data(), stored.size());
+  std::memset(out->bytes + stored.size(), 0, kPageSize - stored.size());
 }
 
 Status SimulatedDisk::Read(PageId id, Page* out) const {
@@ -23,7 +28,7 @@ Status SimulatedDisk::Read(PageId id, Page* out) const {
   if (latency > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(latency));
   }
-  std::memcpy(out->bytes, pages_[id]->bytes, kPageSize);
+  CopyOut(id, out);
   return Status::OK();
 }
 
@@ -51,7 +56,7 @@ Status SimulatedDisk::ReadBatch(std::span<const PageId> ids,
     std::this_thread::sleep_for(std::chrono::microseconds(micros));
   }
   for (size_t i = 0; i < ids.size(); ++i) {
-    std::memcpy(outs[i]->bytes, pages_[ids[i]]->bytes, kPageSize);
+    CopyOut(ids[i], outs[i]);
   }
   return Status::OK();
 }
@@ -61,7 +66,17 @@ Status SimulatedDisk::Write(PageId id, const Page& in) {
     return Status::OutOfRange("disk write past end: page " +
                               std::to_string(id));
   }
-  std::memcpy(pages_[id]->bytes, in.bytes, kPageSize);
+  // Trim the zero tail a word at a time (coded and fragment pages are
+  // often mostly tail), then byte by byte.
+  size_t len = kPageSize;
+  uint64_t word = 0;
+  while (len >= sizeof(word)) {
+    std::memcpy(&word, in.bytes + len - sizeof(word), sizeof(word));
+    if (word != 0) break;
+    len -= sizeof(word);
+  }
+  while (len > 0 && in.bytes[len - 1] == 0) --len;
+  pages_[id].assign(in.bytes, in.bytes + len);
   return Status::OK();
 }
 

@@ -46,7 +46,10 @@ inline constexpr uint32_t kBatchTransferDivisor = 10;
 /// \brief Simulated disk: an array of pages with read accounting.
 ///
 /// Reads memcpy the page image (so buffer frames are genuinely distinct
-/// from the "disk"), and count as faults in the statistics.
+/// from the "disk"), and count as faults in the statistics. Each page is
+/// held without its trailing zero bytes, which reads restore: column
+/// images leave many pages mostly empty (every tag fragment column
+/// starts on its own page), and the device stays in RAM.
 class SimulatedDisk {
  public:
   /// Appends a page; returns its id.
@@ -91,7 +94,11 @@ class SimulatedDisk {
   }
 
  private:
-  std::vector<std::unique_ptr<Page>> pages_;
+  /// The page image `id` with its trailing zeros restored.
+  void CopyOut(PageId id, Page* out) const;
+
+  /// Page images without their trailing zero bytes.
+  std::vector<std::vector<uint8_t>> pages_;
   // Atomic so that pools on different threads may share one disk.
   mutable std::atomic<uint64_t> reads_{0};
   mutable std::atomic<uint64_t> batch_reads_{0};

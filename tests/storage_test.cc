@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +40,33 @@ TEST(SimulatedDiskTest, AllocateReadWrite) {
   EXPECT_EQ(disk.reads(), 1u);
   EXPECT_FALSE(disk.Read(9, &out).ok());
   EXPECT_FALSE(disk.Write(9, page).ok());
+}
+
+TEST(SimulatedDiskTest, PagesReadBackWithTheirZeroTails) {
+  SimulatedDisk disk;
+  const PageId p = disk.Allocate();
+  Page out;
+  std::memset(out.bytes, 0xAB, kPageSize);
+  // Never written: all zeros, whatever the frame held before.
+  ASSERT_TRUE(disk.Read(p, &out).ok());
+  for (uint8_t b : out.bytes) ASSERT_EQ(b, 0);
+
+  Page page{};
+  page.bytes[0] = 1;
+  page.bytes[100] = 2;  // bytes 101.. are the zero tail
+  ASSERT_TRUE(disk.Write(p, page).ok());
+  std::memset(out.bytes, 0xAB, kPageSize);
+  ASSERT_TRUE(disk.Read(p, &out).ok());
+  EXPECT_EQ(std::memcmp(out.bytes, page.bytes, kPageSize), 0);
+
+  // A shorter image overwrites the longer one, tail included.
+  page.bytes[100] = 0;
+  ASSERT_TRUE(disk.Write(p, page).ok());
+  Page* outs[] = {&out};
+  const PageId ids[] = {p};
+  std::memset(out.bytes, 0xAB, kPageSize);
+  ASSERT_TRUE(disk.ReadBatch(ids, outs).ok());
+  EXPECT_EQ(std::memcmp(out.bytes, page.bytes, kPageSize), 0);
 }
 
 TEST(BufferPoolTest, HitAfterFault) {
