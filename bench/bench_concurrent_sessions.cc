@@ -59,13 +59,7 @@ RunResult RunSessions(const Database& db, unsigned session_count) {
   std::vector<Session> sessions;
   sessions.reserve(session_count);
   for (unsigned s = 0; s < session_count; ++s) {
-    auto session = db.CreateSession(opt);
-    if (!session.ok()) {
-      std::fprintf(stderr, "session failed: %s\n",
-                   session.status().ToString().c_str());
-      std::abort();
-    }
-    sessions.push_back(std::move(session).value());
+    sessions.push_back(MustSession(db, opt));
   }
   db.buffer_pool()->FlushAll();
   db.buffer_pool()->ResetStats();
@@ -88,15 +82,14 @@ RunResult RunSessions(const Database& db, unsigned session_count) {
           // dropped (pinned frames of in-flight queries survive), so
           // every query pays its faults -- the disk-bound regime.
           db.buffer_pool()->FlushAll();
-          auto r = sessions[s].Run(q);
-          if (!r.ok() || r.value().nodes.empty()) {
-            std::fprintf(stderr, "query failed under concurrency: %s\n", q);
+          QueryResult r = MustRun(sessions[s], q);
+          if (r.nodes.empty()) {
+            std::fprintf(stderr, "empty result under concurrency: %s\n", q);
             std::abort();
           }
-          total_skipped.fetch_add(r.value().totals.nodes_skipped,
+          total_skipped.fetch_add(r.totals.nodes_skipped,
                                   std::memory_order_relaxed);
-          total_result.fetch_add(r.value().nodes.size(),
-                                 std::memory_order_relaxed);
+          total_result.fetch_add(r.nodes.size(), std::memory_order_relaxed);
         }
       }
     });

@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -113,29 +112,9 @@ int TimedReps() { return std::max(BenchReps(), kMinTimedReps); }
 /// pairs rides out such stalls on a loaded host.
 constexpr int kMinServeReps = 9;
 
-Session MustCreateSession(const Database& db, const SessionOptions& opt) {
-  auto session = db.CreateSession(opt);
-  if (!session.ok()) {
-    std::fprintf(stderr, "session failed: %s\n",
-                 session.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(session).value();
-}
-
-QueryResult MustRun(Session& session, const char* query) {
-  auto r = session.Run(query);
-  if (!r.ok()) {
-    std::fprintf(stderr, "query failed: %s\n  %s\n", query,
-                 r.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(r).value();
-}
-
 // --- phase A: cold prefetch ------------------------------------------------
 
-struct ColdRun {
+struct PrefetchRun {
   double ms = -1;  ///< best-of-reps wall time
   uint64_t faults = 0;
   uint64_t prefetched = 0;
@@ -145,9 +124,9 @@ struct ColdRun {
   NodeSequence nodes;
 };
 
-ColdRun RunCold(const Database& db, Session& session, const char* query,
-                bool prefetch) {
-  ColdRun out;
+PrefetchRun RunPrefetch(const Database& db, Session& session,
+                        const char* query, bool prefetch) {
+  PrefetchRun out;
   for (int rep = 0; rep < TimedReps(); ++rep) {
     db.buffer_pool()->set_prefetch_enabled(prefetch);
     db.buffer_pool()->FlushAll();
@@ -199,11 +178,11 @@ void PhasePrefetch(std::vector<JsonRecord>* json) {
   for (const Backend& b : backends) {
     SessionOptions opt;
     opt.backend = b.backend;
-    Session session = MustCreateSession(*db, opt);
+    Session session = MustSession(*db, opt);
     for (const SkipQuery& sq : kSkipMix) {
       const char* query = sq.query;
-      ColdRun off = RunCold(*db, session, query, /*prefetch=*/false);
-      ColdRun on = RunCold(*db, session, query, /*prefetch=*/true);
+      PrefetchRun off = RunPrefetch(*db, session, query, /*prefetch=*/false);
+      PrefetchRun on = RunPrefetch(*db, session, query, /*prefetch=*/true);
       if (off.nodes != on.nodes) {
         std::fprintf(stderr, "prefetch changed the result of %s\n", query);
         std::abort();
@@ -271,30 +250,10 @@ void PhasePrefetch(std::vector<JsonRecord>* json) {
 
 // --- phase B: saturation ---------------------------------------------------
 
-/// Cumulative zipf(s) distribution over `n` ranks.
-std::vector<double> ZipfCdf(size_t n, double s) {
-  std::vector<double> cdf(n);
-  double total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf[i] = total;
-  }
-  for (double& c : cdf) c /= total;
-  return cdf;
-}
-
-size_t DrawZipf(const std::vector<double>& cdf, Rng& rng) {
-  const double u = rng.NextDouble();
-  return static_cast<size_t>(
-      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-}
-
 struct ServeRun {
   double ms = 0;   ///< wall time of the best rep
   double qps = 0;  ///< completed arrival rate of the best rep
-  double p50 = 0;
-  double p95 = 0;
-  double p99 = 0;
+  Percentiles latency;
   uint64_t skipped = 0;  ///< schedule-deterministic sum over every query
   uint64_t result = 0;   ///< schedule-deterministic sum over every query
 };
@@ -305,7 +264,7 @@ std::vector<Session> MakeClients(const Database& db, unsigned threads) {
   std::vector<Session> sessions;
   sessions.reserve(threads);
   for (unsigned s = 0; s < threads; ++s) {
-    sessions.push_back(MustCreateSession(db, opt));
+    sessions.push_back(MustSession(db, opt));
   }
   return sessions;
 }
@@ -344,20 +303,9 @@ void ServeRep(std::vector<Session>& sessions, ServeRun* best) {
       1000.0 * static_cast<double>(kQueriesPerThread) *
       static_cast<double>(threads) / ms;
   if (qps > best->qps) {
-    std::vector<double> all;
-    for (const std::vector<double>& per_thread : latencies) {
-      all.insert(all.end(), per_thread.begin(), per_thread.end());
-    }
-    std::sort(all.begin(), all.end());
-    auto pct = [&all](double q) {
-      return all[std::min(all.size() - 1,
-                          static_cast<size_t>(q * all.size()))];
-    };
     best->ms = ms;
     best->qps = qps;
-    best->p50 = pct(0.50);
-    best->p95 = pct(0.95);
-    best->p99 = pct(0.99);
+    best->latency = LatencyPercentiles(latencies);
     best->skipped = total_skipped.load(std::memory_order_relaxed);
     best->result = total_result.load(std::memory_order_relaxed);
   }
@@ -380,8 +328,6 @@ void PhaseSaturation(std::vector<JsonRecord>* json, double mb) {
                   "p95 [ms]", "p99 [ms]", "speedup"});
   double cached_qps_at_saturation = 0;
   double uncached_qps_at_saturation = 0;
-  uint64_t cached_result = 0;
-  uint64_t uncached_result = 0;
   for (unsigned threads : {1u, kSaturationThreads}) {
     std::vector<Session> uncached_clients = MakeClients(*uncached_db, threads);
     std::vector<Session> cached_clients = MakeClients(*cached_db, threads);
@@ -407,17 +353,15 @@ void PhaseSaturation(std::vector<JsonRecord>* json, double mb) {
     if (threads == kSaturationThreads) {
       cached_qps_at_saturation = cached.qps;
       uncached_qps_at_saturation = uncached.qps;
-      cached_result = cached.result;
-      uncached_result = uncached.result;
     }
     const char* labels[] = {"off", "on"};
     const ServeRun* runs[] = {&uncached, &cached};
     for (int i = 0; i < 2; ++i) {
       t.AddRow({labels[i], std::to_string(threads),
                 TablePrinter::Count(static_cast<uint64_t>(runs[i]->qps)),
-                TablePrinter::Fixed(runs[i]->p50, 3),
-                TablePrinter::Fixed(runs[i]->p95, 3),
-                TablePrinter::Fixed(runs[i]->p99, 3),
+                TablePrinter::Fixed(runs[i]->latency.p50, 3),
+                TablePrinter::Fixed(runs[i]->latency.p95, 3),
+                TablePrinter::Fixed(runs[i]->latency.p99, 3),
                 TablePrinter::Fixed(runs[i]->qps / uncached.qps, 2) + "x"});
       JsonRecord rec;
       rec.query = "zipf-mix/" + std::to_string(threads) + "clients";
@@ -426,15 +370,13 @@ void PhaseSaturation(std::vector<JsonRecord>* json, double mb) {
       rec.ms = runs[i]->ms;
       rec.skipped = runs[i]->skipped;
       rec.result = runs[i]->result;
-      rec.p50_ms = runs[i]->p50;
-      rec.p95_ms = runs[i]->p95;
-      rec.p99_ms = runs[i]->p99;
+      rec.p50_ms = runs[i]->latency.p50;
+      rec.p95_ms = runs[i]->latency.p95;
+      rec.p99_ms = runs[i]->latency.p99;
       json->push_back(std::move(rec));
     }
   }
   t.Print();
-  (void)uncached_result;
-  (void)cached_result;
 
   const DatabaseStats stats = cached_db->TotalStats();
   std::printf("plan cache at %u clients: %llu hits / %llu misses / %llu "

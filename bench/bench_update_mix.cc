@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -66,26 +65,6 @@ constexpr uint64_t kScheduleSeed = 0x7a11c0de;
 constexpr int kMinTimedReps = 2;
 
 int TimedReps() { return std::max(BenchReps(), kMinTimedReps); }
-
-Session MustCreateSession(const Database& db, const SessionOptions& opt) {
-  auto session = db.CreateSession(opt);
-  if (!session.ok()) {
-    std::fprintf(stderr, "session failed: %s\n",
-                 session.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(session).value();
-}
-
-QueryResult MustRun(Session& session, const char* query) {
-  auto r = session.Run(query);
-  if (!r.ok()) {
-    std::fprintf(stderr, "query failed: %s\n  %s\n", query,
-                 r.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(r).value();
-}
 
 // --- phase A: overlay vs compacted -----------------------------------------
 
@@ -188,7 +167,7 @@ void PhaseOverlayVsCompacted(std::vector<JsonRecord>* json, double mb) {
   for (const Backend& b : backends) {
     SessionOptions opt;
     opt.backend = b.backend;
-    sessions.push_back(MustCreateSession(*db, opt));
+    sessions.push_back(MustSession(*db, opt));
     overlay_runs.push_back(RunMix(*db, sessions.back()));
   }
   if (!db->Compact().ok()) {
@@ -234,28 +213,9 @@ void PhaseOverlayVsCompacted(std::vector<JsonRecord>* json, double mb) {
 
 // --- phase B: readers vs a writer ------------------------------------------
 
-std::vector<double> ZipfCdf(size_t n, double s) {
-  std::vector<double> cdf(n);
-  double total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf[i] = total;
-  }
-  for (double& c : cdf) c /= total;
-  return cdf;
-}
-
-size_t DrawZipf(const std::vector<double>& cdf, Rng& rng) {
-  const double u = rng.NextDouble();
-  return static_cast<size_t>(
-      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-}
-
 struct ServeRun {
   double ms = 0;
-  double p50 = 0;
-  double p95 = 0;
-  double p99 = 0;
+  Percentiles latency;
   uint64_t result = 0;  ///< schedule-deterministic sum over every query
   uint64_t commits = 0;
   uint64_t compactions = 0;
@@ -272,7 +232,7 @@ ServeRun Serve(Database* db, bool with_writer) {
     std::vector<Session> sessions;
     sessions.reserve(kClientThreads);
     for (unsigned s = 0; s < kClientThreads; ++s) {
-      sessions.push_back(MustCreateSession(*db, SessionOptions{}));
+      sessions.push_back(MustSession(*db));
     }
     std::vector<std::vector<double>> latencies(kClientThreads);
     std::atomic<uint64_t> total_result{0};
@@ -317,19 +277,8 @@ ServeRun Serve(Database* db, bool with_writer) {
     if (writer.joinable()) writer.join();
     if (first || ms < best.ms) {
       first = false;
-      std::vector<double> all;
-      for (const std::vector<double>& per_thread : latencies) {
-        all.insert(all.end(), per_thread.begin(), per_thread.end());
-      }
-      std::sort(all.begin(), all.end());
-      auto pct = [&all](double q) {
-        return all[std::min(all.size() - 1,
-                            static_cast<size_t>(q * all.size()))];
-      };
       best.ms = ms;
-      best.p50 = pct(0.50);
-      best.p95 = pct(0.95);
-      best.p99 = pct(0.99);
+      best.latency = LatencyPercentiles(latencies);
       best.result = total_result.load(std::memory_order_relaxed);
       best.commits = commits;
       best.compactions = compactions;
@@ -365,9 +314,9 @@ void PhaseWriterVsReaders(std::vector<JsonRecord>* json, double mb) {
   const ServeRun* runs[] = {&quiet, &busy};
   for (int i = 0; i < 2; ++i) {
     t.AddRow({labels[i], std::to_string(kClientThreads),
-              TablePrinter::Fixed(runs[i]->p50, 3),
-              TablePrinter::Fixed(runs[i]->p95, 3),
-              TablePrinter::Fixed(runs[i]->p99, 3),
+              TablePrinter::Fixed(runs[i]->latency.p50, 3),
+              TablePrinter::Fixed(runs[i]->latency.p95, 3),
+              TablePrinter::Fixed(runs[i]->latency.p99, 3),
               TablePrinter::Count(runs[i]->commits),
               TablePrinter::Count(runs[i]->compactions)});
     JsonRecord rec;
@@ -376,9 +325,9 @@ void PhaseWriterVsReaders(std::vector<JsonRecord>* json, double mb) {
     rec.size_mb = mb;
     rec.ms = runs[i]->ms;
     rec.result = runs[i]->result;
-    rec.p50_ms = runs[i]->p50;
-    rec.p95_ms = runs[i]->p95;
-    rec.p99_ms = runs[i]->p99;
+    rec.p50_ms = runs[i]->latency.p50;
+    rec.p95_ms = runs[i]->latency.p95;
+    rec.p99_ms = runs[i]->latency.p99;
     json->push_back(std::move(rec));
   }
   t.Print();

@@ -12,6 +12,8 @@
 #ifndef STAIRJOIN_BENCH_BENCH_UTIL_H_
 #define STAIRJOIN_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -19,9 +21,11 @@
 #include <vector>
 
 #include "api/database.h"
+#include "api/session.h"
 #include "core/staircase_join.h"
 #include "core/tag_view.h"
 #include "encoding/doc_table.h"
+#include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 #include "xmlgen/xmark.h"
@@ -106,6 +110,107 @@ inline std::unique_ptr<Database> MakeDatabase(double size_mb,
   std::fprintf(stderr, "[workload] %.1f MB-equivalent: %zu nodes (%.0f ms)\n",
                size_mb, db.value()->doc().size(), t.ElapsedMillis());
   return std::move(db).value();
+}
+
+/// Creates a session over `db` or aborts.
+inline Session MustSession(const Database& db,
+                           const SessionOptions& options = {}) {
+  auto session = db.CreateSession(options);
+  if (!session.ok()) {
+    std::fprintf(stderr, "session failed: %s\n",
+                 session.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(session).value();
+}
+
+/// Runs `query` from the document root or aborts.
+inline QueryResult MustRun(Session& session, const char* query) {
+  auto r = session.Run(query);
+  if (!r.ok()) {
+    std::fprintf(stderr, "query failed: %s\n  %s\n", query,
+                 r.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(r).value();
+}
+
+/// One query measured on a cold pool (see RunCold). Every field but `ms`
+/// is deterministic for a single-threaded run.
+struct ColdRun {
+  double ms = -1;        ///< best-of-reps QueryResult::millis
+  uint64_t faults = 0;   ///< pool faults of the last rep (0 without a pool)
+  uint64_t pins = 0;     ///< pool pins of the last rep (0 without a pool)
+  uint64_t skipped = 0;  ///< JoinStats::nodes_skipped summed over the plan
+  uint64_t result = 0;   ///< result cardinality
+  QueryResult last;      ///< the last rep's answer: nodes, trace, plan
+};
+
+/// Runs `query` BenchReps() times. When the session reads through a
+/// pool, each rep starts on a flushed pool with reset counters, so the
+/// faults are the query's cold faults and the time includes the paging.
+inline ColdRun RunCold(Session& session, const char* query) {
+  ColdRun out;
+  storage::BufferPool* pool = session.pool();
+  for (int rep = 0; rep < BenchReps(); ++rep) {
+    if (pool != nullptr) {
+      pool->FlushAll();
+      pool->ResetStats();
+    }
+    out.last = MustRun(session, query);
+    if (out.ms < 0 || out.last.millis < out.ms) out.ms = out.last.millis;
+  }
+  if (pool != nullptr) {
+    const storage::PoolStats ps = pool->stats();
+    out.faults = ps.faults;
+    out.pins = ps.pins;
+  }
+  out.skipped = out.last.totals.nodes_skipped;
+  out.result = out.last.nodes.size();
+  return out;
+}
+
+/// Cumulative zipf(s) distribution over `n` ranks (rank 0 hottest).
+inline std::vector<double> ZipfCdf(size_t n, double s) {
+  std::vector<double> cdf(n);
+  double total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf[i] = total;
+  }
+  for (double& c : cdf) c /= total;
+  return cdf;
+}
+
+/// Draws one rank from a ZipfCdf.
+inline size_t DrawZipf(const std::vector<double>& cdf, Rng& rng) {
+  const double u = rng.NextDouble();
+  return static_cast<size_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+/// Client-observed latency percentiles, milliseconds.
+struct Percentiles {
+  double p50 = 0;
+  double p95 = 0;
+  double p99 = 0;
+};
+
+/// Percentiles over every client thread's latency samples (nearest
+/// rank, rounded down).
+inline Percentiles LatencyPercentiles(
+    const std::vector<std::vector<double>>& per_thread) {
+  std::vector<double> all;
+  for (const std::vector<double>& samples : per_thread) {
+    all.insert(all.end(), samples.begin(), samples.end());
+  }
+  if (all.empty()) return {};
+  std::sort(all.begin(), all.end());
+  const double n = static_cast<double>(all.size());
+  auto pct = [&](double q) {
+    return all[std::min(all.size() - 1, static_cast<size_t>(q * n))];
+  };
+  return {pct(0.50), pct(0.95), pct(0.99)};
 }
 
 /// Formats a document size like the paper's x-axis labels.

@@ -465,15 +465,17 @@ DatabaseStats Database::TotalStats() const {
   }
   if (plan_cache_ != nullptr) {
     const PlanCache::Stats cache = plan_cache_->stats();
-    snapshot.plan_cache_hits = cache.hits;
+    snapshot.plan_cache_hits += cache.hits;  // stats_ holds the memo serves
     snapshot.plan_cache_misses = cache.misses;
     snapshot.plan_cache_evictions = cache.evictions;
   }
   return snapshot;
 }
 
-void Database::RecordQuery(bool ok, uint64_t result_nodes) const {
+void Database::RecordQuery(bool ok, uint64_t result_nodes,
+                           bool memo_served) const {
   MutexLock lock(stats_mu_);
+  if (memo_served) ++stats_.plan_cache_hits;
   if (ok) {
     ++stats_.queries_run;
     stats_.result_nodes += result_nodes;

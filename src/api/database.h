@@ -86,7 +86,7 @@ struct DatabaseStats {
   uint64_t queries_run = 0;       ///< successful Session::Run calls
   uint64_t queries_failed = 0;    ///< Run calls that returned a Status
   uint64_t result_nodes = 0;      ///< result cardinality, summed
-  uint64_t plan_cache_hits = 0;       ///< queries served a cached plan
+  uint64_t plan_cache_hits = 0;       ///< cached-plan serves, memo included
   uint64_t plan_cache_misses = 0;     ///< queries that parsed + planned
   uint64_t plan_cache_evictions = 0;  ///< plans displaced by capacity
   uint64_t edits_committed = 0;   ///< EditTxn::Commit calls that published
@@ -322,8 +322,10 @@ class Database {
 
   Database() = default;
 
-  /// Called by Session::Run on completion (any thread).
-  void RecordQuery(bool ok, uint64_t result_nodes) const
+  /// Called by Session::Run on completion (any thread). `memo_served`:
+  /// the plan came from the session's local memo, a plan-cache hit the
+  /// shared cache never saw.
+  void RecordQuery(bool ok, uint64_t result_nodes, bool memo_served) const
       SJ_EXCLUDES(stats_mu_);
 
   /// Called per session snapshot bind/rebind.

@@ -37,7 +37,8 @@ namespace sj {
 /// \brief Bounded, thread-safe LRU map from plan key to compiled plan.
 class PlanCache {
  public:
-  /// Lifetime counters (mirrored into DatabaseStats by TotalStats).
+  /// Lifetime counters (folded into DatabaseStats by TotalStats, which
+  /// adds the sessions' local memo serves to `hits`).
   struct Stats {
     uint64_t hits = 0;       ///< Lookup found an entry
     uint64_t misses = 0;     ///< Lookup found nothing

@@ -165,6 +165,7 @@ Result<QueryResult> Session::Run(std::string_view xpath,
   PlanCache* cache = db_->plan_cache();
   std::shared_ptr<const xpath::CompiledPlan> plan;
   bool plan_cached = false;
+  bool memo_served = false;
   uint64_t plan_cache_hits = 0;
   std::string key;
   if (cache != nullptr) {
@@ -174,6 +175,7 @@ Result<QueryResult> Session::Run(std::string_view xpath,
     if (auto memo = plan_memo_.find(key); memo != plan_memo_.end()) {
       plan = memo->second.plan;
       plan_cached = true;
+      memo_served = true;
       plan_cache_hits = ++memo->second.serves;
     } else if (std::optional<PlanCache::Hit> hit = cache->Lookup(key)) {
       plan = hit->plan;
@@ -187,7 +189,7 @@ Result<QueryResult> Session::Run(std::string_view xpath,
     if (!parsed.ok()) {
       // A failed parse caches nothing: the miss was already counted, and
       // an entry for garbage text would only displace real plans.
-      db_->RecordQuery(/*ok=*/false, 0);
+      db_->RecordQuery(/*ok=*/false, 0, /*memo_served=*/false);
       return parsed.status();
     }
     auto compiled = std::make_shared<xpath::CompiledPlan>(
@@ -200,11 +202,11 @@ Result<QueryResult> Session::Run(std::string_view xpath,
   }
   auto evaluated = engine_->Evaluate(*plan, context);
   if (!evaluated.ok()) {
-    db_->RecordQuery(/*ok=*/false, 0);
+    db_->RecordQuery(/*ok=*/false, 0, memo_served);
     return evaluated.status();
   }
   NodeSequence nodes = std::move(evaluated).value();
-  db_->RecordQuery(/*ok=*/true, nodes.size());
+  db_->RecordQuery(/*ok=*/true, nodes.size(), memo_served);
   QueryResult result;
   result.nodes = std::move(nodes);
   result.trace = engine_->last_trace();

@@ -89,7 +89,7 @@ inline constexpr double kPagedPageCost = 1.0;
 /// once per step, so this unit alone prices them against each other.
 inline constexpr double kMemoryPageCost = 0.1;
 /// Block-compressed columns amortize ~4x more ranks per faulted page
-/// (bench_compressed_columns: 3.4-7.1x fewer faults at equal pool size).
+/// (bench_cold_suites CC1: 3.4-7.1x fewer faults at equal pool size).
 inline constexpr double kCompressedPageCost = 0.25;
 /// Charged per pruned context node by the fragment pushdown join on the
 /// pool-backed backends (paged, compressed): each context node's

@@ -233,6 +233,24 @@ TEST_F(PlanCacheDatabaseTest, TotalStatsFoldInPlanCacheCounters) {
   EXPECT_EQ(stats.queries_run, 2u);
 }
 
+TEST_F(PlanCacheDatabaseTest, RepeatServesInOneSessionReachTotalStats) {
+  auto db = OpenDb(16);
+  Session s = std::move(db->CreateSession()).value();
+  int served = 0;
+  for (int i = 0; i < 3; ++i) {
+    auto r = s.Run("/descendant::person");
+    ASSERT_TRUE(r.ok()) << r.status();
+    served += r.value().plan_cached ? 1 : 0;
+  }
+  // The first run compiles; the repeats come from the session's local
+  // memo, which the shared cache never sees -- they are hits all the same.
+  EXPECT_EQ(served, 2);
+  const DatabaseStats stats = db->TotalStats();
+  EXPECT_EQ(stats.plan_cache_hits, 2u);
+  EXPECT_EQ(stats.plan_cache_misses, 1u);
+  EXPECT_EQ(stats.queries_run, 3u);
+}
+
 TEST_F(PlanCacheDatabaseTest, DisabledCacheParsesEveryRun) {
   auto db = OpenDb(0);
   EXPECT_EQ(db->plan_cache(), nullptr);

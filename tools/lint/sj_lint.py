@@ -38,7 +38,7 @@ enforces. This pass makes them hard failures in CI:
                     src/xpath/cost_model.h and nowhere else. A constant
                     defined in another src/xpath/ file forks the
                     planner's arithmetic: compiled plans, EXPLAIN's
-                    est= numbers and the bench_cost_model gate all pin
+                    est= numbers and bench_cold_suites' CM1 gate all pin
                     the one table.
   delta-mutation    Column images are immutable once published: updates
                     go through the delta overlay (src/delta/) and are
