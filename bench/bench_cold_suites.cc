@@ -7,10 +7,13 @@
 // SessionOptions plans (the label is the JSON `backend`), and an
 // optional check that aborts on a violated claim. RunSuite asserts
 // node-identical results across a suite's plans, calls the check, prints
-// one table per suite and writes the suite's BENCH_*.json rows;
+// one table per suite and writes the suite's BENCH_<name>.json rows;
 // faults/skipped/result are deterministic and gated by the CI
 // perf-regression job (tools/check_bench_regression.py) against
 // bench/baselines/.
+//
+// Usage: bench_cold_suites [suite name...]; no names runs every suite.
+// ctest registers one smoke test per suite, smoke_bench_<name>.
 
 #include <algorithm>
 #include <cstdio>
@@ -63,9 +66,9 @@ struct Plan {
 };
 
 struct Suite {
+  const char* name = "";  ///< command-line name; rows go to BENCH_<name>.json
   const char* id = "";
   const char* description = "";
-  const char* json = "";  ///< BENCH_*.json file name
   DatabaseOptions open;
   std::vector<double> sizes = BenchSizes();
   std::span<const char* const> queries;
@@ -106,10 +109,10 @@ void CheckDiskPages(const Measured& m) {
 
 Suite DiskPages() {
   Suite s;
+  s.name = "disk_pages";
   s.id = "FW1 (Section 6, future work: disk pages)";
   s.description =
       "paged XPath evaluation: page faults per skip mode and pool size";
-  s.json = "BENCH_disk_pages.json";
   s.open.build_tag_index = false;  // every plan joins over the document
   // One document: the largest of the default sweep (11 MB at small
   // scale), never the xl instance.
@@ -151,11 +154,11 @@ constexpr const char* kMixedQueries[] = {
 
 Suite MixedAxes() {
   Suite s;
+  s.name = "mixed_axes";
   s.id = "FW2 (axis cursors: mixed axes)";
   s.description =
       "mixed staircase + child/attribute/sibling queries: every step "
       "IO-charged on the paged backend";
-  s.json = "BENCH_mixed_axes.json";
   s.open.build_tag_index = false;  // both backends join over the document
   s.queries = kMixedQueries;
   SessionOptions mem;
@@ -201,11 +204,11 @@ void CheckCompressed(const Measured& m) {
 
 Suite Compressed() {
   Suite s;
+  s.name = "compressed_columns";
   s.id = "CC1 (compressed columns)";
   s.description =
       "FOR/delta block-compressed columns vs uncompressed pages: faults "
       "per query at equal page and pool size";
-  s.json = "BENCH_compressed_columns.json";
   s.open.build_tag_index = false;  // both backends join over the document
   s.queries = kCompressedQueries;
   SessionOptions paged;
@@ -317,11 +320,11 @@ void CheckTwig(const Measured& m) {
 
 Suite TwigPaths() {
   Suite s;
+  s.name = "twig_paths";
   s.id = "TW1 (twig paths)";
   s.description =
       "holistic twig join vs step-at-a-time vs MPMGJN on XMark chains: "
       "intermediate context nodes and cold page faults at equal pool size";
-  s.json = "BENCH_twig_paths.json";
   s.queries = kChains;
   SessionOptions twig;
   twig.backend = StorageBackend::kPaged;
@@ -377,12 +380,12 @@ void CheckCostModel(const Measured& m) {
 
 Suite CostModel() {
   Suite s;
+  s.name = "cost_model";
   s.id = "CM1 (cost model)";
   s.description =
       "estimate-driven planning (cost_model=kAuto) vs pinned pushdown "
       "hints on a cold pool: kAuto must match the best hint per query, "
       "node-identically";
-  s.json = "BENCH_cost_model.json";
   s.queries = kCostQueries;
   // One cold private pool per planning configuration; twig collapse is
   // disabled so the per-step operator choice is what's measured. A
@@ -455,15 +458,32 @@ void RunSuite(const Suite& suite) {
   std::printf("\n");
   t.Print();
   std::printf("\n");
-  WriteJson(json, suite.json);
+  WriteJson(json, ("BENCH_" + std::string(suite.name) + ".json").c_str());
 }
 
 }  // namespace
 }  // namespace sj::bench
 
-int main() {
-  for (const sj::bench::Suite& suite : sj::bench::Suites()) {
-    sj::bench::RunSuite(suite);
+int main(int argc, char** argv) {
+  const std::vector<sj::bench::Suite> suites = sj::bench::Suites();
+  if (argc == 1) {
+    for (const sj::bench::Suite& suite : suites) sj::bench::RunSuite(suite);
+    return 0;
+  }
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view name = argv[i];
+    auto it = std::find_if(
+        suites.begin(), suites.end(),
+        [&](const sj::bench::Suite& s) { return s.name == name; });
+    if (it == suites.end()) {
+      std::fprintf(stderr, "unknown suite '%s'; suites:", argv[i]);
+      for (const sj::bench::Suite& s : suites) {
+        std::fprintf(stderr, " %s", s.name);
+      }
+      std::fprintf(stderr, "\n");
+      return 2;
+    }
+    sj::bench::RunSuite(*it);
   }
   return 0;
 }
