@@ -286,10 +286,7 @@ Result<xpath::EvalOptions> Database::MakeEvalOptions(
   const DatabaseImages& img = snap->images();
   xpath::EvalOptions eval;
   eval.staircase = options.staircase;
-  eval.pushdown = options.hints.pushdown;
-  eval.twig = options.hints.twig;
-  eval.pushdown_selectivity = options.hints.pushdown_selectivity;
-  eval.cost_model = options.hints.cost_model;
+  eval.hints = options.hints;
   eval.num_threads = options.num_threads;
   // Planner statistics describe the BASE document; under an overlay the
   // estimator layers merged per-tag counts on top (see MakeEstimator).

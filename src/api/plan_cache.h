@@ -4,8 +4,9 @@
 // detection, tag interning, the pushdown cost model -- is pure CPU work
 // repeated verbatim for every run of a hot query. The Database therefore
 // keeps one bounded LRU map from (query string + the SEMANTIC session
-// options: backend, pushdown, twig, pushdown_selectivity, cost_model --
-// plus the pinned snapshot's epoch) to the immutable xpath::CompiledPlan
+// options: the backend and every PlanHints field -- pushdown, twig,
+// pushdown_selectivity -- plus the pinned snapshot's epoch) to the
+// immutable xpath::CompiledPlan
 // those options produce over that snapshot. Sessions whose semantic
 // options differ never share an entry (a kPaged plan's pushdown
 // decision is meaningless for kCompressed), and a commit retires every

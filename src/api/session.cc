@@ -120,11 +120,6 @@ std::string Session::PlanKey(std::string_view xpath) const {
   key += std::to_string(static_cast<int>(options_.hints.twig));
   key += '\x1f';
   key += selectivity;
-  // The cost-model mode participates too: a kAuto plan's estimate-driven
-  // operator choices must never be served to a kOff session (or vice
-  // versa) even when every hint matches.
-  key += '\x1f';
-  key += std::to_string(static_cast<int>(options_.hints.cost_model));
   // The snapshot epoch: planning reads the merged tag dictionary and
   // fragment counts, which change per published edit. Keying on the
   // epoch retires every stale plan at once -- a commit between two runs
@@ -146,8 +141,12 @@ void Session::Memoize(const std::string& key,
 }
 
 Result<QueryResult> Session::Run(std::string_view xpath) {
-  const DocTable& doc = db_->doc();
-  return Run(xpath, doc.empty() ? NodeSequence{} : NodeSequence{doc.root()});
+  // Pin first, then read the root from the pinned snapshot: the current
+  // snapshot's images are freed once a compaction supersedes them and
+  // no session pins them any more. The logical root is always rank 0.
+  SJ_RETURN_NOT_OK(EnsureCurrentSnapshot());
+  return Run(xpath, snap_->logical_size() == 0 ? NodeSequence{}
+                                               : NodeSequence{0});
 }
 
 Result<QueryResult> Session::Run(std::string_view xpath,

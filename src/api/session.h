@@ -36,41 +36,15 @@ namespace sj {
 
 class Database;
 
-// The semantic query knobs, re-exported so facade callers need not spell
-// the internal engine namespace.
-using xpath::CostModelMode;
+// The semantic query knobs and the planner hints (PlanHints), re-exported
+// so facade callers need not spell the internal engine namespace.
 using xpath::DocStatistics;
+using xpath::PlanHints;
 using xpath::PushdownMode;
 using xpath::StepOperator;
 using xpath::StepTrace;
 using xpath::StorageBackend;
 using xpath::TwigMode;
-
-/// \brief Planner hints: the *semantic intent* knobs that pin or free
-/// the planner's operator choices. All defaults mean "let the cost
-/// model decide"; a pinned hint always wins over the estimates.
-///
-/// Plans are shared (database plan cache) only between sessions whose
-/// PlanHints -- and cost_model mode -- are identical: a hint-pinned
-/// session never serves or receives a kAuto session's plan.
-struct PlanHints {
-  /// Whether name tests are pushed down onto tag fragments. kAuto
-  /// defers to the cost model (or, under cost_model kOff, the static
-  /// pushdown_selectivity threshold); kAlways/kNever pin the choice.
-  PushdownMode pushdown = PushdownMode::kAuto;
-  /// Whether runs of consecutive predicate-free name-test
-  /// child/descendant steps collapse into the holistic twig join
-  /// (core/twig_join.h). kNever forces step-at-a-time evaluation (the
-  /// Fig. 11-style comparison baseline).
-  TwigMode twig = TwigMode::kAuto;
-  /// kAuto pushdown threshold (fragment size / document size) -- only
-  /// consulted when cost_model is kOff.
-  double pushdown_selectivity = 0.125;
-  /// Estimate-driven operator choice (statistics-fed page-cost
-  /// comparison, xpath/cost_model.h). kOff restores the static
-  /// threshold planner. Either way EXPLAIN prints est=N act=M.
-  CostModelMode cost_model = CostModelMode::kAuto;
-};
 
 /// \brief Per-session configuration: execution knobs plus PlanHints.
 ///
@@ -201,13 +175,13 @@ class Session {
   /// a Run in flight keeps its pinned snapshot to the end.
   Status EnsureCurrentSnapshot();
 
-  /// The plan-cache key of `xpath` under this session's PlanHints --
-  /// exactly the fields Evaluator::Compile's decisions depend on
-  /// (backend, pushdown, twig, pushdown_selectivity, cost_model), PLUS
-  /// the pinned snapshot's epoch: a plan compiled over one epoch's
-  /// merged dictionary and fragment counts must never drive another
-  /// epoch, and a hint-pinned session never shares a cached plan with a
-  /// kAuto session.
+  /// The plan-cache key of `xpath` under this session's backend and
+  /// PlanHints (pushdown, twig, pushdown_selectivity -- the last only
+  /// keeps sessions apart, no plan decision reads it), PLUS the pinned
+  /// snapshot's epoch: a plan compiled over one epoch's merged
+  /// dictionary and fragment counts must never drive another epoch, and
+  /// a hint-pinned session never shares a cached plan with a kAuto
+  /// session.
   std::string PlanKey(std::string_view xpath) const;
 
   /// Records a plan in the session-local memo (see plan_memo_), with

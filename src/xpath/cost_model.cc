@@ -255,29 +255,4 @@ double CardinalityEstimator::PushdownCost(const ContextEstimate& in,
   return unit_ * touched + probe_ * seeks;
 }
 
-double CardinalityEstimator::AxisCursorCost(const ContextEstimate& in,
-                                            Axis axis) const {
-  const double out = EstimateStep(in, axis, kNoTag).rows;
-  return kAxisCursorProbeCost * in.rows +
-         unit_ * (PagesU32(out) + PagesU8(out));
-}
-
-double CardinalityEstimator::TwigCost(
-    const std::vector<TagId>& level_tags) const {
-  double cost = kTwigLevelOpenCost * static_cast<double>(level_tags.size());
-  for (TagId t : level_tags) {
-    cost += unit_ * 2.0 * PagesU32(static_cast<double>(TagCount(t)));
-  }
-  return cost;
-}
-
-double CardinalityEstimator::PositionalCost(const ContextEstimate& in,
-                                            Axis axis) const {
-  // Same scan as the axis cursor, but covered-context pruning cannot
-  // apply (ranks are per context node), so every frame pays its probe.
-  const double out = EstimateStep(in, axis, kNoTag).rows;
-  return kAxisCursorProbeCost * in.rows +
-         unit_ * (PagesU32(out) + PagesU8(out));
-}
-
 }  // namespace sj::xpath

@@ -1,6 +1,8 @@
 // The cost model behind the planner: cardinality estimates from
-// statistics the build already has, and page-cost formulas for every
-// operator the evaluator can choose between.
+// statistics the build already has, and page-cost formulas for the two
+// operators a kAuto name-test step chooses between -- the document-scan
+// staircase join and the join over the tag fragment (pushdown). It is
+// the only kAuto pushdown decision.
 //
 // The estimator is fed three inputs, none of which require a statistics
 // pass of their own:
@@ -42,12 +44,6 @@
 #include "encoding/doc_table.h"
 
 namespace sj::xpath {
-
-/// Whether the planner's estimate-driven operator choice is active.
-enum class CostModelMode : uint8_t {
-  kAuto,  ///< estimates pick the operators (PlanHints default)
-  kOff,   ///< legacy behavior: the static pushdown_selectivity threshold
-};
 
 /// Document-level statistics, collected once per image build (one O(doc)
 /// pass over the level/tag columns) and shared read-only by every
@@ -116,11 +112,6 @@ inline constexpr BackendCosts kPagedCosts{kPagedPageCost, kPushdownProbeCost};
 inline constexpr BackendCosts kCompressedCosts{kCompressedPageCost,
                                                kPushdownProbeCost};
 
-/// Cursor-open cost per context frame of the non-staircase axis kernels
-/// (subtree-end read + first candidate pin).
-inline constexpr double kAxisCursorProbeCost = 1.0;
-/// Per-level open cost of the holistic twig join's fragment cursors.
-inline constexpr double kTwigLevelOpenCost = 2.0;
 /// Selectivity guess of one existence predicate ([pred] halves the
 /// step's estimate; positional predicates clamp to one row per context).
 inline constexpr double kExistsPredicateSelectivity = 0.5;
@@ -182,17 +173,6 @@ class CardinalityEstimator {
   /// a single one for following and preceding, which prune the context
   /// to one node.
   double PushdownCost(const ContextEstimate& in, Axis axis, TagId tag) const;
-
-  /// Non-staircase axis cursor: one frame per context node, candidate
-  /// kind reads over the estimated axis output.
-  double AxisCursorCost(const ContextEstimate& in, Axis axis) const;
-
-  /// Holistic twig collapse over k fragment levels.
-  double TwigCost(const std::vector<TagId>& level_tags) const;
-
-  /// Positional rank join: the axis-cursor scan without covered-context
-  /// pruning (positions are per-context-node, so every frame scans).
-  double PositionalCost(const ContextEstimate& in, Axis axis) const;
 
   /// Number of t-tagged nodes (merged count under an overlay).
   uint64_t TagCount(TagId tag) const {

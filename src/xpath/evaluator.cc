@@ -337,7 +337,7 @@ static bool IsDescendantOrSelfNode(const Step& step) {
 PlannedStep Evaluator::MatchTwigRun(const std::vector<Step>& steps,
                                     size_t first) const {
   PlannedStep plan;
-  if (options_.twig == TwigMode::kNever) return plan;
+  if (options_.hints.twig == TwigMode::kNever) return plan;
   if (!BackendDispatch(doc_, options_).HasFragments()) return plan;
   size_t i = first;
   while (i < steps.size()) {
@@ -374,21 +374,22 @@ PlannedStep Evaluator::PlanStep(const Step& step,
                                 const CardinalityEstimator& est,
                                 ContextEstimate* ctx) const {
   PlannedStep plan;
-  for (const Predicate& pred : step.predicates) {
-    plan.positional = plan.positional || pred.kind != Predicate::Kind::kExists;
-  }
+  // At least one non-existence predicate ([k] / [last()]): the step runs
+  // as a set-at-a-time positional rank join within per-context groups.
+  const bool positional = std::any_of(
+      step.predicates.begin(), step.predicates.end(),
+      [](const Predicate& p) { return p.kind != Predicate::Kind::kExists; });
   // std::nullopt tag: the step's name test (or PI target) references a
   // never-interned name and can only produce the empty sequence.
   // Distinct from a text/comment node's kNoTag column value, which
   // Lookup can never return.
-  plan.needs_tag = step.test.kind == NodeTestKind::kName ||
-                   (step.test.kind == NodeTestKind::kPi &&
-                    !step.test.name.empty());
-  if (plan.needs_tag) plan.tag = LookupTag(step.test.name);
+  const bool needs_tag = step.test.kind == NodeTestKind::kName ||
+                         (step.test.kind == NodeTestKind::kPi &&
+                          !step.test.name.empty());
+  if (needs_tag) plan.tag = LookupTag(step.test.name);
   if (step.test.kind == NodeTestKind::kName && plan.tag.has_value()) {
-    plan.pushdown = plan.positional
-                        ? RankOverFragment(step)
-                        : ShouldPushdown(step, *plan.tag, est, *ctx);
+    plan.pushdown = positional ? RankOverFragment(step)
+                               : ShouldPushdown(step, *plan.tag, est, *ctx);
   }
 
   // Cardinality: chain the context estimate through the step, then the
@@ -396,8 +397,8 @@ PlannedStep Evaluator::PlanStep(const Step& step,
   // node; existence predicates halve).
   ContextEstimate out =
       est.EstimateStep(*ctx, step.axis,
-                       plan.needs_tag ? plan.tag.value_or(kNoTag) : kNoTag);
-  if (plan.needs_tag && !plan.tag.has_value()) out.rows = 0.0;
+                       needs_tag ? plan.tag.value_or(kNoTag) : kNoTag);
+  if (needs_tag && !plan.tag.has_value()) out.rows = 0.0;
   for (const Predicate& pred : step.predicates) {
     out.rows = est.EstimatePredicate(
         out.rows, ctx->rows, pred.kind != Predicate::Kind::kExists);
@@ -409,9 +410,9 @@ PlannedStep Evaluator::PlanStep(const Step& step,
   *ctx = out;
 
   // The operator EvalStep will route this plan through.
-  if (plan.needs_tag && !plan.tag.has_value()) {
+  if (needs_tag && !plan.tag.has_value()) {
     plan.op = StepOperator::kEmpty;
-  } else if (plan.positional) {
+  } else if (positional) {
     plan.op = StepOperator::kPositional;
   } else if (IsStaircaseAxis(step.axis)) {
     plan.op = plan.pushdown ? StepOperator::kPushdown
@@ -429,20 +430,12 @@ bool Evaluator::ShouldPushdown(const Step& step, TagId tag,
   if (!dispatch.HasFragments()) return false;
   if (step.test.kind != NodeTestKind::kName) return false;
   if (!IsStaircaseAxis(step.axis)) return false;
-  switch (options_.pushdown) {
+  switch (options_.hints.pushdown) {
     case PushdownMode::kNever:
       return false;
     case PushdownMode::kAlways:
       return true;
     case PushdownMode::kAuto:
-      if (options_.cost_model == CostModelMode::kOff) {
-        // Legacy static threshold: "...obviously makes sense for
-        // selective name tests only" (Section 4.4). The fragment size is
-        // the exact selectivity; every index keeps it resident.
-        return static_cast<double>(dispatch.TagCount(tag)) <=
-               options_.pushdown_selectivity *
-                   static_cast<double>(LogicalSize());
-      }
       // Estimate-driven: the fragment join reads far fewer pages but,
       // on the pool-backed backends, pays a seek per context node; the
       // doc-scan staircase join amortizes one pass across the whole
@@ -457,7 +450,7 @@ bool Evaluator::RankOverFragment(const Step& step) const {
   // The name-test pushdown gate minus the cost comparison: the probes
   // visit at most one fragment slot per group member, where the
   // document scan reads every node of every group.
-  if (options_.pushdown == PushdownMode::kNever ||
+  if (options_.hints.pushdown == PushdownMode::kNever ||
       !internal::IsFragmentRankAxis(step.axis) ||
       step.predicates.front().kind == Predicate::Kind::kExists) {
     return false;

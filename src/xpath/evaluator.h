@@ -52,7 +52,7 @@ enum class StorageBackend : uint8_t {
 
 /// Whether name tests are pushed through the staircase join.
 enum class PushdownMode : uint8_t {
-  kAuto,    ///< cost model decides (selective tags only)
+  kAuto,    ///< the cost model decides
   kAlways,  ///< always evaluate over the tag fragment
   kNever,   ///< join over the document, name test afterwards
 };
@@ -62,6 +62,31 @@ enum class PushdownMode : uint8_t {
 enum class TwigMode : uint8_t {
   kAuto,   ///< collapse every eligible run of >= 2 levels
   kNever,  ///< strict step-at-a-time evaluation
+};
+
+/// \brief Planner hints: the *semantic intent* knobs that pin or free
+/// the planner's operator choices. All defaults mean "let the cost
+/// model decide"; a pinned hint always wins over the estimates. The
+/// facade re-exports this struct as sj::PlanHints
+/// (SessionOptions::hints); every field is part of the plan-cache key,
+/// so sessions share a compiled plan only when their hints are equal.
+struct PlanHints {
+  /// Whether name tests are pushed down onto tag fragments. kAuto
+  /// defers to the cost model; kAlways/kNever pin the choice.
+  PushdownMode pushdown = PushdownMode::kAuto;
+  /// Whether eligible step runs (consecutive predicate-free name-test
+  /// child/descendant(-or-self) steps) are evaluated as one holistic
+  /// twig join instead of step-at-a-time. Requires the image's fragment
+  /// index; ineligible runs and missing indexes silently fall back to
+  /// step-at-a-time. EXPLAIN shows the collapse. kNever forces
+  /// step-at-a-time evaluation (the Fig. 11-style comparison baseline).
+  TwigMode twig = TwigMode::kAuto;
+  /// No plan decision reads this field: it is only a plan-cache key
+  /// component, which lets a caller keep some sessions' plans apart
+  /// from others with otherwise equal hints (perfbench does so for its
+  /// reference and writer sessions). Slated for deletion once those
+  /// sessions are separated another way (ROADMAP).
+  double pushdown_selectivity = 0.125;
 };
 
 /// The memory backend's image: the evaluator's own DocTable columns
@@ -104,23 +129,8 @@ inline storage::BufferPool* ImagePool(const BackendImage& image) {
 /// Evaluator configuration.
 struct EvalOptions {
   StaircaseOptions staircase;
-  PushdownMode pushdown = PushdownMode::kAuto;
-  /// Whether eligible step runs (consecutive predicate-free name-test
-  /// child/descendant(-or-self) steps) are evaluated as one holistic
-  /// twig join instead of step-at-a-time. Requires the image's fragment
-  /// index; ineligible runs and missing indexes silently fall back to
-  /// step-at-a-time. EXPLAIN shows the collapse.
-  TwigMode twig = TwigMode::kAuto;
-  /// kAuto pushes a name test down iff the tag's node count is below this
-  /// fraction of the document size ("selective name tests only"). Only
-  /// consulted when `cost_model` is kOff -- under kAuto the estimator's
-  /// page-cost comparison replaces the static threshold.
-  double pushdown_selectivity = 0.125;
-  /// Estimate-driven operator choice (xpath/cost_model.h). kAuto lets
-  /// the CardinalityEstimator pick pushdown-vs-staircase by comparing
-  /// page costs; kOff restores the static pushdown_selectivity
-  /// threshold. Either way EXPLAIN prints est=N act=M per step.
-  CostModelMode cost_model = CostModelMode::kAuto;
+  /// The planner inputs of the session (sj::SessionOptions::hints).
+  PlanHints hints;
   /// Level histogram + per-tag level spread of the bound document,
   /// collected at Database open (null: the estimator falls back to
   /// coarse document-size bounds; decisions stay deterministic).
@@ -179,12 +189,12 @@ class Evaluator {
   /// settled HERE, once, for every branch and every existence
   /// predicate's path (nested ones included) -- evaluation never plans.
   /// The decisions depend only on the document (its statistics, and
-  /// under an overlay the merged dictionary and fragment counts) and the
-  /// semantic options (backend, pushdown, twig, pushdown_selectivity,
-  /// cost_model), so a plan compiled by one evaluator is valid for any
-  /// evaluator over the same snapshot with equal semantic options -- the
-  /// sharing contract of the Database plan cache, whose key is exactly
-  /// those fields plus the snapshot epoch.
+  /// under an overlay the merged dictionary and fragment counts), the
+  /// backend and the hints' pushdown and twig modes, so a plan compiled
+  /// by one evaluator is valid for any evaluator over the same snapshot
+  /// with the same backend and hints -- the sharing contract of the
+  /// Database plan cache, whose key is the backend, every PlanHints
+  /// field and the snapshot epoch.
   CompiledPlan Compile(UnionExpr expr) const;
 
   /// Evaluates a compiled plan from `context` (document order, duplicate
@@ -257,8 +267,7 @@ class Evaluator {
   Result<bool> PredicateHolds(const Predicate& pred, const PlannedPath& planned,
                               NodeId node);
   /// The pushdown decision: hint pins (kAlways/kNever) win; kAuto defers
-  /// to the estimator's page-cost comparison (cost_model kAuto) or the
-  /// legacy static selectivity threshold (cost_model kOff).
+  /// to the estimator's page-cost comparison.
   bool ShouldPushdown(const Step& step, TagId tag,
                       const CardinalityEstimator& est,
                       const ContextEstimate& in) const;

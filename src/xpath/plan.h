@@ -59,14 +59,9 @@ struct PlannedStep {
   /// Tag names, parallel to `twig_levels` (for EXPLAIN).
   std::vector<std::string> twig_names;
 
-  /// At least one non-existence predicate ([k] / [last()]): the step
-  /// runs as a set-at-a-time positional rank join within per-context
-  /// groups (StepOperator::kPositional).
-  bool positional = false;
-  /// The node test names a tag (kName, or kPi with a target).
-  bool needs_tag = false;
-  /// The interned tag; nullopt when `needs_tag` but the name was never
-  /// interned (the step can only produce the empty sequence).
+  /// The interned tag of a node test that names one (kName, or kPi with
+  /// a target); nullopt otherwise, or when the name was never interned
+  /// (the step then plans as StepOperator::kEmpty).
   std::optional<TagId> tag;
   /// Name-test steps only: evaluate over the tag fragment. Staircase
   /// steps ask the cost model at compile time; positional steps led by

@@ -1,6 +1,6 @@
 // Cost-based planner tests: estimator sanity against exact tag counts,
 // plan-choice boundaries (the estimates flip pushdown with context size
-// and backend; pinned hints and cost_model kOff override them), the
+// and backend; pinned hints override them), the
 // merged-dictionary bugfix on edited snapshots (fresh overlay tags get
 // real counts), and positional set-at-a-time equivalence against the
 // per-context path oracle (tests/path_oracle.h) across axis x backend x
@@ -322,31 +322,6 @@ TEST(CostBasedPlannerTest, HintsPinOverEstimates) {
   auto ra = sa.Run("/child::a/descendant::b");
   ASSERT_TRUE(ra.ok());
   EXPECT_EQ(OpOf(ra.value(), 2), "pushdown") << ra.value().Explain();
-}
-
-TEST(CostBasedPlannerTest, CostModelOffRestoresThreshold) {
-  auto db = MakePlannerDoc();
-  SessionOptions opt;
-  opt.backend = StorageBackend::kPaged;
-  opt.hints.twig = TwigMode::kNever;
-  opt.hints.cost_model = CostModelMode::kOff;
-  Session s = std::move(db->CreateSession(opt)).value();
-
-  // Legacy static threshold: 6000 b's > 0.125 * 12004, so the doc scan
-  // runs even though the estimates (see ContextSizeFlipsPushdown) would
-  // push down.
-  auto big = s.Run("/descendant::b");
-  ASSERT_TRUE(big.ok());
-  EXPECT_EQ(OpOf(big.value(), 1), "staircase") << big.value().Explain();
-
-  // 3 c's are under the threshold, and the threshold ignores context
-  // size -- pushdown either way.
-  auto small = s.Run("/descendant::c");
-  ASSERT_TRUE(small.ok());
-  EXPECT_EQ(OpOf(small.value(), 1), "pushdown") << small.value().Explain();
-  auto wide = s.Run("/child::a/descendant::c");
-  ASSERT_TRUE(wide.ok());
-  EXPECT_EQ(OpOf(wide.value(), 2), "pushdown") << wide.value().Explain();
 }
 
 TEST(CostBasedPlannerTest, ExplainCarriesEstimateAndActual) {

@@ -1,11 +1,11 @@
 // The plan cache, tested at both layers: PlanCache as a data structure
 // (strict LRU order, hit counting, replacement semantics) and the
 // Database/Session serving contract built on it -- semantic options key
-// the cache so backends never share a plan, EXPLAIN of a cached run is
-// byte-identical to the uncached one apart from its leading cache line,
-// and the lifetime counters in DatabaseStats fold the cache's numbers in
-// exactly. (The 8-thread concurrent-hit test lives in
-// api_concurrency_test.cc so the TSan CI job picks it up.)
+// the cache so backends and PlanHints never share a plan, EXPLAIN of a
+// cached run is byte-identical to the uncached one apart from its
+// leading cache line, and the lifetime counters in DatabaseStats fold
+// the cache's numbers in exactly. (The 8-thread concurrent-hit test
+// lives in api_concurrency_test.cc so the TSan CI job picks it up.)
 
 #include <gtest/gtest.h>
 
@@ -164,6 +164,43 @@ TEST_F(PlanCacheDatabaseTest, ExecutionOnlyOptionsShareAPlan) {
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_TRUE(r2.value().plan_cached);
   EXPECT_EQ(db->plan_cache()->size(), 1u);
+}
+
+TEST_F(PlanCacheDatabaseTest, EveryPlanHintSeparatesPlans) {
+  // Sessions that differ from a kAuto session in one PlanHints field
+  // only must each MISS and compile their own entry: pinned hints change
+  // the frozen operators, and pushdown_selectivity is the key component
+  // callers use to keep sessions' plans apart.
+  auto db = OpenDb(16);
+  const SessionOptions base;
+  Session s0 = std::move(db->CreateSession(base)).value();
+  auto r0 = s0.Run(kQuery);
+  ASSERT_TRUE(r0.ok()) << r0.status();
+
+  struct Variant {
+    const char* name;
+    PlanHints hints;
+  };
+  const Variant variants[] = {
+      {"pushdown=kAlways", {.pushdown = PushdownMode::kAlways}},
+      {"pushdown=kNever", {.pushdown = PushdownMode::kNever}},
+      {"twig=kNever", {.twig = TwigMode::kNever}},
+      {"pushdown_selectivity=0.5", {.pushdown_selectivity = 0.5}},
+  };
+  size_t entries = 1;
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    SessionOptions opt = base;
+    opt.hints = v.hints;
+    Session s = std::move(db->CreateSession(opt)).value();
+    auto r = s.Run(kQuery);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_FALSE(r.value().plan_cached);
+    EXPECT_EQ(r.value().nodes, r0.value().nodes);
+    EXPECT_EQ(db->plan_cache()->size(), ++entries);
+    EXPECT_EQ(db->plan_cache()->stats().misses, entries);
+    EXPECT_EQ(db->plan_cache()->stats().hits, 0u);
+  }
 }
 
 TEST_F(PlanCacheDatabaseTest, CachedExplainIsByteIdenticalModuloCacheLine) {
