@@ -23,12 +23,20 @@
 // no-writer run's, and reports client-observed p50/p95/p99 both ways
 // (percentiles ride in the JSON rows, never gated).
 //
+// Phase C (commit latency, single-threaded): a seeded commit script
+// modelled on the end-to-end edit-mix writer -- 4 ops per commit that
+// insert <wpatch><rec/></wpatch> under a random open_auction or delete
+// an earlier wpatch, steering the live count to 256, with a compaction
+// every 32 commits -- reports the EditTxn::Commit wall-time percentiles
+// (never gated) and gates the final live-patch count as `result`.
+//
 // Results land in BENCH_update_mix.json.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -59,6 +67,14 @@ constexpr int kQueriesPerThread = 96;
 constexpr unsigned kClientThreads = 4;
 constexpr int kWriterBurst = 4;
 constexpr uint64_t kScheduleSeed = 0x7a11c0de;
+
+/// Phase C: commits, ops per commit, compaction period, the live wpatch
+/// count the deletes steer to, and the script's seed.
+constexpr int kScriptCommits = 256;
+constexpr int kScriptOps = 4;
+constexpr int kScriptCompactEvery = 32;
+constexpr double kScriptTargetLive = 256;
+constexpr uint64_t kScriptSeed = 0xc0111175;
 
 /// Timing floor: the asserted phase B comparison runs over a saturated
 /// thread pool; a single rep's scheduler jitter is real.
@@ -338,14 +354,116 @@ void PhaseWriterVsReaders(std::vector<JsonRecord>* json, double mb) {
               static_cast<unsigned long long>(busy.compactions));
 }
 
+// --- phase C: commit latency ----------------------------------------------
+
+/// Runs the commit script and returns the final live-patch count; the
+/// Commit wall time of every transaction goes to `commit_ms`.
+uint64_t RunCommitScript(Database* db, std::vector<double>* commit_ms) {
+  Session session = MustSession(*db);
+  Rng rng(kScriptSeed);
+  uint64_t live = 0;
+  for (int commit = 0; commit < kScriptCommits; ++commit) {
+    // Targets come from the working document's own reads, untimed.
+    const NodeSequence patches = MustRun(session, "/descendant::wpatch").nodes;
+    const NodeSequence parents =
+        MustRun(session, "/descendant::open_auction").nodes;
+    if (patches.size() != live || parents.empty()) {
+      std::fprintf(stderr, "commit script lost track of its patches\n");
+      std::abort();
+    }
+    std::vector<std::pair<NodeId, bool>> targets;  // (pre, insert?)
+    std::vector<bool> doomed(patches.size(), false);
+    uint64_t inserts = 0;
+    uint64_t deletes = 0;
+    for (int op = 0; op < kScriptOps; ++op) {
+      const double live_now = static_cast<double>(live + inserts - deletes);
+      if (!patches.empty() &&
+          rng.NextDouble() < live_now / (2.0 * kScriptTargetLive)) {
+        const size_t k = rng.Below(patches.size());
+        if (!doomed[k]) {
+          doomed[k] = true;
+          targets.emplace_back(patches[k], false);
+          ++deletes;
+          continue;
+        }
+      }
+      targets.emplace_back(parents[rng.Below(parents.size())], true);
+      ++inserts;
+    }
+    // Highest rank first: an op never shifts the ranks of the ops after it.
+    std::sort(targets.begin(), targets.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    EditTxn txn = db->BeginEdit();
+    for (const auto& [pre, insert] : targets) {
+      const Status st = insert
+                            ? txn.InsertLastChild(pre, "<wpatch><rec/></wpatch>")
+                            : txn.DeleteSubtree(pre);
+      if (!st.ok()) {
+        std::fprintf(stderr, "commit script op failed: %s\n",
+                     st.ToString().c_str());
+        std::abort();
+      }
+    }
+    Timer timer;
+    const Status st = txn.Commit();
+    commit_ms->push_back(timer.ElapsedMillis());
+    if (!st.ok()) {
+      std::fprintf(stderr, "commit script commit failed: %s\n",
+                   st.ToString().c_str());
+      std::abort();
+    }
+    live = live + inserts - deletes;
+    if ((commit + 1) % kScriptCompactEvery == 0 && !db->Compact().ok()) {
+      std::fprintf(stderr, "commit script Compact failed\n");
+      std::abort();
+    }
+  }
+  return live;
+}
+
+void PhaseCommitLatency(std::vector<JsonRecord>* json, double mb) {
+  // Commit cost does not depend on the pool-backed images; memory-only
+  // images keep the compactions cheap.
+  DatabaseOptions open;
+  open.build_paged = false;
+  open.build_compressed = false;
+  auto db = MakeDatabase(mb, open);
+  std::vector<double> commit_ms;
+  const uint64_t live = RunCommitScript(db.get(), &commit_ms);
+  double total_ms = 0;
+  for (double ms : commit_ms) total_ms += ms;
+  const Percentiles latency = LatencyPercentiles({commit_ms});
+
+  TablePrinter t({"commits", "compactions", "live patches", "p50 [ms]",
+                  "p95 [ms]", "p99 [ms]"});
+  t.AddRow({std::to_string(kScriptCommits),
+            std::to_string(kScriptCommits / kScriptCompactEvery),
+            TablePrinter::Count(live), TablePrinter::Fixed(latency.p50, 4),
+            TablePrinter::Fixed(latency.p95, 4),
+            TablePrinter::Fixed(latency.p99, 4)});
+  t.Print();
+  JsonRecord rec;
+  rec.query = "commit";
+  rec.backend = "memory";
+  rec.size_mb = mb;
+  rec.ms = total_ms;
+  rec.result = live;
+  rec.p50_ms = latency.p50;
+  rec.p95_ms = latency.p95;
+  rec.p99_ms = latency.p99;
+  json->push_back(std::move(rec));
+}
+
 void Run() {
   PrintHeader("UM1 (update mix)",
               "MVCC delta store under a read mix: overlay vs compacted "
-              "read cost, and reader latency against a concurrent writer");
+              "read cost, reader latency against a concurrent writer, and "
+              "commit latency");
   const double mb = 1.1;  // fixed at every scale: the gated rows never move
   std::vector<JsonRecord> json;
   PhaseOverlayVsCompacted(&json, mb);
   PhaseWriterVsReaders(&json, mb);
+  PhaseCommitLatency(&json, mb);
   WriteJson(json, "BENCH_update_mix.json");
 }
 

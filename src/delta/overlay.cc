@@ -52,7 +52,33 @@ std::vector<Segment> RemoveRun(std::vector<Segment>& segs, uint64_t pos,
   std::vector<Segment> removed(segs.begin() + i, segs.begin() + j);
   segs.erase(segs.begin() + i, segs.begin() + j);
   for (size_t k = i; k < segs.size(); ++k) segs[k].lstart -= count;
+  // Re-join a base run that an insert split once the removal took out
+  // everything between its halves, so the map stays as long as the
+  // live edits, not as the edit history.
+  if (i > 0 && i < segs.size() && !segs[i - 1].from_delta &&
+      !segs[i].from_delta &&
+      segs[i - 1].src + segs[i - 1].count == segs[i].src) {
+    segs[i - 1].count += segs[i].count;
+    segs.erase(segs.begin() + i);
+  }
   return removed;
+}
+
+/// First index i >= `from` of `v` with !before(v[i]), for a `before`
+/// that holds on a prefix of v. Gallops from `from`, so k non-decreasing
+/// probes over n elements cost one merge walk, O(k log(n/k)).
+template <typename T, typename Before>
+size_t GallopFrom(const std::vector<T>& v, size_t from, Before before) {
+  size_t lo = from;
+  size_t hi = from;
+  for (size_t step = 1; hi < v.size() && before(v[hi]); step *= 2) {
+    lo = hi + 1;
+    hi += step;
+  }
+  hi = std::min(hi, v.size());
+  return static_cast<size_t>(
+      std::partition_point(v.begin() + lo, v.begin() + hi, before) -
+      v.begin());
 }
 
 /// Only an assert reads this, so NDEBUG builds leave it unused.
@@ -144,12 +170,23 @@ OverlayBuilder::OverlayBuilder(const DocTable& base, const TagIndex* tag_index,
                                std::shared_ptr<const Overlay> start)
     : base_(base), tag_index_(tag_index) {
   if (start != nullptr) {
-    ov_ = *start;
-    // Derived read-side state is rebuilt at Finish().
-    ov_.base_pre_to_logical_.clear();
-    ov_.base_post_to_logical_.clear();
-    ov_.frags_.clear();
-    ov_.has_fragments_ = false;
+    // Only the source state; Finish() re-derives the reverse maps and
+    // the fragment overlays from it.
+    ov_.base_size_ = start->base_size_;
+    ov_.logical_size_ = start->logical_size_;
+    ov_.deleted_base_nodes_ = start->deleted_base_nodes_;
+    ov_.pre_segs_ = start->pre_segs_;
+    ov_.post_segs_ = start->post_segs_;
+    ov_.deleted_slots_ = start->deleted_slots_;
+    ov_.kind_ = start->kind_;
+    ov_.tag_ = start->tag_;
+    ov_.level_ = start->level_;
+    ov_.lpost_ = start->lpost_;
+    ov_.lparent_ = start->lparent_;
+    ov_.value_ = start->value_;
+    ov_.base_dict_size_ = start->base_dict_size_;
+    ov_.extra_names_ = start->extra_names_;
+    ov_.extra_ids_ = start->extra_ids_;
   } else {
     ov_.base_size_ = base.size();
     ov_.logical_size_ = base.size();
@@ -290,7 +327,7 @@ Status OverlayBuilder::ApplyDelete(uint64_t v) {
     if (s.from_delta) {
       dropped.emplace_back(s.src, s.count);
     } else {
-      ov_.deleted_base_pre_.emplace_back(s.src, s.count);
+      deleted_runs_.emplace_back(s.src, s.count);
       ov_.deleted_base_nodes_ += s.count;
     }
   }
@@ -331,6 +368,37 @@ Status OverlayBuilder::ApplyDelete(uint64_t v) {
   }
   ov_.logical_size_ -= T;
   return Status::OK();
+}
+
+void OverlayBuilder::AttributeDeletedRuns() {
+  // Each run is a piece of one deleted subtree, so only the tags its
+  // elements carry lose slots, each a contiguous run of its TagView.
+  std::vector<TagId> tags;
+  for (const auto& [start, count] : deleted_runs_) {
+    tags.clear();
+    for (uint64_t b = start; b < start + count; ++b) {
+      const NodeId n = static_cast<NodeId>(b);
+      if (base_.kind(n) == NodeKind::kElement && base_.tag(n) != kNoTag) {
+        tags.push_back(base_.tag(n));
+      }
+    }
+    std::sort(tags.begin(), tags.end());
+    tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
+    for (TagId t : tags) {
+      const std::vector<NodeId>& pre = tag_index_->view(t).pre;
+      auto lo = std::lower_bound(pre.begin(), pre.end(),
+                                 static_cast<NodeId>(start));
+      auto hi = std::lower_bound(lo, pre.end(),
+                                 static_cast<NodeId>(start + count));
+      ov_.deleted_slots_.push_back(Overlay::DeletedSlots{
+          t, static_cast<uint32_t>(lo - pre.begin()),
+          static_cast<uint32_t>(hi - pre.begin())});
+    }
+  }
+  std::sort(ov_.deleted_slots_.begin(), ov_.deleted_slots_.end(),
+            [](const Overlay::DeletedSlots& a, const Overlay::DeletedSlots& b) {
+              return a.tag != b.tag ? a.tag < b.tag : a.lo < b.lo;
+            });
 }
 
 Status OverlayBuilder::InsertLastChild(uint64_t parent,
@@ -399,19 +467,6 @@ Result<std::shared_ptr<const Overlay>> OverlayBuilder::Finish() {
   if (finished_) return Status::Internal("OverlayBuilder::Finish called twice");
   finished_ = true;
 
-  // Merge the deleted-base intervals (disjoint by construction: a base
-  // node deletes at most once).
-  std::sort(ov_.deleted_base_pre_.begin(), ov_.deleted_base_pre_.end());
-  std::vector<std::pair<uint64_t, uint64_t>> merged;
-  for (const auto& [s, c] : ov_.deleted_base_pre_) {
-    if (!merged.empty() && merged.back().first + merged.back().second == s) {
-      merged.back().second += c;
-    } else {
-      merged.emplace_back(s, c);
-    }
-  }
-  ov_.deleted_base_pre_ = std::move(merged);
-
   // Reverse maps: the base segments of each forward map, keyed by src.
   // Base order is preserved under edits, so they are already ascending.
   auto reverse_of = [](const std::vector<Segment>& segs) {
@@ -433,118 +488,127 @@ Result<std::shared_ptr<const Overlay>> OverlayBuilder::Finish() {
   ov_.base_post_to_logical_ = reverse_of(ov_.post_segs_);
 
   if (tag_index_ != nullptr) {
-    Status st = BuildFragmentOverlays();
-    if (!st.ok()) return st;
+    AttributeDeletedRuns();
+    BuildFragmentOverlays();
   }
 
   return std::make_shared<const Overlay>(std::move(ov_));
 }
 
-Status OverlayBuilder::BuildFragmentOverlays() {
-  // Logical pre of every delta node, from the pre-space segments.
-  std::vector<uint32_t> dlpre(ov_.kind_.size(), 0);
-  for (const Segment& s : ov_.pre_segs_) {
-    if (!s.from_delta) continue;
-    for (uint64_t k = 0; k < s.count; ++k) {
-      dlpre[s.src + k] = static_cast<uint32_t>(s.lstart + k);
-    }
-  }
-
+void OverlayBuilder::BuildFragmentOverlays() {
   const uint32_t dict_size = ov_.merged_dict_size();
   ov_.frags_.assign(dict_size, FragmentOverlay{});
 
-  // Per-tag delta element entries, sorted by logical pre. (TagIndex
-  // semantics: elements only.)
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> per_tag(dict_size);
-  for (uint64_t i = 0; i < ov_.kind_.size(); ++i) {
-    if (ov_.kind_[i] != static_cast<uint8_t>(NodeKind::kElement)) continue;
-    if (ov_.tag_[i] == kNoTag) continue;
-    per_tag[ov_.tag_[i]].emplace_back(dlpre[i], ov_.lpost_[i]);
+  // Delta element entries (TagIndex semantics: elements only) go to
+  // their tag's delta_pre/delta_post in logical pre order. bkeys[t][k] is
+  // the smallest surviving base pre whose logical pre follows entry k --
+  // the entry sits before base slot s iff bkey <= pre[s] -- i.e. the src
+  // of the next base segment in logical order (one walk over the
+  // pre-space segments).
+  std::vector<std::vector<NodeId>> bkeys(dict_size);
+  const std::vector<Segment>& segs = ov_.pre_segs_;
+  size_t next_base = 0;
+  for (size_t i = 0; i < segs.size(); ++i) {
+    if (!segs[i].from_delta) continue;
+    if (next_base <= i) {
+      next_base = i + 1;
+      while (next_base < segs.size() && segs[next_base].from_delta) {
+        ++next_base;
+      }
+    }
+    const NodeId bkey = static_cast<NodeId>(
+        next_base < segs.size() ? segs[next_base].src : ov_.base_size_);
+    for (uint64_t k = 0; k < segs[i].count; ++k) {
+      const uint64_t d = segs[i].src + k;
+      if (ov_.kind_[d] != static_cast<uint8_t>(NodeKind::kElement)) continue;
+      if (ov_.tag_[d] == kNoTag) continue;
+      FragmentOverlay& fo = ov_.frags_[ov_.tag_[d]];
+      fo.delta_pre.push_back(static_cast<uint32_t>(segs[i].lstart + k));
+      fo.delta_post.push_back(ov_.lpost_[d]);
+      bkeys[ov_.tag_[d]].push_back(bkey);
+    }
   }
 
-  for (uint32_t t = 0; t < dict_size; ++t) {
+  const std::vector<Overlay::RevSeg>& revs = ov_.base_pre_to_logical_;
+  auto deleted = ov_.deleted_slots_.begin();
+  for (TagId t = 0; t < dict_size; ++t) {
     FragmentOverlay& fo = ov_.frags_[t];
-    std::vector<std::pair<uint32_t, uint32_t>>& entries = per_tag[t];
-    std::sort(entries.begin(), entries.end());
-
     const TagView& view = t < ov_.base_dict_size_
                               ? tag_index_->view(t)
                               : tag_index_->view(kNoTag);  // empty view
-
-    // Surviving base slot runs: the tag view minus deleted pre ranges
-    // (each deleted base range is contiguous, so it erases a contiguous
-    // slot run -- two binary searches per interval).
-    std::vector<std::pair<size_t, size_t>> runs;  // [begin, end) slots
-    size_t cur = 0;
-    for (const auto& [dstart, dcount] : ov_.deleted_base_pre_) {
-      size_t lo = static_cast<size_t>(
-          std::lower_bound(view.pre.begin(), view.pre.end(),
-                           static_cast<NodeId>(dstart)) -
-          view.pre.begin());
-      size_t hi = static_cast<size_t>(
-          std::lower_bound(view.pre.begin(), view.pre.end(),
-                           static_cast<NodeId>(dstart + dcount)) -
-          view.pre.begin());
-      if (lo > cur) runs.emplace_back(cur, lo);
-      if (hi > cur) cur = hi;
+    const uint32_t n = static_cast<uint32_t>(view.size());
+    const std::vector<NodeId>& bkey = bkeys[t];
+    const auto d_begin = deleted;
+    uint32_t gone = 0;
+    for (; deleted != ov_.deleted_slots_.end() && deleted->tag == t;
+         ++deleted) {
+      gone += deleted->hi - deleted->lo;
     }
-    if (cur < view.size()) runs.emplace_back(cur, view.size());
+    fo.merged_count = n - gone + bkey.size();
 
-    // bkey[k]: smallest surviving base pre whose logical pre follows
-    // entry k -- entry k sits before base slot s iff bkey[k] <= pre[s].
-    std::vector<NodeId> bkey(entries.size());
-    for (size_t k = 0; k < entries.size(); ++k) {
-      bkey[k] = static_cast<NodeId>(ov_.LowerBoundBasePre(entries[k].first));
-    }
-
-    fo.delta_pre.reserve(entries.size());
-    fo.delta_post.reserve(entries.size());
-    uint32_t merged_slot = 0;
-    size_t di = 0;
-    auto emit_delta_upto = [&](NodeId limit, bool bounded) {
-      while (di < entries.size() && (!bounded || bkey[di] <= limit)) {
-        size_t start = di;
-        while (di < entries.size() && (!bounded || bkey[di] <= limit)) ++di;
+    if (bkey.empty() && d_begin == deleted) {
+      // Untouched: the base fragment as it stands.
+      if (n > 0) {
         fo.slots.push_back(SlotSegment{
-            merged_slot, static_cast<uint32_t>(di - start),
-            static_cast<uint32_t>(start), entries[start].first, true});
-        for (size_t k = start; k < di; ++k) {
-          fo.delta_pre.push_back(entries[k].first);
-          fo.delta_post.push_back(entries[k].second);
-        }
-        merged_slot += static_cast<uint32_t>(di - start);
+            0, n, 0, static_cast<uint32_t>(ov_.BasePreToLogical(view.pre[0])),
+            false});
+      }
+      continue;
+    }
+
+    uint32_t merged_slot = 0;
+    uint32_t di = 0;   // next delta entry
+    size_t rev = 0;    // merge-walk position in the reverse map
+    auto emit_base = [&](uint32_t from, uint32_t to) {
+      const NodeId bpre = view.pre[from];
+      rev = GallopFrom(revs, rev, [bpre](const Overlay::RevSeg& r) {
+        return r.src + r.count <= bpre;
+      });
+      assert(rev < revs.size() && revs[rev].src <= bpre &&
+             "surviving base slot missing from the reverse map");
+      fo.slots.push_back(SlotSegment{
+          merged_slot, to - from, from,
+          static_cast<uint32_t>(revs[rev].lstart + (bpre - revs[rev].src)),
+          false});
+      merged_slot += to - from;
+    };
+    // Emits the entries that precede base pre `limit` (all: kNilNode).
+    auto emit_delta_before = [&](NodeId limit) {
+      const uint32_t start = di;
+      while (di < bkey.size() && bkey[di] <= limit) ++di;
+      if (di == start) return;
+      fo.slots.push_back(SlotSegment{merged_slot, di - start, start,
+                                     fo.delta_pre[start], true});
+      merged_slot += di - start;
+    };
+    // Surviving base slot runs: the gaps between deleted slot runs, each
+    // cut wherever delta entries fall between its slots.
+    uint32_t run_begin = 0;
+    auto emit_run = [&](uint32_t run_end) {
+      uint32_t s = run_begin;
+      while (s < run_end) {
+        emit_delta_before(view.pre[s]);
+        const uint32_t cut =
+            di == bkey.size()
+                ? run_end
+                : static_cast<uint32_t>(
+                      std::lower_bound(view.pre.begin() + s,
+                                       view.pre.begin() + run_end, bkey[di]) -
+                      view.pre.begin());
+        emit_base(s, cut);
+        s = cut;
       }
     };
-    for (const auto& [rb, re] : runs) {
-      size_t s = rb;
-      while (s < re) {
-        emit_delta_upto(view.pre[s], /*bounded=*/true);
-        size_t send;
-        if (di < entries.size()) {
-          send = static_cast<size_t>(
-              std::lower_bound(view.pre.begin() + s, view.pre.begin() + re,
-                               bkey[di]) -
-              view.pre.begin());
-        } else {
-          send = re;
-        }
-        if (send > s) {
-          fo.slots.push_back(SlotSegment{
-              merged_slot, static_cast<uint32_t>(send - s),
-              static_cast<uint32_t>(s),
-              static_cast<uint32_t>(ov_.BasePreToLogical(view.pre[s])),
-              false});
-          merged_slot += static_cast<uint32_t>(send - s);
-          s = send;
-        }
-      }
+    for (auto d = d_begin; d != deleted; ++d) {
+      emit_run(d->lo);
+      run_begin = d->hi;
     }
-    emit_delta_upto(0, /*bounded=*/false);
-    fo.merged_count = merged_slot;
+    emit_run(n);
+    emit_delta_before(kNilNode);
+    assert(merged_slot == fo.merged_count && "fragment slot count drifted");
   }
 
   ov_.has_fragments_ = true;
-  return Status::OK();
 }
 
 // --- compaction / naive-path fold ------------------------------------------

@@ -19,9 +19,15 @@
 // scheme lives in the *base* rank space, where deleted runs leave holes
 // and inserted runs are spliced in between base segments.
 //
-// A commit costs O(edited nodes + #segments); the base columns are never
-// rewritten. `Database::Compact()` folds an overlay back into fresh
-// images via MaterializeMerged() and resets the delta.
+// A commit never rewrites the base columns. Applying its ops costs
+// O(#segments + resident delta nodes) each. `Finish()` scans the tag
+// column of each base subtree the transaction deleted, re-derives the
+// reverse maps, O(#segments), and rebuilds the fragment overlay only of
+// the tags whose slots differ from the base fragment: those with a
+// resident delta entry or a deleted base slot, in time linear in their
+// delta entries and slot segments. Every other tag becomes one base slot
+// segment, one reverse-map probe. `Database::Compact()` folds an overlay
+// back into fresh images via MaterializeMerged() and resets the delta.
 //
 // Overlay instances are immutable after OverlayBuilder::Finish() and are
 // shared across threads without locking (snapshot isolation: readers pin
@@ -204,9 +210,16 @@ class Overlay {
   std::vector<RevSeg> base_pre_to_logical_;
   std::vector<RevSeg> base_post_to_logical_;
 
-  // Deleted base pre ranks as merged, sorted, disjoint [start, start+count)
-  // intervals. Carried across commits; consumed by the fragment rebuild.
-  std::vector<std::pair<uint64_t, uint64_t>> deleted_base_pre_;
+  // The base fragment slots deletes removed: [lo, hi) of tag's TagView,
+  // disjoint within a tag (a base node deletes at most once). Sorted by
+  // (tag, lo) at Finish, carried across commits and consumed by the
+  // fragment rebuild. Empty when the builder had no TagIndex.
+  struct DeletedSlots {
+    TagId tag = kNoTag;
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+  };
+  std::vector<DeletedSlots> deleted_slots_;
 
   // Delta-node columns. Append-ordered by commit, NOT by logical pre;
   // every pre-space delta segment covers a contiguous index run. All
@@ -288,11 +301,16 @@ class OverlayBuilder {
   Status ApplyInsert(NodeId parent, uint64_t p, uint64_t b,
                      uint32_t root_level, const DocTable& frag);
   Status ApplyDelete(uint64_t v);
-  Status BuildFragmentOverlays();
+  /// Adds the fragment slots of this transaction's deleted base runs to
+  /// the overlay's (one scan of each run's tag column) and sorts them.
+  void AttributeDeletedRuns();
+  void BuildFragmentOverlays();
 
   const DocTable& base_;
   const TagIndex* tag_index_;
   Overlay ov_;
+  /// Base pre runs [start, start+count) this transaction deleted.
+  std::vector<std::pair<uint64_t, uint64_t>> deleted_runs_;
   uint64_t ops_applied_ = 0;
   bool finished_ = false;
 };

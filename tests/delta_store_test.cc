@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -19,10 +20,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/database.h"
 #include "core/doc_accessor.h"
+#include "core/tag_view.h"
 #include "delta/delta_accessor.h"
 #include "delta/overlay.h"
 #include "test_util.h"
@@ -136,7 +139,8 @@ void ExpectColumnsEquivalent(const Database& edited, const Database& ref) {
   ASSERT_NE(snap->overlay(), nullptr);
   const delta::Overlay& overlay = *snap->overlay();
   const DocTable& base = *snap->images().doc;
-  const DocTable& want = ref.doc();
+  auto ref_snap = ref.CurrentSnapshot();
+  const DocTable& want = *ref_snap->images().doc;
   delta::DeltaDocAccessor<MemoryDocAccessor> acc(overlay, base);
   ASSERT_EQ(acc.size(), want.size());
   for (NodeId v = 0; v < want.size(); ++v) {
@@ -153,6 +157,74 @@ void ExpectColumnsEquivalent(const Database& edited, const Database& ref) {
                 want.tags().Name(want_tag))
           << "tag name(" << v << ")";
     }
+  }
+}
+
+/// What ExpectFragmentsEquivalent saw, so a script can check that it
+/// reached every kind of tag.
+struct FragmentCoverage {
+  uint64_t with_delta_entries = 0;
+  uint64_t with_deleted_slots = 0;
+  uint64_t untouched = 0;  ///< non-empty base fragment, neither of the above
+};
+
+/// Fragment-equivalence: for every tag of the merged dictionary, the
+/// merging fragment cursor must read exactly the fragment a TagIndex
+/// built over the merged document holds -- size, Pre/Post per slot and
+/// LowerBound for every logical pre. A tag that no delta entry and no
+/// deleted base slot touches must stay one base slot segment.
+void ExpectFragmentsEquivalent(const Database& edited,
+                               FragmentCoverage* coverage) {
+  auto snap = edited.CurrentSnapshot();
+  ASSERT_NE(snap->overlay(), nullptr);
+  const delta::Overlay& overlay = *snap->overlay();
+  ASSERT_TRUE(overlay.has_fragments());
+  const DatabaseImages& images = snap->images();
+  auto merged = snap->MergedDoc();
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  const DocTable& doc = *merged.value();
+  const TagIndex rebuilt(doc);
+
+  // Delta element entries per merged tag.
+  std::vector<uint64_t> delta_entries(overlay.merged_dict_size(), 0);
+  for (uint64_t i = 0; i < overlay.delta_size(); ++i) {
+    if (overlay.DeltaKind(i) == static_cast<uint8_t>(NodeKind::kElement) &&
+        overlay.DeltaTag(i) != kNoTag) {
+      ++delta_entries[overlay.DeltaTag(i)];
+    }
+  }
+
+  for (TagId t = 0; t < overlay.merged_dict_size(); ++t) {
+    const std::string& name = overlay.TagName(images.doc->tags(), t);
+    const TagView& base = images.tag_index->view(t);
+    const TagView& want =
+        rebuilt.view(doc.tags().Lookup(name).value_or(kNoTag));
+    delta::DeltaFragmentCursor<MemoryFragmentCursor> cursor(overlay, t, base);
+    ASSERT_EQ(cursor.size(), want.size()) << "tag " << name;
+    for (size_t slot = 0; slot < want.size(); ++slot) {
+      EXPECT_EQ(cursor.Pre(slot), want.pre[slot])
+          << "tag " << name << " Pre(" << slot << ")";
+      EXPECT_EQ(cursor.Post(slot), want.post[slot])
+          << "tag " << name << " Post(" << slot << ")";
+    }
+    for (uint64_t p = 0; p <= overlay.logical_size(); ++p) {
+      const size_t expected = static_cast<size_t>(
+          std::lower_bound(want.pre.begin(), want.pre.end(), p) -
+          want.pre.begin());
+      EXPECT_EQ(cursor.LowerBound(p), expected)
+          << "tag " << name << " LowerBound(" << p << ")";
+    }
+
+    const uint64_t base_survivors = want.size() - delta_entries[t];
+    if (delta_entries[t] > 0) ++coverage->with_delta_entries;
+    if (base_survivors < base.size()) ++coverage->with_deleted_slots;
+    if (delta_entries[t] == 0 && base_survivors == base.size() &&
+        base.size() > 0) {
+      ++coverage->untouched;
+      EXPECT_EQ(overlay.fragment(t).slots.size(), 1u)
+          << "untouched tag " << name << " split into slot segments";
+    }
+    if (::testing::Test::HasFailure()) return;  // one tag's worth is enough
   }
 }
 
@@ -267,14 +339,17 @@ TEST(DeltaStore, CompactionPreservesResultsAndResetsDelta) {
 TEST(DeltaStore, CompactionKeepsTheSimulatedDeviceLatency) {
   auto db = OpenXml(sj::testing::kPaperExampleXml);
   ASSERT_NE(db, nullptr);
-  db->disk()->set_read_latency_micros(50);
+  auto before = db->CurrentSnapshot();
+  before->images().disk->set_read_latency_micros(50);
   EditTxn txn = db->BeginEdit();
   ASSERT_TRUE(txn.InsertLastChild(4, "<k/>").ok());
   ASSERT_TRUE(txn.Commit().ok());
   ASSERT_TRUE(db->Compact().ok());
   // Compaction rebuilds the images on a fresh disk; faults after it must
   // still cost what the caller configured, not RAM speed.
-  EXPECT_EQ(db->disk()->read_latency_micros(), 50u);
+  auto after = db->CurrentSnapshot();
+  ASSERT_NE(after->images().disk.get(), before->images().disk.get());
+  EXPECT_EQ(after->images().disk->read_latency_micros(), 50u);
 }
 
 TEST(DeltaStore, EditValidation) {
@@ -461,13 +536,25 @@ std::string RandomFragmentXml(Rng& rng) {
 }
 
 TEST(DeltaStoreRandomized, EditScriptsMatchRebuildAcrossBackends) {
-  for (uint64_t seed : {7u, 41u}) {
+  // Commits before the mid-script compaction, then after it. After it
+  // every node is a base node, so each commit opens with a delete that
+  // leaves a deleted base run behind.
+  constexpr int kCommitsBeforeCompact = 5;
+  constexpr int kCommits = 10;
+  // Random documents are seed-sensitive in size: these three have 57, 5
+  // and 377 nodes.
+  const std::pair<uint64_t, size_t> kDocs[] = {{7, 160}, {41, 160}, {21, 400}};
+  for (const auto& [seed, target_nodes] : kDocs) {
     sj::testing::RandomDocOptions doc_options;
-    doc_options.target_nodes = 160;
+    doc_options.target_nodes = target_nodes;
     auto db = OpenXml(sj::testing::RandomDocumentXml(seed, doc_options));
     ASSERT_NE(db, nullptr);
     Rng rng(seed * 1000003);
-    for (int commit = 0; commit < 5; ++commit) {
+    FragmentCoverage coverage;
+    for (int commit = 0; commit < kCommits; ++commit) {
+      if (commit == kCommitsBeforeCompact) {
+        ASSERT_TRUE(db->Compact().ok());
+      }
       auto merged = db->CurrentSnapshot()->MergedDoc();
       ASSERT_TRUE(merged.ok()) << merged.status();
       const DocTable& doc = *merged.value();
@@ -479,6 +566,15 @@ TEST(DeltaStoreRandomized, EditScriptsMatchRebuildAcrossBackends) {
       ASSERT_GT(elements.size(), 1u);
 
       EditTxn txn = db->BeginEdit();
+      if (commit >= kCommitsBeforeCompact) {
+        // Small subtrees only, so the document never empties out.
+        std::vector<NodeId> small;
+        for (NodeId v : elements) {
+          if (v != 0 && doc.subtree_size(v) <= 8) small.push_back(v);
+        }
+        ASSERT_FALSE(small.empty());
+        ASSERT_TRUE(txn.DeleteSubtree(small[rng.Below(small.size())]).ok());
+      }
       const uint64_t ops = 1 + rng.Below(4);
       for (uint64_t op = 0; op < ops; ++op) {
         const uint64_t kind = rng.Below(10);
@@ -507,8 +603,13 @@ TEST(DeltaStoreRandomized, EditScriptsMatchRebuildAcrossBackends) {
           "seed " + std::to_string(seed) + " commit " + std::to_string(commit);
       ExpectEquivalent(*db, *reference, label);
       ExpectColumnsEquivalent(*db, *reference);
+      ExpectFragmentsEquivalent(*db, &coverage);
       if (::testing::Test::HasFailure()) return;  // don't cascade
     }
+    // The script reached every kind of fragment rebuild.
+    EXPECT_GT(coverage.with_delta_entries, 0u) << "seed " << seed;
+    EXPECT_GT(coverage.with_deleted_slots, 0u) << "seed " << seed;
+    EXPECT_GT(coverage.untouched, 0u) << "seed " << seed;
     // Fold everything and re-check against a fresh rebuild of the final
     // state: compaction must not change a single node id.
     auto reference = RebuildReference(*db);
