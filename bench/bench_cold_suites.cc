@@ -260,8 +260,9 @@ std::vector<std::string> ChainTags(const char* query) {
 /// The related-work comparator: the chain as k-1 MPMGJN merge joins over
 /// pre-sorted tag lists, every step fully materialized.
 Row RunMpmgjn(const Database& db, const char* query, NodeSequence* nodes) {
-  const DocTable& doc = db.doc();
-  const TagIndex& tags = *db.tag_index();
+  auto snap = db.CurrentSnapshot();
+  const DocTable& doc = *snap->images().doc;
+  const TagIndex& tags = *snap->images().tag_index;
   Row row;
   row.plan = "mpmgjn-memory";
   row.ms = -1;
@@ -418,10 +419,11 @@ void RunSuite(const Suite& suite) {
                   "intermediates", "result", "time [ms]"});
   for (double mb : suite.sizes) {
     auto db = MakeDatabase(mb, suite.open);
+    auto snap = db->CurrentSnapshot();
     std::printf("document %s: %zu nodes, %zu paged / %zu compressed pages\n",
-                SizeLabel(mb).c_str(), db->doc().size(),
-                db->paged_doc()->page_count(),
-                db->compressed_doc()->page_count());
+                SizeLabel(mb).c_str(), snap->images().doc->size(),
+                snap->images().paged.doc->page_count(),
+                snap->images().compressed.doc->page_count());
     std::vector<Session> sessions;
     for (const Plan& plan : suite.plans) {
       sessions.push_back(MustSession(*db, plan.options));

@@ -61,8 +61,9 @@ RunResult RunSessions(const Database& db, unsigned session_count) {
   for (unsigned s = 0; s < session_count; ++s) {
     sessions.push_back(MustSession(db, opt));
   }
-  db.buffer_pool()->FlushAll();
-  db.buffer_pool()->ResetStats();
+  storage::BufferPool* pool = sessions.front().pool();  // shared by all
+  pool->FlushAll();
+  pool->ResetStats();
 
   const int rounds_per_session =
       kTotalRounds / static_cast<int>(session_count);
@@ -81,7 +82,7 @@ RunResult RunSessions(const Database& db, unsigned session_count) {
           // Cold arrival: whatever an earlier query left resident is
           // dropped (pinned frames of in-flight queries survive), so
           // every query pays its faults -- the disk-bound regime.
-          db.buffer_pool()->FlushAll();
+          pool->FlushAll();
           QueryResult r = MustRun(sessions[s], q);
           if (r.nodes.empty()) {
             std::fprintf(stderr, "empty result under concurrency: %s\n", q);
@@ -105,7 +106,7 @@ RunResult RunSessions(const Database& db, unsigned session_count) {
                static_cast<double>(session_count) *
                static_cast<double>(std::size(kMix)) /
                result.ms;
-  result.faults = db.buffer_pool()->stats().faults;
+  result.faults = pool->stats().faults;
   return result;
 }
 
@@ -125,8 +126,9 @@ void Run() {
     // never exhaust a bucket; the per-query flush supplies the faults.
     open.pool_pages = 256;
     auto db = MakeDatabase(mb, open);
-    db->disk()->set_read_latency_micros(kReadLatencyMicros);
-    const size_t actual_shards = db->buffer_pool()->shard_count();
+    auto snap = db->CurrentSnapshot();
+    snap->images().disk->set_read_latency_micros(kReadLatencyMicros);
+    const size_t actual_shards = snap->images().pool->shard_count();
     std::string label = "pool-" + std::to_string(actual_shards) +
                         (actual_shards == 1 ? "-shard" : "-shards");
 

@@ -124,27 +124,29 @@ struct PrefetchRun {
   NodeSequence nodes;
 };
 
-PrefetchRun RunPrefetch(const Database& db, Session& session,
+PrefetchRun RunPrefetch(const DatabaseSnapshot& snap, Session& session,
                         const char* query, bool prefetch) {
+  storage::BufferPool* pool = snap.images().pool.get();
+  storage::SimulatedDisk* disk = snap.images().disk.get();
   PrefetchRun out;
   for (int rep = 0; rep < TimedReps(); ++rep) {
-    db.buffer_pool()->set_prefetch_enabled(prefetch);
-    db.buffer_pool()->FlushAll();
-    db.buffer_pool()->ResetStats();
-    const uint64_t batch_before = db.disk()->batch_reads();
+    pool->set_prefetch_enabled(prefetch);
+    pool->FlushAll();
+    pool->ResetStats();
+    const uint64_t batch_before = disk->batch_reads();
     Timer timer;
     QueryResult r = MustRun(session, query);
     const double ms = timer.ElapsedMillis();
     if (out.ms < 0 || ms < out.ms) out.ms = ms;
-    const storage::PoolStats ps = db.buffer_pool()->stats();
+    const storage::PoolStats ps = pool->stats();
     out.faults = ps.faults;
     out.prefetched = ps.prefetched;
-    out.batch_reads = db.disk()->batch_reads() - batch_before;
+    out.batch_reads = disk->batch_reads() - batch_before;
     out.skipped = r.totals.nodes_skipped;
     out.result = r.nodes.size();
     out.nodes = std::move(r.nodes);
   }
-  db.buffer_pool()->set_prefetch_enabled(false);
+  pool->set_prefetch_enabled(false);
   return out;
 }
 
@@ -157,7 +159,8 @@ void PhasePrefetch(std::vector<JsonRecord>* json) {
   DatabaseOptions open;
   open.pool_pages = 256;
   auto db = MakeDatabase(mb, open);
-  db->disk()->set_read_latency_micros(kReadLatencyMicros);
+  auto snap = db->CurrentSnapshot();
+  snap->images().disk->set_read_latency_micros(kReadLatencyMicros);
 
   TablePrinter t({"backend", "query", "faults off/on", "prefetched",
                   "batched", "cold ms off", "cold ms on", "speedup"});
@@ -181,8 +184,9 @@ void PhasePrefetch(std::vector<JsonRecord>* json) {
     Session session = MustSession(*db, opt);
     for (const SkipQuery& sq : kSkipMix) {
       const char* query = sq.query;
-      PrefetchRun off = RunPrefetch(*db, session, query, /*prefetch=*/false);
-      PrefetchRun on = RunPrefetch(*db, session, query, /*prefetch=*/true);
+      PrefetchRun off =
+          RunPrefetch(*snap, session, query, /*prefetch=*/false);
+      PrefetchRun on = RunPrefetch(*snap, session, query, /*prefetch=*/true);
       if (off.nodes != on.nodes) {
         std::fprintf(stderr, "prefetch changed the result of %s\n", query);
         std::abort();

@@ -133,12 +133,16 @@ struct MixRun {
 };
 
 MixRun RunMix(const Database& db, Session& session) {
-  const bool pooled = session.pool() != nullptr;
+  // The current snapshot's pool, which `session` rebinds to on its next
+  // Run (session.pool() still names the old one right after a Compact).
+  auto snap = db.CurrentSnapshot();
+  storage::BufferPool* pool =
+      session.pool() != nullptr ? snap->images().pool.get() : nullptr;
   MixRun out;
   for (int rep = 0; rep < TimedReps(); ++rep) {
-    if (pooled) {
-      db.buffer_pool()->FlushAll();
-      db.buffer_pool()->ResetStats();
+    if (pool != nullptr) {
+      pool->FlushAll();
+      pool->ResetStats();
     }
     uint64_t skipped = 0;
     uint64_t result = 0;
@@ -152,7 +156,7 @@ MixRun RunMix(const Database& db, Session& session) {
     }
     const double ms = timer.ElapsedMillis();
     if (out.ms < 0 || ms < out.ms) out.ms = ms;
-    out.faults = pooled ? db.buffer_pool()->stats().faults : 0;
+    out.faults = pool != nullptr ? pool->stats().faults : 0;
     out.skipped = skipped;
     out.result = result;
     out.nodes = std::move(nodes);

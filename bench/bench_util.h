@@ -108,7 +108,8 @@ inline std::unique_ptr<Database> MakeDatabase(double size_mb,
     std::abort();
   }
   std::fprintf(stderr, "[workload] %.1f MB-equivalent: %zu nodes (%.0f ms)\n",
-               size_mb, db.value()->doc().size(), t.ElapsedMillis());
+               size_mb, db.value()->CurrentSnapshot()->images().doc->size(),
+               t.ElapsedMillis());
   return std::move(db).value();
 }
 

@@ -32,7 +32,9 @@ int main() {
   sj::DatabaseOptions open;
   open.build_paged = false;
   auto db = sj::Database::FromXml(kFigure1, open).value();
-  const sj::DocTable& doc = db->doc();
+  // A held snapshot pins the images its references point into.
+  auto snap = db->CurrentSnapshot();
+  const sj::DocTable& doc = *snap->images().doc;
 
   std::printf("pre/post encoding (paper Fig. 2):\n");
   sj::TablePrinter encoding({"node", "pre", "post", "level", "subtree"});

@@ -41,7 +41,11 @@ int main() {
     return 1;
   }
   std::unique_ptr<sj::Database> db = std::move(db_result).value();
-  const sj::DocTable& doc = db->doc();
+  // The encoded document lives in the database's images, reached
+  // through a snapshot: holding it keeps `doc` valid across any later
+  // edits and compactions.
+  std::shared_ptr<const sj::DatabaseSnapshot> snap = db->CurrentSnapshot();
+  const sj::DocTable& doc = *snap->images().doc;
   std::printf("encoded %zu nodes, height %u, %llu attributes\n\n",
               doc.size(), doc.height(),
               static_cast<unsigned long long>(doc.attribute_count()));

@@ -32,11 +32,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto db = std::move(db_result).value();
+  auto snap = db->CurrentSnapshot();
+  const sj::DocTable& doc = *snap->images().doc;
   std::printf("opened %.1f MB-equivalent: %zu nodes (height %u) in %.0f ms "
               "(incl. tag fragments: %zu tags, %.1f MB)\n\n",
-              size_mb, db->doc().size(), db->doc().height(),
-              load_timer.ElapsedMillis(), db->doc().tags().size(),
-              static_cast<double>(db->tag_index()->memory_bytes()) /
+              size_mb, doc.size(), doc.height(), load_timer.ElapsedMillis(),
+              doc.tags().size(),
+              static_cast<double>(snap->images().tag_index->memory_bytes()) /
                   1048576.0);
 
   struct Strategy {

@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto db = std::move(db_result).value();
-  const sj::DocTable& doc = db->doc();
+  auto snap = db->CurrentSnapshot();
+  const sj::DocTable& doc = *snap->images().doc;
   std::printf("database: %s (%zu nodes, height %u, %zu tags)\n\n",
               source.c_str(), doc.size(), doc.height(), doc.tags().size());
 

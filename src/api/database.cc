@@ -162,7 +162,6 @@ Result<std::unique_ptr<Database>> Database::Finish(
   SJ_ASSIGN_OR_RETURN(std::shared_ptr<const DatabaseImages> built,
                       BuildImages(std::move(images), options, build_missing));
   std::unique_ptr<Database> db(new Database());
-  db->prefetch_ = options.prefetch;
   if (options.plan_cache_entries > 0) {
     db->plan_cache_ = std::make_unique<PlanCache>(options.plan_cache_entries);
   }
@@ -246,18 +245,6 @@ Result<std::unique_ptr<Database>> Database::FromParts(
     std::unique_ptr<storage::SimulatedDisk> disk,
     std::unique_ptr<storage::CompressedDocTable> paged_doc,
     std::unique_ptr<storage::CompressedTagIndex> paged_tags,
-    DatabaseOptions options) {
-  return FromParts(std::move(doc), std::move(tag_index), std::move(disk),
-                   std::move(paged_doc), std::move(paged_tags),
-                   /*compressed_doc=*/nullptr, /*compressed_tags=*/nullptr,
-                   std::move(options));
-}
-
-Result<std::unique_ptr<Database>> Database::FromParts(
-    std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
-    std::unique_ptr<storage::SimulatedDisk> disk,
-    std::unique_ptr<storage::CompressedDocTable> paged_doc,
-    std::unique_ptr<storage::CompressedTagIndex> paged_tags,
     std::unique_ptr<storage::CompressedDocTable> compressed_doc,
     std::unique_ptr<storage::CompressedTagIndex> compressed_tags,
     DatabaseOptions options) {
@@ -300,7 +287,7 @@ Result<xpath::EvalOptions> Database::MakeEvalOptions(
     if (options.private_pool_pages == 0) return img.pool.get();
     pool = std::make_unique<storage::BufferPool>(img.disk.get(),
                                                  options.private_pool_pages);
-    pool->set_prefetch_enabled(prefetch_);
+    pool->set_prefetch_enabled(options_.prefetch);
     return pool.get();
   };
   SJ_ASSIGN_OR_RETURN(
@@ -404,8 +391,7 @@ Status EditTxn::ReplaceSubtree(NodeId v, std::string_view fragment_xml) {
 }
 
 uint64_t EditTxn::logical_size() const {
-  return builder_ != nullptr ? builder_->logical_size()
-                             : snap_->logical_size();
+  return builder_ != nullptr ? builder_->logical_size() : 0;
 }
 
 uint64_t EditTxn::ops_applied() const {
@@ -419,6 +405,7 @@ Status EditTxn::Commit() {
   if (builder_->ops_applied() == 0) {
     // Nothing to publish; spend the transaction without an epoch bump.
     builder_.reset();
+    snap_.reset();
     return Status::OK();
   }
   MutexLock edit_lock(db_->edit_mu_);
@@ -451,6 +438,7 @@ Status EditTxn::Commit() {
                                          std::move(overlay), std::move(roots),
                                          db_->options_.build),
       /*compaction=*/false);
+  snap_.reset();
   return Status::OK();
 }
 

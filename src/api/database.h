@@ -19,6 +19,12 @@
 // into freshly rebuilt (and re-digested) images. Sessions pin a snapshot
 // per Run, so readers on other threads are never blocked or invalidated
 // by writers (snapshot isolation; see api/snapshot.h).
+//
+// Callers reach the images the same way: through a held snapshot
+// (CurrentSnapshot(), then snap->images()) or a session's pool(). The
+// Database hands out no references into whichever snapshot is current,
+// since a Compact frees the images it replaces as soon as the last
+// holder lets go.
 
 #ifndef STAIRJOIN_API_DATABASE_H_
 #define STAIRJOIN_API_DATABASE_H_
@@ -125,7 +131,8 @@ class EditTxn {
   /// its position among siblings. `v` must not be an attribute.
   Status ReplaceSubtree(NodeId v, std::string_view fragment_xml);
 
-  /// Node count of the transaction's working document.
+  /// Node count of the transaction's working document; 0 once the
+  /// transaction is spent, like ops_applied().
   uint64_t logical_size() const;
 
   /// Edit ops successfully applied so far.
@@ -136,7 +143,9 @@ class EditTxn {
   /// kInvalidArgument when another transaction committed since
   /// BeginEdit (optimistic conflict: epochs only grow, so the only
   /// continuation is to begin a fresh edit and re-apply the script).
-  /// Success spends the transaction.
+  /// Success (no-op included) spends the transaction and releases its
+  /// pinned snapshot, so a spent transaction left in scope keeps no
+  /// superseded images alive; a failed commit keeps both.
   Status Commit();
 
  private:
@@ -145,6 +154,7 @@ class EditTxn {
   EditTxn(Database* db, std::shared_ptr<const DatabaseSnapshot> snap);
 
   Database* db_;
+  /// Both null once the transaction is spent.
   std::shared_ptr<const DatabaseSnapshot> snap_;
   std::unique_ptr<delta::OverlayBuilder> builder_;
 };
@@ -163,8 +173,8 @@ class Database {
 
   /// Opens a database over an XML file, or -- when `path` is a directory
   /// -- over every `*.xml` file in it (sorted by name), gathered under a
-  /// virtual root as a collection (paper footnote 1); document_roots()
-  /// then maps results back to their source documents.
+  /// virtual root as a collection (paper footnote 1); a snapshot's
+  /// document_roots() then maps results back to their source documents.
   static Result<std::unique_ptr<Database>> Open(
       const std::string& path, DatabaseOptions options = {});
 
@@ -173,27 +183,17 @@ class Database {
       std::unique_ptr<DocTable> doc, DatabaseOptions options = {});
 
   /// Adopts externally built backend images instead of paging `doc` out
-  /// afresh. This is where image coherence is enforced: the paged doc
-  /// columns and tag fragments (ColumnLayout::kRaw) are digest-checked
-  /// against `doc` and a mismatch is rejected with a Status naming the
-  /// failing column set -- at open time, not on the first paged query.
-  /// `tag_index`, `paged_doc` and `paged_tags` may be null (the
-  /// corresponding features are then unavailable); `paged_doc` requires
-  /// `disk`. `options.build`/`build_*`/pool sizing apply to the pool
-  /// only.
-  static Result<std::unique_ptr<Database>> FromParts(
-      std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
-      std::unique_ptr<storage::SimulatedDisk> disk,
-      std::unique_ptr<storage::CompressedDocTable> paged_doc,
-      std::unique_ptr<storage::CompressedTagIndex> paged_tags,
-      DatabaseOptions options = {});
-
-  /// Same, additionally adopting compressed images (ColumnLayout::kCoded).
-  /// The compressed doc columns and fragments are digest-checked against
-  /// `doc` AND their on-disk encoded blocks are re-read and verified
-  /// against the image digests, so a corrupt (bit-flipped) or stale
-  /// compressed block is rejected here with a Status naming the column
-  /// -- never served to a query. `compressed_doc` requires `disk`.
+  /// afresh. This is where image coherence is enforced: the pool-backed
+  /// doc columns and tag fragments are digest-checked against `doc`, and
+  /// a mismatch is rejected with a Status naming the failing column set
+  /// -- at open time, not on the first paged query. Adopted compressed
+  /// images (ColumnLayout::kCoded) additionally get their on-disk encoded
+  /// blocks re-read and verified against the image digests, so a corrupt
+  /// (bit-flipped) block is never served to a query. Every image but
+  /// `doc` may be null (the corresponding backend is then unavailable);
+  /// a pool-backed image requires `disk` and the layout of its backend
+  /// (kRaw for paged, kCoded for compressed). `options.build`/`build_*`/
+  /// pool sizing apply to the pool only.
   static Result<std::unique_ptr<Database>> FromParts(
       std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
       std::unique_ptr<storage::SimulatedDisk> disk,
@@ -201,7 +201,7 @@ class Database {
       std::unique_ptr<storage::CompressedTagIndex> paged_tags,
       std::unique_ptr<storage::CompressedDocTable> compressed_doc,
       std::unique_ptr<storage::CompressedTagIndex> compressed_tags,
-      DatabaseOptions options);
+      DatabaseOptions options = {});
 
   /// Creates a query session. Cheap (no digest passes, no allocation
   /// beyond the evaluator); fails when the options name a backend the
@@ -223,16 +223,11 @@ class Database {
   /// their images alive and drain on their own schedule.
   Status Compact() SJ_EXCLUDES(edit_mu_);
 
-  /// The current snapshot (pinned; never null). The cheap, always-safe
-  /// way to hold a consistent view across edits and compactions.
+  /// The current snapshot (pinned; never null) -- the one way to reach
+  /// the database's images: snap->images() stays valid for as long as
+  /// `snap` is held, across any later edits and compactions.
   std::shared_ptr<const DatabaseSnapshot> CurrentSnapshot() const
       SJ_EXCLUDES(snapshot_mu_);
-
-  /// The encoded document (collection) of the CURRENT snapshot -- the
-  /// base table under any uncompacted edits. Borrowed: stable until a
-  /// Compact replaces the images; hold CurrentSnapshot() across
-  /// compactions instead.
-  const DocTable& doc() const { return *CurrentSnapshot()->images().doc; }
 
   /// True when sessions may choose StorageBackend::kPaged.
   bool has_paged_backend() const {
@@ -243,54 +238,19 @@ class Database {
     return CurrentSnapshot()->images().compressed.doc != nullptr;
   }
 
-  /// Resident tag fragments; null when disabled at open time. Borrowed
-  /// from the current snapshot, like doc().
-  const TagIndex* tag_index() const {
-    return CurrentSnapshot()->images().tag_index.get();
-  }
-  /// Paged (raw-layout) doc columns; null without a paged image.
-  const storage::CompressedDocTable* paged_doc() const {
-    return CurrentSnapshot()->images().paged.doc.get();
-  }
-  /// Paged (raw-layout) tag fragments; null without a paged image.
-  const storage::CompressedTagIndex* paged_tags() const {
-    return CurrentSnapshot()->images().paged.tags.get();
-  }
-  /// Compressed doc columns; null without a compressed image.
-  const storage::CompressedDocTable* compressed_doc() const {
-    return CurrentSnapshot()->images().compressed.doc.get();
-  }
-  /// Compressed tag fragments; null without a compressed image.
-  const storage::CompressedTagIndex* compressed_tags() const {
-    return CurrentSnapshot()->images().compressed.tags.get();
-  }
-  /// The shared buffer pool (internally synchronized); null without a
-  /// pool-backed image. Exposed for experiment control (cold starts,
-  /// fault accounting).
-  storage::BufferPool* buffer_pool() const {
-    return CurrentSnapshot()->images().pool.get();
-  }
-  /// The disk image behind the pool-backed backends; null without one.
+  /// Borrowed from the CURRENT snapshot: dangling once a Compact
+  /// replaces the images. Kept only because the benchmark harness
+  /// (perfbench/sjbench.cc) calls them and changes only with a benchmark
+  /// revision, which is to retire them (ROADMAP). Nothing else may call
+  /// them (sj-lint rule `unpinned-image`): hold CurrentSnapshot().
   storage::SimulatedDisk* disk() const {
     return CurrentSnapshot()->images().disk.get();
   }
-
-  /// DocColumnsDigest of doc() (memoized on the table); absent on a
-  /// database opened without any pool-backed image (nothing to validate
-  /// -- the resident columns ARE the document).
-  std::optional<uint64_t> doc_digest() const {
-    const DatabaseImages& images = CurrentSnapshot()->images();
-    if (images.paged.doc == nullptr && images.compressed.doc == nullptr) {
-      return std::nullopt;
-    }
-    return DocColumnsDigest(*images.doc);
+  const storage::CompressedDocTable* compressed_doc() const {
+    return CurrentSnapshot()->images().compressed.doc.get();
   }
-
-  /// Logical pre ranks of the gathered document elements when the
-  /// database was opened over a directory; empty otherwise. Tracks
-  /// deletes across epochs.
-  const NodeSequence& document_roots() const {
-    return CurrentSnapshot()->document_roots();
+  const storage::CompressedTagIndex* compressed_tags() const {
+    return CurrentSnapshot()->images().compressed.tags.get();
   }
 
   /// A consistent snapshot of the lifetime counters (taken under the
@@ -298,23 +258,9 @@ class Database {
   /// plan-cache counters are folded in from the cache's own latch.
   DatabaseStats TotalStats() const SJ_EXCLUDES(stats_mu_);
 
-  /// Planner statistics of the CURRENT snapshot's base document: size,
-  /// level histogram, per-tag fragment counts and level spreads --
-  /// exactly what feeds the cost model (xpath/cost_model.h). Borrowed
-  /// from the current snapshot (rebuilt by compaction); never null.
-  /// Describes the BASE images: uncompacted edits are layered on top by
-  /// the planner through the snapshot's merged tag dictionary.
-  const DocStatistics& Statistics() const {
-    return *CurrentSnapshot()->images().doc_stats;
-  }
-
   /// The plan cache; null when disabled (plan_cache_entries == 0).
   /// Exposed for tests (entry counts); sessions go through Run.
   PlanCache* plan_cache() const { return plan_cache_.get(); }
-
-  /// Whether this database turns cursor prefetch hints into batched
-  /// pool reads (DatabaseOptions::prefetch).
-  bool prefetch_enabled() const { return prefetch_; }
 
  private:
   friend class Session;  // reports query completion into stats_
@@ -362,7 +308,6 @@ class Database {
   DatabaseOptions options_;
   /// Internally synchronized, like the pool; null when disabled.
   std::unique_ptr<PlanCache> plan_cache_;
-  bool prefetch_ = false;
 
   /// Serializes Commit and Compact (writers); never held while queries
   /// run. Ordered before snapshot_mu_ and stats_mu_.

@@ -44,8 +44,11 @@ struct PooledImage {
 };
 
 /// \brief One coherent, immutable set of backend images over one encoded
-/// document (see file comment). Members may be null per the open-time
-/// DatabaseOptions, with the same contracts as the Database accessors.
+/// document (see file comment). `doc` and `doc_stats` are never null;
+/// the rest may be, per the open-time DatabaseOptions: `tag_index`
+/// without build_tag_index, a PooledImage without its build_* flag, and
+/// `disk` + `pool` without any pool-backed image. Reached only through
+/// a held DatabaseSnapshot, which keeps them alive.
 struct DatabaseImages {
   std::unique_ptr<DocTable> doc;
   std::unique_ptr<TagIndex> tag_index;

@@ -158,7 +158,8 @@ TEST_F(ApiConcurrencyTest, ConcurrentSessionsMatchTheSingleThreadedOracle) {
     EXPECT_TRUE(m.empty()) << m;
   }
   // The paged configurations really did share the pool.
-  EXPECT_GT(db_->buffer_pool()->stats().pins, 0u);
+  auto snap = db_->CurrentSnapshot();
+  EXPECT_GT(snap->images().pool->stats().pins, 0u);
 }
 
 TEST_F(ApiConcurrencyTest, SessionsWithPrivatePoolsStayIsolated) {
@@ -176,7 +177,8 @@ TEST_F(ApiConcurrencyTest, SessionsWithPrivatePoolsStayIsolated) {
     }
   });
   Session isolated = std::move(db_->CreateSession(private_opt)).value();
-  ASSERT_NE(isolated.pool(), db_->buffer_pool());
+  auto snap = db_->CurrentSnapshot();
+  ASSERT_NE(isolated.pool(), snap->images().pool.get());
   isolated.pool()->ResetStats();
   auto r = isolated.Run(kQueries[2]);
   ASSERT_TRUE(r.ok()) << r.status();

@@ -378,7 +378,8 @@ TEST(PagedAxisCursorTest, StaleTagColumnPagesAreRejected) {
       CompressedDocTable::Create(*doc_c, disk.get(), kRaw).value();
   auto spoofed = Database::FromParts(std::move(doc_b), nullptr,
                                      std::move(disk),
-                                     std::move(paged_wrong), nullptr);
+                                     std::move(paged_wrong), nullptr,
+                                     nullptr, nullptr);
   EXPECT_FALSE(spoofed.ok());
 
   auto doc_b2 = LoadDocument("<a><b/><b/></a>").value();
@@ -387,7 +388,8 @@ TEST(PagedAxisCursorTest, StaleTagColumnPagesAreRejected) {
       CompressedDocTable::Create(*doc_b2, disk2.get(), kRaw).value();
   auto genuine = Database::FromParts(std::move(doc_b2), nullptr,
                                      std::move(disk2),
-                                     std::move(paged_right), nullptr);
+                                     std::move(paged_right), nullptr,
+                                     nullptr, nullptr);
   ASSERT_TRUE(genuine.ok()) << genuine.status();
   SessionOptions paged_opt;
   paged_opt.backend = StorageBackend::kPaged;
@@ -401,7 +403,7 @@ TEST(PagedEvaluatorAxisTest, MixedAxisQueriesMatchMemoryAndChargeThePool) {
   auto db = Database::FromTable(RandomDocument(7, {.target_nodes = 60000,
                                                    .attribute_percent = 30}))
                 .value();
-  ASSERT_GT(db->doc().size(), 10000u);
+  ASSERT_GT(db->CurrentSnapshot()->logical_size(), 10000u);
   SessionOptions io_opt;
   io_opt.backend = StorageBackend::kPaged;
   io_opt.hints.pushdown = PushdownMode::kNever;  // faults come from the doc scan
@@ -414,7 +416,7 @@ TEST(PagedEvaluatorAxisTest, MixedAxisQueriesMatchMemoryAndChargeThePool) {
   Session mem = std::move(db->CreateSession()).value();
   Session io = std::move(db->CreateSession(io_opt)).value();
   Session zip = std::move(db->CreateSession(zip_opt)).value();
-  storage::BufferPool* pool = db->buffer_pool();
+  storage::BufferPool* pool = io.pool();  // shared with zip
 
   const char* queries[] = {
       "/descendant::t0/child::t1",
@@ -502,7 +504,7 @@ TEST(EvaluatorTraceTest, PositionalStepsRunSetAtATimeOnPagedBackend) {
       << explain;
 
   // And a cold pool actually faults for it.
-  storage::BufferPool* pool = db->buffer_pool();
+  storage::BufferPool* pool = io.pool();
   pool->FlushAll();
   pool->ResetStats();
   auto rf = io.Run("/child::e/child::f[1]");

@@ -39,27 +39,29 @@ std::unique_ptr<Database> MakePlannerDoc() {
 }
 
 TagId TagOf(const Database& db, const std::string& name) {
-  auto id = db.doc().tags().Lookup(name);
+  auto id = db.CurrentSnapshot()->images().doc->tags().Lookup(name);
   EXPECT_TRUE(id.has_value()) << name;
   return id.value_or(kNoTag);
 }
 
-/// An estimator over the database's own statistics (paged units by
-/// default; the per-tag counts come straight from the collected
-/// statistics, as on a pristine snapshot).
+/// An estimator over a pristine snapshot's own statistics (paged units
+/// by default; the per-tag counts come straight from the collected
+/// statistics). Reads `snap`'s images: hold it while the estimator lives.
 CardinalityEstimator MakeEstimator(
-    const Database& db, xpath::BackendCosts costs = xpath::kPagedCosts) {
-  const DocStatistics& stats = db.Statistics();
+    const DatabaseSnapshot& snap,
+    xpath::BackendCosts costs = xpath::kPagedCosts) {
+  const DocStatistics& stats = *snap.images().doc_stats;
   return CardinalityEstimator(
-      &stats, db.doc().size(), costs, [&stats](TagId t) {
+      &stats, snap.images().doc->size(), costs, [&stats](TagId t) {
         return t < stats.tag_counts.size() ? stats.tag_counts[t] : uint64_t{0};
       });
 }
 
 TEST(DocStatisticsTest, CollectMatchesDocument) {
   auto db = MakePlannerDoc();
-  const DocStatistics& stats = db->Statistics();
-  const DocTable& doc = db->doc();
+  auto snap = db->CurrentSnapshot();
+  const DocStatistics& stats = *snap->images().doc_stats;
+  const DocTable& doc = *snap->images().doc;
   EXPECT_EQ(stats.doc_size, doc.size());
   // The histogram partitions the document.
   const uint64_t histogram_sum = std::accumulate(
@@ -86,9 +88,10 @@ TEST(DocStatisticsTest, CollectOnXmarkMatchesTagIndex) {
   xmlgen::XMarkOptions gen;
   gen.size_mb = 0.1;
   auto db = Database::FromXmark(gen).value();
-  const DocStatistics& stats = db->Statistics();
-  const DocTable& doc = db->doc();
-  ASSERT_NE(db->tag_index(), nullptr);
+  auto snap = db->CurrentSnapshot();
+  const DocStatistics& stats = *snap->images().doc_stats;
+  const DocTable& doc = *snap->images().doc;
+  ASSERT_NE(snap->images().tag_index, nullptr);
   // The fragment sizes ARE the per-tag counts; Collect must agree with
   // the TagIndex for every interned element tag.
   for (TagId t = 0; t < doc.tags().size(); ++t) {
@@ -106,7 +109,8 @@ TEST(DocStatisticsTest, CollectOnXmarkMatchesTagIndex) {
 
 TEST(CardinalityEstimatorTest, DescendantFromRootIsExact) {
   auto db = MakePlannerDoc();
-  CardinalityEstimator est = MakeEstimator(*db);
+  auto snap = db->CurrentSnapshot();
+  CardinalityEstimator est = MakeEstimator(*snap);
   // The root covers its whole level band, so a descendant name test
   // estimates to exactly the fragment size.
   EXPECT_DOUBLE_EQ(est.Root().rows, 1.0);
@@ -120,7 +124,8 @@ TEST(CardinalityEstimatorTest, DescendantFromRootIsExact) {
 
 TEST(CardinalityEstimatorTest, MonotoneInFragmentSize) {
   auto db = MakePlannerDoc();
-  CardinalityEstimator est = MakeEstimator(*db);
+  auto snap = db->CurrentSnapshot();
+  CardinalityEstimator est = MakeEstimator(*snap);
   const double big =
       est.EstimateStep(est.Root(), Axis::kDescendant, TagOf(*db, "a")).rows;
   const double small =
@@ -130,7 +135,8 @@ TEST(CardinalityEstimatorTest, MonotoneInFragmentSize) {
 
 TEST(CardinalityEstimatorTest, LevelSpreadZeroesImpossibleSteps) {
   auto db = MakePlannerDoc();
-  CardinalityEstimator est = MakeEstimator(*db);
+  auto snap = db->CurrentSnapshot();
+  CardinalityEstimator est = MakeEstimator(*snap);
   // child::r under the root: r only lives at level 0, the child band is
   // [1,1] -- the spread gate zeroes the estimate.
   EXPECT_DOUBLE_EQ(
@@ -148,7 +154,8 @@ TEST(CardinalityEstimatorTest, LevelSpreadZeroesImpossibleSteps) {
 
 TEST(CardinalityEstimatorTest, ParentAndAncestorRespectTheTag) {
   auto db = MakePlannerDoc();
-  CardinalityEstimator est = MakeEstimator(*db);
+  auto snap = db->CurrentSnapshot();
+  CardinalityEstimator est = MakeEstimator(*snap);
   const ContextEstimate b_band{6000.0, 2, 2};
   for (Axis axis : {Axis::kParent, Axis::kAncestor}) {
     // Without a name test the level band bounds the output (the 6003
@@ -168,7 +175,8 @@ TEST(CardinalityEstimatorTest, ParentAndAncestorRespectTheTag) {
 
 TEST(CardinalityEstimatorTest, PredicateEstimates) {
   auto db = MakePlannerDoc();
-  CardinalityEstimator est = MakeEstimator(*db);
+  auto snap = db->CurrentSnapshot();
+  CardinalityEstimator est = MakeEstimator(*snap);
   // Positional: at most one row per context node.
   EXPECT_DOUBLE_EQ(est.EstimatePredicate(10.0, 4.0, /*positional=*/true), 4.0);
   // Existence: the fixed selectivity guess.
@@ -208,7 +216,8 @@ TEST(CostBasedPlannerTest, ContextSizeFlipsPushdown) {
   EXPECT_EQ(OpOf(wide.value(), 2), "staircase") << wide.value().Explain();
 
   // The planner's choice always matches the cheaper estimate.
-  CardinalityEstimator est = MakeEstimator(*db, xpath::kPagedCosts);
+  auto snap = db->CurrentSnapshot();
+  CardinalityEstimator est = MakeEstimator(*snap, xpath::kPagedCosts);
   const TagId b = TagOf(*db, "b");
   EXPECT_LT(est.PushdownCost(est.Root(), Axis::kDescendant, b),
             est.StaircaseCost(est.Root(), Axis::kDescendant, true));
@@ -281,7 +290,8 @@ TEST(CostBasedPlannerTest, ChoiceMatchesEstimatesOnEveryBackend) {
     ASSERT_TRUE(r.ok());
     // The planner's kAuto choice is exactly the cheaper estimate under
     // this backend's cost units -- on every backend.
-    CardinalityEstimator est = MakeEstimator(*db, costs);
+    auto snap = db->CurrentSnapshot();
+    CardinalityEstimator est = MakeEstimator(*snap, costs);
     const ContextEstimate a_band =
         est.EstimateStep(est.Root(), Axis::kChild, a);
     const char* want = est.PushdownCost(a_band, Axis::kDescendant, b) <
@@ -427,8 +437,9 @@ TEST(PositionalRankJoinTest, MatchesPerContextOracleAcrossBackends) {
     SessionOptions opt;
     opt.backend = backend;
     Session s = std::move(db->CreateSession(opt)).value();
+    auto snap = db->CurrentSnapshot();
     for (const char* q : kPositionalQueries) {
-      auto expected = sj::testing::PathOracle(db->doc(), q);
+      auto expected = sj::testing::PathOracle(*snap->images().doc, q);
       auto got = s.Run(q);
       ASSERT_TRUE(expected.ok()) << q << ": " << expected.status();
       ASSERT_TRUE(got.ok()) << q << ": " << got.status();
@@ -487,7 +498,7 @@ TEST(PositionalRankJoinTest, ColdPoolChargesFaults) {
   SessionOptions opt;
   opt.backend = StorageBackend::kPaged;
   Session s = std::move(db->CreateSession(opt)).value();
-  storage::BufferPool* pool = db->buffer_pool();
+  storage::BufferPool* pool = s.pool();
   ASSERT_NE(pool, nullptr);
   pool->FlushAll();
   pool->ResetStats();

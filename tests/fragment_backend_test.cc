@@ -453,12 +453,13 @@ TEST(PagedFragmentCursorTest, StickyErrorOnPoolExhaustion) {
 TEST(PagedPushdownTest, PushdownChargesThePoolAndMatchesMemory) {
   auto db = Database::FromTable(RandomDocument(13, {.target_nodes = 60000}))
                 .value();
-  ASSERT_GT(db->doc().size(), 10000u);
-  BufferPool* pool = db->buffer_pool();
+  auto snap = db->CurrentSnapshot();
+  ASSERT_GT(snap->images().doc->size(), 10000u);
+  BufferPool* pool = snap->images().pool.get();
 
   // The resident TagIndex stays built: faults prove the paged path does
   // not fall back to (or silently prefer) the resident fragments.
-  ASSERT_NE(db->tag_index(), nullptr);
+  ASSERT_NE(snap->images().tag_index, nullptr);
   SessionOptions mem_opt;
   mem_opt.hints.pushdown = PushdownMode::kAlways;
   // Pins the per-step fragment-pushdown path; the twig join would
@@ -558,7 +559,7 @@ TEST(PagedPushdownTest, MemoryTagIndexDoesNotBypassThePool) {
   auto paged_doc = CompressedDocTable::Create(*doc, disk.get(), kRaw).value();
   auto db = Database::FromParts(std::move(doc), std::move(index),
                                 std::move(disk), std::move(paged_doc),
-                                /*paged_tags=*/nullptr)
+                                /*paged_tags=*/nullptr, nullptr, nullptr)
                 .value();
 
   SessionOptions io_opt;
@@ -572,7 +573,7 @@ TEST(PagedPushdownTest, MemoryTagIndexDoesNotBypassThePool) {
   EXPECT_NE(explain.find("via paged staircase join (buffer pool)"),
             std::string::npos)
       << explain;
-  EXPECT_GT(db->buffer_pool()->stats().faults, 0u);
+  EXPECT_GT(io.pool()->stats().faults, 0u);
 }
 
 TEST(PagedPushdownTest, DigestMismatchIsRejectedAtOpenTime) {
@@ -592,7 +593,7 @@ TEST(PagedPushdownTest, DigestMismatchIsRejectedAtOpenTime) {
 
   auto spoofed = Database::FromParts(std::move(doc_b), nullptr,
                                      std::move(disk), std::move(paged_doc),
-                                     std::move(wrong_tags));
+                                     std::move(wrong_tags), nullptr, nullptr);
   ASSERT_FALSE(spoofed.ok());
   EXPECT_NE(spoofed.status().ToString().find("tag fragment column set"),
             std::string::npos)
@@ -606,7 +607,7 @@ TEST(PagedPushdownTest, DigestMismatchIsRejectedAtOpenTime) {
       CompressedTagIndex::Create(*doc_b2, disk2.get(), kRaw).value();
   auto genuine = Database::FromParts(std::move(doc_b2), nullptr,
                                      std::move(disk2), std::move(paged_doc2),
-                                     std::move(right_tags));
+                                     std::move(right_tags), nullptr, nullptr);
   ASSERT_TRUE(genuine.ok()) << genuine.status();
   SessionOptions opt;
   opt.backend = StorageBackend::kPaged;

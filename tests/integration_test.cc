@@ -25,14 +25,16 @@ class XMarkPipelineTest : public ::testing::Test {
     xmlgen::XMarkOptions opt;
     opt.size_mb = 1.1;
     db_ = Database::FromXmark(opt).value().release();
-    doc_ = &db_->doc();
-    index_ = db_->tag_index();
+    snap_ = db_->CurrentSnapshot();
+    doc_ = snap_->images().doc.get();
+    index_ = snap_->images().tag_index.get();
   }
   static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
     doc_ = nullptr;
     index_ = nullptr;
+    snap_.reset();
+    delete db_;
+    db_ = nullptr;
   }
 
   /// Runs `query` in a fresh session; aborts the test on failure.
@@ -45,11 +47,14 @@ class XMarkPipelineTest : public ::testing::Test {
   }
 
   static Database* db_;
+  /// Pins the images doc_ and index_ point into.
+  static std::shared_ptr<const DatabaseSnapshot> snap_;
   static const DocTable* doc_;
   static const TagIndex* index_;
 };
 
 Database* XMarkPipelineTest::db_ = nullptr;
+std::shared_ptr<const DatabaseSnapshot> XMarkPipelineTest::snap_;
 const DocTable* XMarkPipelineTest::doc_ = nullptr;
 const TagIndex* XMarkPipelineTest::index_ = nullptr;
 

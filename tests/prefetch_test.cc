@@ -170,7 +170,7 @@ constexpr const char* kEquivalenceQueries[] = {
 TEST_F(PrefetchDatabaseTest, ThreeBackendResultsMatchWithoutPrefetch) {
   auto off = OpenDb(false);
   auto on = OpenDb(true);
-  ASSERT_TRUE(on->buffer_pool()->prefetch_enabled());
+  ASSERT_TRUE(on->CurrentSnapshot()->images().pool->prefetch_enabled());
   for (StorageBackend backend :
        {StorageBackend::kMemory, StorageBackend::kPaged,
         StorageBackend::kCompressed}) {
@@ -201,6 +201,8 @@ TEST_F(PrefetchDatabaseTest, ColdPoolFaultsWithPrefetchNoWorse) {
   // below pin the requests, the waits, and that bound.
   auto off = OpenDb(false);
   auto on = OpenDb(true);
+  auto on_snap = on->CurrentSnapshot();
+  SimulatedDisk* on_disk = on_snap->images().disk.get();
   bool anything_prefetched = false;
   uint64_t total_requests_on = 0, total_faults_off = 0;
   for (StorageBackend backend :
@@ -212,12 +214,12 @@ TEST_F(PrefetchDatabaseTest, ColdPoolFaultsWithPrefetchNoWorse) {
       o.private_pool_pages = 64;
       Session s_off = std::move(off->CreateSession(o)).value();
       Session s_on = std::move(on->CreateSession(o)).value();
-      const uint64_t batches_before = on->disk()->batch_reads();
+      const uint64_t batches_before = on_disk->batch_reads();
       ASSERT_TRUE(s_off.Run(q).ok()) << q;
       ASSERT_TRUE(s_on.Run(q).ok()) << q;
       const storage::PoolStats cold_off = s_off.pool()->stats();
       const storage::PoolStats cold_on = s_on.pool()->stats();
-      const uint64_t batches = on->disk()->batch_reads() - batches_before;
+      const uint64_t batches = on_disk->batch_reads() - batches_before;
       const uint64_t demand = cold_on.faults - cold_on.prefetched;
 
       const char* label =

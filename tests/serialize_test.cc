@@ -30,7 +30,8 @@ TEST(SerializeTest, InnerSubtree) {
   Session session = std::move(db->CreateSession()).value();
   NodeSequence b = session.Run("/descendant::b").value().nodes;
   ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(SerializeSubtree(db->doc(), b[0]).value(),
+  auto snap = db->CurrentSnapshot();
+  EXPECT_EQ(SerializeSubtree(*snap->images().doc, b[0]).value(),
             "<b i=\"7\"><c>x</c></b>");
 }
 
@@ -45,11 +46,13 @@ TEST(SerializeTest, SequenceConcatenatesInOrder) {
   auto db = OpenXml("<a><b>1</b><b>2</b><c v=\"9\"/></a>");
   Session session = std::move(db->CreateSession()).value();
   NodeSequence bs = session.Run("/descendant::b").value().nodes;
-  EXPECT_EQ(SerializeSequence(db->doc(), bs).value(), "<b>1</b><b>2</b>");
+  auto snap = db->CurrentSnapshot();
+  const DocTable& doc = *snap->images().doc;
+  EXPECT_EQ(SerializeSequence(doc, bs).value(), "<b>1</b><b>2</b>");
   // Attribute in a sequence -> its string value.
   NodeSequence attr =
       session.Run("/descendant::c/attribute::v").value().nodes;
-  EXPECT_EQ(SerializeSequence(db->doc(), attr).value(), "9");
+  EXPECT_EQ(SerializeSequence(doc, attr).value(), "9");
 }
 
 TEST(SerializeTest, ErrorsAndEdgeCases) {
@@ -85,11 +88,13 @@ TEST(SerializeTest, QueryResultsFromXMarkParseBack) {
   Session session = std::move(db->CreateSession()).value();
   NodeSequence nodes = session.Run("/descendant::t1").value().nodes;
   if (nodes.empty()) GTEST_SKIP() << "no t1 in this instance";
+  auto snap = db->CurrentSnapshot();
+  const DocTable& doc = *snap->images().doc;
   for (NodeId v : nodes) {
-    std::string text = SerializeSubtree(db->doc(), v).value();
+    std::string text = SerializeSubtree(doc, v).value();
     auto reparsed = LoadDocument(text);
     ASSERT_TRUE(reparsed.ok()) << reparsed.status();
-    EXPECT_EQ(reparsed.value()->size(), db->doc().subtree_size(v) + 1);
+    EXPECT_EQ(reparsed.value()->size(), doc.subtree_size(v) + 1);
   }
 }
 

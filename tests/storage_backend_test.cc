@@ -282,7 +282,7 @@ TEST(PagedEvaluatorTest, MultiStepPathsMatchMemoryBackend) {
     EXPECT_TRUE(BytesEqual(zipped.value().nodes, expected.value().nodes))
         << q;
   }
-  EXPECT_GT(db->buffer_pool()->stats().pins, 0u);
+  EXPECT_GT(io.pool()->stats().pins, 0u);  // the pool zip shares
   // EXPLAIN names the compressed path.
   auto r = zip.Run("/descendant::t0/descendant::node()");
   ASSERT_TRUE(r.ok());
@@ -315,7 +315,8 @@ TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {
   auto paged_other =
       CompressedDocTable::Create(*other, disk.get(), kRaw).value();
   auto db = Database::FromParts(std::move(doc), nullptr, std::move(disk),
-                                std::move(paged_other), nullptr);
+                                std::move(paged_other), nullptr,
+                                nullptr, nullptr);
   ASSERT_FALSE(db.ok());
   EXPECT_NE(db.status().ToString().find("post/kind/level/parent/tag"),
             std::string::npos)
@@ -331,7 +332,8 @@ TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {
       CompressedDocTable::Create(*chain, disk2.get(), kRaw).value();
   auto spoofed = Database::FromParts(std::move(flat), nullptr,
                                      std::move(disk2),
-                                     std::move(paged_chain), nullptr);
+                                     std::move(paged_chain), nullptr,
+                                     nullptr, nullptr);
   ASSERT_FALSE(spoofed.ok());
   EXPECT_NE(spoofed.status().ToString().find("stale paged image"),
             std::string::npos)
@@ -344,7 +346,8 @@ TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {
       CompressedDocTable::Create(*chain2, disk3.get(), kRaw).value();
   auto genuine = Database::FromParts(std::move(chain2), nullptr,
                                      std::move(disk3),
-                                     std::move(paged_chain2), nullptr);
+                                     std::move(paged_chain2), nullptr,
+                                     nullptr, nullptr);
   ASSERT_TRUE(genuine.ok()) << genuine.status();
   SessionOptions paged_opt;
   paged_opt.backend = StorageBackend::kPaged;
@@ -360,7 +363,7 @@ TEST(DatabaseOpenTest, PagedImageWithoutDiskRejected) {
   auto paged = CompressedDocTable::Create(*doc, disk.get(), kRaw).value();
   // Adopting the paged table while dropping its disk is incoherent.
   auto db = Database::FromParts(std::move(doc), nullptr, nullptr,
-                                std::move(paged), nullptr);
+                                std::move(paged), nullptr, nullptr, nullptr);
   EXPECT_FALSE(db.ok());
 }
 
@@ -372,7 +375,7 @@ TEST(DatabaseOpenTest, ImageInTheOtherLayoutRejected) {
   auto disk = std::make_unique<SimulatedDisk>();
   auto coded = CompressedDocTable::Create(*doc, disk.get()).value();
   auto db = Database::FromParts(std::move(doc), nullptr, std::move(disk),
-                                std::move(coded), nullptr);
+                                std::move(coded), nullptr, nullptr, nullptr);
   ASSERT_FALSE(db.ok());
   EXPECT_NE(db.status().ToString().find("wrong column layout"),
             std::string::npos)
@@ -424,7 +427,7 @@ TEST(CompressedEvaluatorTest, FaultsStrictlyFewerPagesThanPagedBackend) {
   // pools keep the runs independent.
   auto db = Database::FromTable(RandomDocument(21, {.target_nodes = 60000}))
                 .value();
-  ASSERT_GT(db->doc().size(), 20000u);
+  ASSERT_GT(db->CurrentSnapshot()->logical_size(), 20000u);
   auto faults_with = [&](StorageBackend backend) {
     SessionOptions opt;
     opt.backend = backend;

@@ -51,7 +51,8 @@ Session MakeSession(Database& db, StorageBackend backend, TwigMode twig) {
 
 /// The path oracle's answer to `q` over `db`'s document.
 NodeSequence Oracle(const Database& db, const std::string& q) {
-  auto r = sj::testing::PathOracle(db.doc(), q);
+  auto snap = db.CurrentSnapshot();
+  auto r = sj::testing::PathOracle(*snap->images().doc, q);
   EXPECT_TRUE(r.ok()) << q << ": " << r.status();
   return r.ok() ? std::move(r).value() : NodeSequence{};
 }
@@ -234,7 +235,7 @@ TEST(TwigJoinTest, ColdPoolTwigFaultsAtMostStepAtATime) {
   // step -- so the twig run must never fault more.
   auto db = Database::FromTable(RandomDocument(21, {.target_nodes = 60000}))
                 .value();
-  ASSERT_GT(db->doc().size(), 20000u);
+  ASSERT_GT(db->CurrentSnapshot()->logical_size(), 20000u);
   const char* chains[] = {
       "/descendant::t0/descendant::t1/descendant::t2",
       "/descendant::t1/child::t2/child::t3",

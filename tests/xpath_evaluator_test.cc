@@ -43,7 +43,8 @@ class XPathEvaluatorTest : public ::testing::Test {
     DatabaseOptions open;
     open.build_paged = false;  // backend equivalence lives in other suites
     db_ = Database::FromXml(kSmallDoc, open).value();
-    doc_ = &db_->doc();
+    snap_ = db_->CurrentSnapshot();
+    doc_ = snap_->images().doc.get();
   }
 
   QueryResult RunQuery(const std::string& q, SessionOptions opts = {}) {
@@ -80,6 +81,7 @@ class XPathEvaluatorTest : public ::testing::Test {
   }
 
   std::unique_ptr<Database> db_;
+  std::shared_ptr<const DatabaseSnapshot> snap_;  // pins *doc_
   const DocTable* doc_ = nullptr;
 };
 

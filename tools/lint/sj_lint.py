@@ -47,6 +47,14 @@ enforces. This pass makes them hard failures in CI:
                     outside the encoding layer, src/delta/ and the
                     generators mutates (or rebuilds) an image behind the
                     snapshots' backs, breaking snapshot isolation.
+  unpinned-image    Database::disk(), compressed_doc() and
+                    compressed_tags() return pointers into whichever
+                    snapshot is current at the call; a Compact frees
+                    those images under the caller. They survive only for
+                    the benchmark harness (perfbench/), so a call of any
+                    of them under src/, examples/, bench/ or tests/ is a
+                    finding: hold Database::CurrentSnapshot() and read
+                    snap->images() instead.
   oracle-independence
                     tests/path_oracle.{h,cc} is the reference the
                     evaluator's equivalence tests trust, so it must not
@@ -412,6 +420,27 @@ def check_delta_mutation(rel, code, _literals, allows, findings):
                 "const here")
 
 
+_UNPINNED_RE = re.compile(
+    r"(?:\.|->)\s*(?:disk|compressed_doc|compressed_tags)\s*\(\s*\)")
+
+# Where the three accessors are declared (and defined inline), and the
+# trees that may not call them.
+_UNPINNED_DECL = "src/api/database.h"
+_UNPINNED_SCOPE = ("src/", "examples/", "bench/", "tests/")
+
+
+def check_unpinned_image(rel, code, _literals, allows, findings):
+    if not rel.startswith(_UNPINNED_SCOPE) or rel == _UNPINNED_DECL:
+        return
+    for m in _UNPINNED_RE.finditer(code):
+        _report(findings, allows, rel, line_of(code, m.start()),
+                "unpinned-image",
+                "Database image accessor borrows from whichever snapshot "
+                "is current and dangles after a Compact; hold "
+                "CurrentSnapshot() and read snap->images() (these "
+                "accessors exist only for perfbench/)")
+
+
 _INCLUDE_RE = re.compile(r"^[ \t]*#[ \t]*include\b(.*)$", re.MULTILINE)
 
 
@@ -458,6 +487,7 @@ _RULES = (
     check_bench_json,
     check_cost_literal,
     check_delta_mutation,
+    check_unpinned_image,
     check_oracle_independence,
 )
 

@@ -26,6 +26,7 @@ CASES = {
     "bench_missing_percentiles.cc": ("bench/bench_evil.cc", "bench-json"),
     "rogue_image_mutation.cc": ("src/api/evil.cc", "delta-mutation"),
     "rogue_cost_constant.cc": ("src/xpath/evil.cc", "cost-literal"),
+    "unpinned_image.cc": ("tests/evil_test.cc", "unpinned-image"),
     "oracle_with_engine_include.cc": ("tests/path_oracle.cc",
                                       "oracle-independence"),
 }
@@ -42,6 +43,7 @@ EXEMPT = {
     "bench_missing_percentiles.cc": "tests/evil_test.cc",
     "rogue_image_mutation.cc": "src/delta/evil.cc",
     "rogue_cost_constant.cc": "src/xpath/cost_model.h",
+    "unpinned_image.cc": "perfbench/sjbench.cc",
     "oracle_with_engine_include.cc": "tests/xpath_evaluator_test.cc",
 }
 
