@@ -113,7 +113,6 @@ Suite DiskPages() {
   s.id = "FW1 (Section 6, future work: disk pages)";
   s.description =
       "paged XPath evaluation: page faults per skip mode and pool size";
-  s.open.build_tag_index = false;  // every plan joins over the document
   // One document: the largest of the default sweep (11 MB at small
   // scale), never the xl instance.
   s.sizes = {s.sizes.size() > 2 ? s.sizes[2] : s.sizes.back()};
@@ -159,7 +158,6 @@ Suite MixedAxes() {
   s.description =
       "mixed staircase + child/attribute/sibling queries: every step "
       "IO-charged on the paged backend";
-  s.open.build_tag_index = false;  // both backends join over the document
   s.queries = kMixedQueries;
   SessionOptions mem;
   mem.hints.pushdown = PushdownMode::kNever;
@@ -209,7 +207,6 @@ Suite Compressed() {
   s.description =
       "FOR/delta block-compressed columns vs uncompressed pages: faults "
       "per query at equal page and pool size";
-  s.open.build_tag_index = false;  // both backends join over the document
   s.queries = kCompressedQueries;
   SessionOptions paged;
   paged.backend = StorageBackend::kPaged;

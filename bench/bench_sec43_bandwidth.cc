@@ -44,8 +44,7 @@ void Run() {
                   "scan loop [ms]", "scan [MB/s]"});
   for (double mb : BenchSizes()) {
     DatabaseOptions open;
-    open.build_tag_index = false;  // node() test: fragments never consulted
-    open.build_paged = false;      // a pure memory-bandwidth experiment
+    open.build_paged = false;  // a pure memory-bandwidth experiment
     auto db = MakeDatabase(mb, open);
 
     JoinStats copy_stats, scan_stats;

@@ -9,7 +9,8 @@
 // With prefetch on, a cursor's SkipTo/LowerBound announces the landing
 // pages and the pool faults them as ONE batched disk request (one seek
 // plus cheap per-page transfers) instead of N synchronous seeks; the
-// bench asserts identical result nodes and a lower cold wall-clock.
+// bench asserts identical result nodes and, per query, fewer synchronous
+// device requests. The cold wall-clock is printed, never asserted.
 // faults/skipped/result are deterministic and gated by
 // tools/check_bench_regression.py.
 //
@@ -19,10 +20,12 @@
 // whatever the backend sustains (saturation). Plan cache on vs off:
 // with the cache, a hot query's parse + planning collapses into one LRU
 // lookup shared across every session. Reported per regime: completed
-// arrival rate (queries/s) and client-observed p50/p95/p99 latency; the
-// bench asserts cache-on beats cache-off at 8 threads with identical
-// per-query results. skipped/result sums are schedule-deterministic and
-// gated; the percentile fields ride in the JSON rows (never gated).
+// arrival rate (queries/s) and client-observed p50/p95/p99 latency. The
+// bench asserts identical per-query results and the cache's
+// deterministic counts: every query is a hit or a miss, and no session
+// misses a query twice. skipped/result sums are schedule-deterministic
+// and gated; the timings ride in the table and the JSON rows (never
+// gated: their margins drown in host noise).
 //
 // Results land in BENCH_serving_saturation.json.
 
@@ -40,26 +43,13 @@ namespace {
 
 /// Phase A mix: staircase skips, twig leapfrog cascades (LowerBound
 /// seeks), and an ancestor axis -- every query jumps columns around.
-/// `asserted` excludes the ancestor query from the wall-clock
-/// assertion: ancestor scans walk the post column BACKWARD, where the
-/// forward readahead window cannot help, and the query is the most
-/// CPU-heavy of the mix -- it contributes only timing noise to the
-/// aggregate. It still runs in both regimes, its results are
-/// equality-checked, and its deterministic counters are reported and
-/// gated like every other row.
-struct SkipQuery {
-  const char* query;
-  bool asserted;
-};
-constexpr SkipQuery kSkipMix[] = {
-    {"/descendant::open_auctions/descendant::open_auction"
-     "/descendant::bidder/descendant::date",
-     true},
-    {"/descendant::regions/descendant::item/descendant::mailbox"
-     "/descendant::date",
-     true},
-    {"/descendant::open_auction/child::bidder/child::increase", true},
-    {"/descendant::increase/ancestor::bidder", false},
+constexpr const char* kSkipMix[] = {
+    "/descendant::open_auctions/descendant::open_auction"
+    "/descendant::bidder/descendant::date",
+    "/descendant::regions/descendant::item/descendant::mailbox"
+    "/descendant::date",
+    "/descendant::open_auction/child::bidder/child::increase",
+    "/descendant::increase/ancestor::bidder",
 };
 
 /// Phase B mix: parse-heavy union queries (the workload a plan cache
@@ -99,9 +89,8 @@ constexpr unsigned kSaturationThreads = 8;
 constexpr uint64_t kScheduleSeed = 0x5e201f08;
 
 /// Timing floor for both phases: even SJ_BENCH_REPS=1 smoke runs take
-/// the best of this many repetitions. The asserted margins are
-/// wall-clock over a sleeping "disk" and a saturated thread pool, and a
-/// single rep's scheduler jitter can exceed them.
+/// the best of this many repetitions, so a single rep's scheduler jitter
+/// does not decide the printed timings.
 constexpr int kMinTimedReps = 3;
 
 int TimedReps() { return std::max(BenchReps(), kMinTimedReps); }
@@ -109,7 +98,7 @@ int TimedReps() { return std::max(BenchReps(), kMinTimedReps); }
 /// Floor of phase B's alternating cache-off/cache-on rep pairs. A rep
 /// at 8 clients lasts tens of milliseconds, so one descheduled client
 /// can cost it more than the cache's margin; the best of this many
-/// pairs rides out such stalls on a loaded host.
+/// pairs rides out most such stalls on a loaded host.
 constexpr int kMinServeReps = 9;
 
 // --- phase A: cold prefetch ------------------------------------------------
@@ -170,20 +159,18 @@ void PhasePrefetch(std::vector<JsonRecord>* json) {
   };
   const Backend backends[] = {{StorageBackend::kPaged, "paged"},
                               {StorageBackend::kCompressed, "compressed"}};
-  // The wall-clock claim is asserted over the grand total of both
-  // backends: the paged image's margin is page-sized, the compressed
-  // image packs many blocks per page so its disk time (and hence its
-  // margin) is a fraction of its decode CPU -- per-backend totals would
-  // gate on scheduler noise. The per-query, per-backend IO claim is
-  // asserted exactly below via the deterministic seek counts.
+  // The per-query, per-backend IO claim is asserted exactly below via
+  // the deterministic seek counts. The wall-clock totals over both
+  // backends are only reported: the compressed image packs many blocks
+  // per page, so its disk time (and hence its margin) is a fraction of
+  // its decode CPU, and scheduler noise can swallow the grand total's.
   double total_off = 0;
   double total_on = 0;
   for (const Backend& b : backends) {
     SessionOptions opt;
     opt.backend = b.backend;
     Session session = MustSession(*db, opt);
-    for (const SkipQuery& sq : kSkipMix) {
-      const char* query = sq.query;
+    for (const char* query : kSkipMix) {
       PrefetchRun off =
           RunPrefetch(*snap, session, query, /*prefetch=*/false);
       PrefetchRun on = RunPrefetch(*snap, session, query, /*prefetch=*/true);
@@ -205,10 +192,8 @@ void PhasePrefetch(std::vector<JsonRecord>* json) {
                      static_cast<unsigned long long>(off.faults));
         std::abort();
       }
-      if (sq.asserted) {
-        total_off += off.ms;
-        total_on += on.ms;
-      }
+      total_off += off.ms;
+      total_on += on.ms;
       t.AddRow({b.label, query,
                 TablePrinter::Count(off.faults) + "/" +
                     TablePrinter::Count(on.faults),
@@ -236,15 +221,10 @@ void PhasePrefetch(std::vector<JsonRecord>* json) {
       json->push_back(std::move(rec_on));
     }
   }
-  if (total_on >= total_off) {
-    t.Print();
-    std::fprintf(stderr,
-                 "prefetch did not beat synchronous faulting: "
-                 "%.2f ms on vs %.2f ms off\n",
-                 total_on, total_off);
-    std::abort();
-  }
   t.Print();
+  std::printf("cold total over both backends: %.2f ms prefetch off, %.2f ms "
+              "on (%.2fx; reported, not asserted)\n",
+              total_off, total_on, total_off / total_on);
   std::printf("a SkipTo/LowerBound landing is faulted as one batched read "
               "(1 seek + %u/%u us per extra page) instead of one %u us seek "
               "per column page\n",
@@ -330,8 +310,6 @@ void PhaseSaturation(std::vector<JsonRecord>* json, double mb) {
 
   TablePrinter t({"plan cache", "clients", "queries/s", "p50 [ms]",
                   "p95 [ms]", "p99 [ms]", "speedup"});
-  double cached_qps_at_saturation = 0;
-  double uncached_qps_at_saturation = 0;
   for (unsigned threads : {1u, kSaturationThreads}) {
     std::vector<Session> uncached_clients = MakeClients(*uncached_db, threads);
     std::vector<Session> cached_clients = MakeClients(*cached_db, threads);
@@ -353,10 +331,6 @@ void PhaseSaturation(std::vector<JsonRecord>* json, double mb) {
                    static_cast<unsigned long long>(cached.result),
                    static_cast<unsigned long long>(uncached.result));
       std::abort();
-    }
-    if (threads == kSaturationThreads) {
-      cached_qps_at_saturation = cached.qps;
-      uncached_qps_at_saturation = uncached.qps;
     }
     const char* labels[] = {"off", "on"};
     const ServeRun* runs[] = {&uncached, &cached};
@@ -383,9 +357,9 @@ void PhaseSaturation(std::vector<JsonRecord>* json, double mb) {
   t.Print();
 
   const DatabaseStats stats = cached_db->TotalStats();
-  std::printf("plan cache at %u clients: %llu hits / %llu misses / %llu "
-              "evictions; a hot query's parse + planning collapses into "
-              "one LRU lookup shared by every session\n",
+  std::printf("plan cache over 1 and %u clients: %llu hits / %llu misses / "
+              "%llu evictions; a hot query's parse + planning collapses "
+              "into one LRU lookup shared by every session\n",
               kSaturationThreads,
               static_cast<unsigned long long>(stats.plan_cache_hits),
               static_cast<unsigned long long>(stats.plan_cache_misses),
@@ -394,12 +368,24 @@ void PhaseSaturation(std::vector<JsonRecord>* json, double mb) {
     std::fprintf(stderr, "plan cache never hit under the zipf mix\n");
     std::abort();
   }
-  if (cached_qps_at_saturation <= uncached_qps_at_saturation) {
+  // Each session memoizes what it planned, so it misses a query at most
+  // once (more than one session may race to plan the same query).
+  const uint64_t max_misses = stats.sessions_created * std::size(kServingMix);
+  if (stats.plan_cache_misses > max_misses) {
     std::fprintf(stderr,
-                 "plan cache did not pay at %u clients: %.0f qps cached vs "
-                 "%.0f qps uncached\n",
-                 kSaturationThreads, cached_qps_at_saturation,
-                 uncached_qps_at_saturation);
+                 "plan cache missed %llu times, more than once per session "
+                 "per query (%llu)\n",
+                 static_cast<unsigned long long>(stats.plan_cache_misses),
+                 static_cast<unsigned long long>(max_misses));
+    std::abort();
+  }
+  if (stats.plan_cache_hits + stats.plan_cache_misses != stats.queries_run) {
+    std::fprintf(stderr,
+                 "plan cache served %llu hits + %llu misses for %llu "
+                 "queries\n",
+                 static_cast<unsigned long long>(stats.plan_cache_hits),
+                 static_cast<unsigned long long>(stats.plan_cache_misses),
+                 static_cast<unsigned long long>(stats.queries_run));
     std::abort();
   }
 }

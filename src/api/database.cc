@@ -42,7 +42,11 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
     std::unique_ptr<DatabaseImages> img, const DatabaseOptions& options,
     bool build_missing) {
   const DocTable& doc = *img->doc;
-  if (build_missing && options.build_tag_index && img->tag_index == nullptr) {
+  // The resident fragment index is always there: memory-backend pushdown
+  // and twig joins, the pool images' encoder and every commit's fragment
+  // overlays read it. It touches no page, so adopted images keep their
+  // page ids and fault counts.
+  if (img->tag_index == nullptr) {
     img->tag_index = std::make_unique<TagIndex>(doc);
   }
   // The two pool-backed images share one disk (one pool serves both),
@@ -69,18 +73,10 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
     SJ_ASSIGN_OR_RETURN(
         p.image->doc,
         storage::CompressedDocTable::Create(doc, img->disk.get(), p.layout));
-    // Reuse the resident TagIndex when it exists; encoding should not
-    // pay a second projection scan of the whole document.
-    if (img->tag_index != nullptr) {
-      SJ_ASSIGN_OR_RETURN(
-          p.image->tags,
-          storage::CompressedTagIndex::Create(doc, *img->tag_index,
-                                              img->disk.get(), p.layout));
-    } else {
-      SJ_ASSIGN_OR_RETURN(p.image->tags,
-                          storage::CompressedTagIndex::Create(
-                              doc, img->disk.get(), p.layout));
-    }
+    SJ_ASSIGN_OR_RETURN(
+        p.image->tags,
+        storage::CompressedTagIndex::Create(doc, *img->tag_index,
+                                            img->disk.get(), p.layout));
     p.built_here = true;
   }
 
@@ -366,7 +362,7 @@ EditTxn::EditTxn(Database* db, std::shared_ptr<const DatabaseSnapshot> snap)
     : db_(db),
       snap_(std::move(snap)),
       builder_(std::make_unique<delta::OverlayBuilder>(
-          *snap_->images().doc, snap_->images().tag_index.get(),
+          *snap_->images().doc, *snap_->images().tag_index,
           snap_->overlay_ptr())) {}
 
 Status EditTxn::InsertLastChild(NodeId parent, std::string_view fragment_xml) {

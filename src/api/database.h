@@ -56,9 +56,6 @@ class Database;
 struct DatabaseOptions {
   /// Encoding options for the documents (value storage etc.).
   BuildOptions build;
-  /// Build the resident tag fragments (name-test pushdown on the memory
-  /// backend; also the selectivity statistics of kAuto pushdown).
-  bool build_tag_index = true;
   /// Build the paged image: disk + raw-page doc columns + raw-page tag
   /// fragments + shared buffer pool. Off saves the page-out for purely
   /// in-memory use; sessions then cannot choose StorageBackend::kPaged.
@@ -189,9 +186,11 @@ class Database {
   /// -- at open time, not on the first paged query. Adopted compressed
   /// images (ColumnLayout::kCoded) additionally get their on-disk encoded
   /// blocks re-read and verified against the image digests, so a corrupt
-  /// (bit-flipped) block is never served to a query. Every image but
-  /// `doc` may be null (the corresponding backend is then unavailable);
-  /// a pool-backed image requires `disk` and the layout of its backend
+  /// (bit-flipped) block is never served to a query. A null `tag_index`
+  /// is built from `doc`. Every other image may be null (the
+  /// corresponding backend is then unavailable, or runs without
+  /// fragments when only its tag fragments are missing); a pool-backed
+  /// image requires `disk` and the layout of its backend
   /// (kRaw for paged, kCoded for compressed). `options.build`/`build_*`/
   /// pool sizing apply to the pool only.
   static Result<std::unique_ptr<Database>> FromParts(

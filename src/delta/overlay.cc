@@ -64,23 +64,6 @@ std::vector<Segment> RemoveRun(std::vector<Segment>& segs, uint64_t pos,
   return removed;
 }
 
-/// First index i >= `from` of `v` with !before(v[i]), for a `before`
-/// that holds on a prefix of v. Gallops from `from`, so k non-decreasing
-/// probes over n elements cost one merge walk, O(k log(n/k)).
-template <typename T, typename Before>
-size_t GallopFrom(const std::vector<T>& v, size_t from, Before before) {
-  size_t lo = from;
-  size_t hi = from;
-  for (size_t step = 1; hi < v.size() && before(v[hi]); step *= 2) {
-    lo = hi + 1;
-    hi += step;
-  }
-  hi = std::min(hi, v.size());
-  return static_cast<size_t>(
-      std::partition_point(v.begin() + lo, v.begin() + hi, before) -
-      v.begin());
-}
-
 /// Only an assert reads this, so NDEBUG builds leave it unused.
 [[maybe_unused]] uint64_t TotalCount(const std::vector<Segment>& segs) {
   uint64_t n = 0;
@@ -118,24 +101,15 @@ Location Overlay::Locate(const std::vector<Segment>& segs, uint64_t lrank,
   return Location{s.from_delta, s.src + (lrank - s.lstart)};
 }
 
-uint64_t Overlay::MapBase(const std::vector<RevSeg>& revs, uint64_t brank) {
+std::optional<uint64_t> Overlay::MapBase(const std::vector<RevSeg>& revs,
+                                         uint64_t brank) {
   auto it = std::upper_bound(
       revs.begin(), revs.end(), brank,
       [](uint64_t v, const RevSeg& s) { return v < s.src; });
-  assert(it != revs.begin() && "base rank not covered by reverse map");
+  if (it == revs.begin()) return std::nullopt;
   const RevSeg& s = *(it - 1);
-  assert(brank < s.src + s.count && "base rank was deleted");
+  if (brank >= s.src + s.count) return std::nullopt;
   return s.lstart + (brank - s.src);
-}
-
-std::optional<uint64_t> Overlay::TryBasePreToLogical(uint64_t bpre) const {
-  auto it = std::upper_bound(
-      base_pre_to_logical_.begin(), base_pre_to_logical_.end(), bpre,
-      [](uint64_t v, const RevSeg& s) { return v < s.src; });
-  if (it == base_pre_to_logical_.begin()) return std::nullopt;
-  const RevSeg& s = *(it - 1);
-  if (bpre >= s.src + s.count) return std::nullopt;
-  return s.lstart + (bpre - s.src);
 }
 
 uint64_t Overlay::LowerBoundBasePre(uint64_t lpre) const {
@@ -166,7 +140,7 @@ const std::string& Overlay::TagName(const TagDictionary& base,
 
 // --- OverlayBuilder --------------------------------------------------------
 
-OverlayBuilder::OverlayBuilder(const DocTable& base, const TagIndex* tag_index,
+OverlayBuilder::OverlayBuilder(const DocTable& base, const TagIndex& tag_index,
                                std::shared_ptr<const Overlay> start)
     : base_(base), tag_index_(tag_index) {
   if (start != nullptr) {
@@ -177,7 +151,7 @@ OverlayBuilder::OverlayBuilder(const DocTable& base, const TagIndex* tag_index,
     ov_.deleted_base_nodes_ = start->deleted_base_nodes_;
     ov_.pre_segs_ = start->pre_segs_;
     ov_.post_segs_ = start->post_segs_;
-    ov_.deleted_slots_ = start->deleted_slots_;
+    ov_.lost_slots_ = start->lost_slots_;
     ov_.kind_ = start->kind_;
     ov_.tag_ = start->tag_;
     ov_.level_ = start->level_;
@@ -191,6 +165,7 @@ OverlayBuilder::OverlayBuilder(const DocTable& base, const TagIndex* tag_index,
     ov_.base_size_ = base.size();
     ov_.logical_size_ = base.size();
     ov_.base_dict_size_ = static_cast<uint32_t>(base.tags().size());
+    ov_.lost_slots_.assign(ov_.base_dict_size_, false);
     if (base.size() > 0) {
       ov_.pre_segs_ = {Segment{0, base.size(), 0, false}};
       ov_.post_segs_ = {Segment{0, base.size(), 0, false}};
@@ -327,7 +302,13 @@ Status OverlayBuilder::ApplyDelete(uint64_t v) {
     if (s.from_delta) {
       dropped.emplace_back(s.src, s.count);
     } else {
-      deleted_runs_.emplace_back(s.src, s.count);
+      // The run's elements lose their base fragment slots.
+      for (uint64_t b = s.src; b < s.src + s.count; ++b) {
+        const NodeId n = static_cast<NodeId>(b);
+        if (base_.kind(n) == NodeKind::kElement && base_.tag(n) != kNoTag) {
+          ov_.lost_slots_[base_.tag(n)] = true;
+        }
+      }
       ov_.deleted_base_nodes_ += s.count;
     }
   }
@@ -368,37 +349,6 @@ Status OverlayBuilder::ApplyDelete(uint64_t v) {
   }
   ov_.logical_size_ -= T;
   return Status::OK();
-}
-
-void OverlayBuilder::AttributeDeletedRuns() {
-  // Each run is a piece of one deleted subtree, so only the tags its
-  // elements carry lose slots, each a contiguous run of its TagView.
-  std::vector<TagId> tags;
-  for (const auto& [start, count] : deleted_runs_) {
-    tags.clear();
-    for (uint64_t b = start; b < start + count; ++b) {
-      const NodeId n = static_cast<NodeId>(b);
-      if (base_.kind(n) == NodeKind::kElement && base_.tag(n) != kNoTag) {
-        tags.push_back(base_.tag(n));
-      }
-    }
-    std::sort(tags.begin(), tags.end());
-    tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
-    for (TagId t : tags) {
-      const std::vector<NodeId>& pre = tag_index_->view(t).pre;
-      auto lo = std::lower_bound(pre.begin(), pre.end(),
-                                 static_cast<NodeId>(start));
-      auto hi = std::lower_bound(lo, pre.end(),
-                                 static_cast<NodeId>(start + count));
-      ov_.deleted_slots_.push_back(Overlay::DeletedSlots{
-          t, static_cast<uint32_t>(lo - pre.begin()),
-          static_cast<uint32_t>(hi - pre.begin())});
-    }
-  }
-  std::sort(ov_.deleted_slots_.begin(), ov_.deleted_slots_.end(),
-            [](const Overlay::DeletedSlots& a, const Overlay::DeletedSlots& b) {
-              return a.tag != b.tag ? a.tag < b.tag : a.lo < b.lo;
-            });
 }
 
 Status OverlayBuilder::InsertLastChild(uint64_t parent,
@@ -487,128 +437,87 @@ Result<std::shared_ptr<const Overlay>> OverlayBuilder::Finish() {
   ov_.base_pre_to_logical_ = reverse_of(ov_.pre_segs_);
   ov_.base_post_to_logical_ = reverse_of(ov_.post_segs_);
 
-  if (tag_index_ != nullptr) {
-    AttributeDeletedRuns();
-    BuildFragmentOverlays();
-  }
-
+  BuildFragmentOverlays();
   return std::make_shared<const Overlay>(std::move(ov_));
 }
 
 void OverlayBuilder::BuildFragmentOverlays() {
   const uint32_t dict_size = ov_.merged_dict_size();
   ov_.frags_.assign(dict_size, FragmentOverlay{});
+  // Delta element entries (TagIndex semantics: elements only).
+  auto entry_tag = [this](uint64_t d) {
+    return ov_.kind_[d] == static_cast<uint8_t>(NodeKind::kElement)
+               ? ov_.tag_[d]
+               : kNoTag;
+  };
 
-  // Delta element entries (TagIndex semantics: elements only) go to
-  // their tag's delta_pre/delta_post in logical pre order. bkeys[t][k] is
-  // the smallest surviving base pre whose logical pre follows entry k --
-  // the entry sits before base slot s iff bkey <= pre[s] -- i.e. the src
-  // of the next base segment in logical order (one walk over the
-  // pre-space segments).
-  std::vector<std::vector<NodeId>> bkeys(dict_size);
-  const std::vector<Segment>& segs = ov_.pre_segs_;
-  size_t next_base = 0;
-  for (size_t i = 0; i < segs.size(); ++i) {
-    if (!segs[i].from_delta) continue;
-    if (next_base <= i) {
-      next_base = i + 1;
-      while (next_base < segs.size() && segs[next_base].from_delta) {
-        ++next_base;
-      }
+  // A tag's merged fragment differs from its base fragment iff it has a
+  // delta entry or lost a base slot; every other tag stays its base
+  // fragment, one slot segment.
+  std::vector<bool> changed(ov_.lost_slots_);
+  changed.resize(dict_size, false);
+  for (uint64_t d = 0; d < ov_.kind_.size(); ++d) {
+    if (entry_tag(d) != kNoTag) changed[entry_tag(d)] = true;
+  }
+  std::vector<TagId> walked;  // changed tags with base slots
+  for (TagId t = 0; t < ov_.base_dict_size_; ++t) {
+    const TagView& view = tag_index_.view(t);
+    if (view.size() == 0) continue;
+    if (changed[t]) {
+      walked.push_back(t);
+      continue;
     }
-    const NodeId bkey = static_cast<NodeId>(
-        next_base < segs.size() ? segs[next_base].src : ov_.base_size_);
-    for (uint64_t k = 0; k < segs[i].count; ++k) {
-      const uint64_t d = segs[i].src + k;
-      if (ov_.kind_[d] != static_cast<uint8_t>(NodeKind::kElement)) continue;
-      if (ov_.tag_[d] == kNoTag) continue;
-      FragmentOverlay& fo = ov_.frags_[ov_.tag_[d]];
-      fo.delta_pre.push_back(static_cast<uint32_t>(segs[i].lstart + k));
-      fo.delta_post.push_back(ov_.lpost_[d]);
-      bkeys[ov_.tag_[d]].push_back(bkey);
-    }
+    const uint32_t n = static_cast<uint32_t>(view.size());
+    const auto lpre = static_cast<uint32_t>(ov_.BasePreToLogical(view.pre[0]));
+    ov_.frags_[t].merged_count = n;
+    ov_.frags_[t].slots.push_back(SlotSegment{0, n, 0, lpre, false});
   }
 
-  const std::vector<Overlay::RevSeg>& revs = ov_.base_pre_to_logical_;
-  auto deleted = ov_.deleted_slots_.begin();
-  for (TagId t = 0; t < dict_size; ++t) {
-    FragmentOverlay& fo = ov_.frags_[t];
-    const TagView& view = t < ov_.base_dict_size_
-                              ? tag_index_->view(t)
-                              : tag_index_->view(kNoTag);  // empty view
-    const uint32_t n = static_cast<uint32_t>(view.size());
-    const std::vector<NodeId>& bkey = bkeys[t];
-    const auto d_begin = deleted;
-    uint32_t gone = 0;
-    for (; deleted != ov_.deleted_slots_.end() && deleted->tag == t;
-         ++deleted) {
-      gone += deleted->hi - deleted->lo;
+  // Appends `count` merged slots read from `src` on; a run that continues
+  // the previous one's source joins it.
+  auto append = [](FragmentOverlay& fo, bool from_delta, uint32_t src,
+                   uint32_t count, uint32_t first_lpre) {
+    const uint32_t lslot = static_cast<uint32_t>(fo.merged_count);
+    fo.merged_count += count;
+    if (!fo.slots.empty() && fo.slots.back().from_delta == from_delta &&
+        fo.slots.back().src + fo.slots.back().count == src) {
+      fo.slots.back().count += count;
+      return;
     }
-    fo.merged_count = n - gone + bkey.size();
+    fo.slots.push_back(SlotSegment{lslot, count, src, first_lpre, from_delta});
+  };
 
-    if (bkey.empty() && d_begin == deleted) {
-      // Untouched: the base fragment as it stands.
-      if (n > 0) {
-        fo.slots.push_back(SlotSegment{
-            0, n, 0, static_cast<uint32_t>(ov_.BasePreToLogical(view.pre[0])),
-            false});
+  // The changed tags' fragments are their projections of the pre-space
+  // segment map, in logical pre order. Base runs ascend in base pre, so
+  // each tag's next slot only moves forward.
+  std::vector<uint32_t> next_slot(walked.size(), 0);
+  for (const Segment& seg : ov_.pre_segs_) {
+    if (seg.from_delta) {
+      for (uint64_t k = 0; k < seg.count; ++k) {
+        const TagId t = entry_tag(seg.src + k);
+        if (t == kNoTag) continue;
+        FragmentOverlay& fo = ov_.frags_[t];
+        const auto lpre = static_cast<uint32_t>(seg.lstart + k);
+        append(fo, true, static_cast<uint32_t>(fo.delta_pre.size()), 1, lpre);
+        fo.delta_pre.push_back(lpre);
+        fo.delta_post.push_back(ov_.lpost_[seg.src + k]);
       }
       continue;
     }
-
-    uint32_t merged_slot = 0;
-    uint32_t di = 0;   // next delta entry
-    size_t rev = 0;    // merge-walk position in the reverse map
-    auto emit_base = [&](uint32_t from, uint32_t to) {
-      const NodeId bpre = view.pre[from];
-      rev = GallopFrom(revs, rev, [bpre](const Overlay::RevSeg& r) {
-        return r.src + r.count <= bpre;
-      });
-      assert(rev < revs.size() && revs[rev].src <= bpre &&
-             "surviving base slot missing from the reverse map");
-      fo.slots.push_back(SlotSegment{
-          merged_slot, to - from, from,
-          static_cast<uint32_t>(revs[rev].lstart + (bpre - revs[rev].src)),
-          false});
-      merged_slot += to - from;
-    };
-    // Emits the entries that precede base pre `limit` (all: kNilNode).
-    auto emit_delta_before = [&](NodeId limit) {
-      const uint32_t start = di;
-      while (di < bkey.size() && bkey[di] <= limit) ++di;
-      if (di == start) return;
-      fo.slots.push_back(SlotSegment{merged_slot, di - start, start,
-                                     fo.delta_pre[start], true});
-      merged_slot += di - start;
-    };
-    // Surviving base slot runs: the gaps between deleted slot runs, each
-    // cut wherever delta entries fall between its slots.
-    uint32_t run_begin = 0;
-    auto emit_run = [&](uint32_t run_end) {
-      uint32_t s = run_begin;
-      while (s < run_end) {
-        emit_delta_before(view.pre[s]);
-        const uint32_t cut =
-            di == bkey.size()
-                ? run_end
-                : static_cast<uint32_t>(
-                      std::lower_bound(view.pre.begin() + s,
-                                       view.pre.begin() + run_end, bkey[di]) -
-                      view.pre.begin());
-        emit_base(s, cut);
-        s = cut;
-      }
-    };
-    for (auto d = d_begin; d != deleted; ++d) {
-      emit_run(d->lo);
-      run_begin = d->hi;
+    for (size_t i = 0; i < walked.size(); ++i) {
+      const std::vector<NodeId>& pre = tag_index_.view(walked[i]).pre;
+      auto lo = std::lower_bound(pre.begin() + next_slot[i], pre.end(),
+                                 static_cast<NodeId>(seg.src));
+      auto hi = std::lower_bound(lo, pre.end(),
+                                 static_cast<NodeId>(seg.src + seg.count));
+      next_slot[i] = static_cast<uint32_t>(hi - pre.begin());
+      if (lo == hi) continue;
+      const auto lpre = static_cast<uint32_t>(seg.lstart + (*lo - seg.src));
+      append(ov_.frags_[walked[i]], false,
+             static_cast<uint32_t>(lo - pre.begin()),
+             static_cast<uint32_t>(hi - lo), lpre);
     }
-    emit_run(n);
-    emit_delta_before(kNilNode);
-    assert(merged_slot == fo.merged_count && "fragment slot count drifted");
   }
-
-  ov_.has_fragments_ = true;
 }
 
 // --- compaction / naive-path fold ------------------------------------------

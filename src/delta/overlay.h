@@ -20,14 +20,16 @@
 // and inserted runs are spliced in between base segments.
 //
 // A commit never rewrites the base columns. Applying its ops costs
-// O(#segments + resident delta nodes) each. `Finish()` scans the tag
-// column of each base subtree the transaction deleted, re-derives the
-// reverse maps, O(#segments), and rebuilds the fragment overlay only of
-// the tags whose slots differ from the base fragment: those with a
-// resident delta entry or a deleted base slot, in time linear in their
-// delta entries and slot segments. Every other tag becomes one base slot
-// segment, one reverse-map probe. `Database::Compact()` folds an overlay
-// back into fresh images via MaterializeMerged() and resets the delta.
+// O(#segments + resident delta nodes) each; a delete also scans the tag
+// column of the base subtree it removes, to flag the tags that lost base
+// fragment slots. `Finish()` re-derives the reverse maps, O(#segments),
+// and the fragment overlay of each changed tag -- one with a resident
+// delta entry or a base slot lost since the last compaction -- in one
+// walk over the pre-space segments: a base run contributes the tag's
+// TagView slots inside it (two binary searches), a delta run the tag's
+// entries inside it. Every other tag becomes one base slot segment, one
+// reverse-map probe. `Database::Compact()` folds an overlay back into
+// fresh images via MaterializeMerged() and resets the delta.
 //
 // Overlay instances are immutable after OverlayBuilder::Finish() and are
 // shared across threads without locking (snapshot isolation: readers pin
@@ -36,13 +38,13 @@
 #ifndef STAIRJOIN_DELTA_OVERLAY_H_
 #define STAIRJOIN_DELTA_OVERLAY_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/tag_view.h"
@@ -124,18 +126,24 @@ class Overlay {
     return Locate(pre_segs_, lpre, hint);
   }
 
+  /// Logical pre rank of base node `bpre`; nullopt when it was deleted.
+  std::optional<uint64_t> TryBasePreToLogical(uint64_t bpre) const {
+    return MapBase(base_pre_to_logical_, bpre);
+  }
+
   /// Logical pre rank of a surviving base node (pre rank `bpre`).
   uint64_t BasePreToLogical(uint64_t bpre) const {
-    return MapBase(base_pre_to_logical_, bpre);
+    std::optional<uint64_t> l = TryBasePreToLogical(bpre);
+    assert(l.has_value() && "base pre rank was deleted");
+    return *l;
   }
 
   /// Logical post rank of a surviving base node's post rank.
   uint64_t BasePostToLogical(uint64_t bpost) const {
-    return MapBase(base_post_to_logical_, bpost);
+    std::optional<uint64_t> l = MapBase(base_post_to_logical_, bpost);
+    assert(l.has_value() && "base post rank was deleted");
+    return *l;
   }
-
-  /// Like BasePreToLogical but returns nullopt for deleted base nodes.
-  std::optional<uint64_t> TryBasePreToLogical(uint64_t bpre) const;
 
   /// Smallest surviving base pre rank whose logical pre is >= `lpre`
   /// (base_size() when no base node follows). This is how a fragment
@@ -169,10 +177,6 @@ class Overlay {
 
   // --- per-tag fragments --------------------------------------------------
 
-  /// True when fragment overlays were built (requires the resident
-  /// TagIndex at Finish() time). When false, pushdown and twig joins are
-  /// disabled for this snapshot.
-  bool has_fragments() const { return has_fragments_; }
   const FragmentOverlay& fragment(TagId tag) const {
     if (tag == kNoTag || tag >= frags_.size()) return empty_frag_;
     return frags_[tag];
@@ -194,7 +198,10 @@ class Overlay {
 
   static Location Locate(const std::vector<Segment>& segs, uint64_t lrank,
                          size_t* hint);
-  static uint64_t MapBase(const std::vector<RevSeg>& revs, uint64_t brank);
+  /// The one reverse-map search: logical rank of `brank`, nullopt when
+  /// that base node was deleted.
+  static std::optional<uint64_t> MapBase(const std::vector<RevSeg>& revs,
+                                         uint64_t brank);
 
   uint64_t base_size_ = 0;
   uint64_t logical_size_ = 0;
@@ -210,16 +217,11 @@ class Overlay {
   std::vector<RevSeg> base_pre_to_logical_;
   std::vector<RevSeg> base_post_to_logical_;
 
-  // The base fragment slots deletes removed: [lo, hi) of tag's TagView,
-  // disjoint within a tag (a base node deletes at most once). Sorted by
-  // (tag, lo) at Finish, carried across commits and consumed by the
-  // fragment rebuild. Empty when the builder had no TagIndex.
-  struct DeletedSlots {
-    TagId tag = kNoTag;
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-  };
-  std::vector<DeletedSlots> deleted_slots_;
+  // Per base tag: some of its base fragment slots were deleted since the
+  // last compaction (set by each delete's scan of the removed base run,
+  // carried across commits). With the delta entries this is what marks a
+  // tag's fragment overlay for rebuilding at Finish.
+  std::vector<bool> lost_slots_;
 
   // Delta-node columns. Append-ordered by commit, NOT by logical pre;
   // every pre-space delta segment covers a contiguous index run. All
@@ -237,7 +239,6 @@ class Overlay {
   std::vector<std::string> extra_names_;
   std::unordered_map<std::string, TagId> extra_ids_;
 
-  bool has_fragments_ = false;
   std::vector<FragmentOverlay> frags_;
   FragmentOverlay empty_frag_;
 };
@@ -252,9 +253,9 @@ class Overlay {
 /// it reads are the memory-resident images, never the pool-backed ones.
 class OverlayBuilder {
  public:
-  /// `start` may be null (edit a pristine document). `tag_index` may be
-  /// null; fragment overlays (pushdown/twig support) are then skipped.
-  OverlayBuilder(const DocTable& base, const TagIndex* tag_index,
+  /// `start` may be null (edit a pristine document). `tag_index` is the
+  /// resident fragment index of `base`.
+  OverlayBuilder(const DocTable& base, const TagIndex& tag_index,
                  std::shared_ptr<const Overlay> start);
 
   /// Parses `fragment_xml` (one element) and appends it as the last
@@ -301,16 +302,11 @@ class OverlayBuilder {
   Status ApplyInsert(NodeId parent, uint64_t p, uint64_t b,
                      uint32_t root_level, const DocTable& frag);
   Status ApplyDelete(uint64_t v);
-  /// Adds the fragment slots of this transaction's deleted base runs to
-  /// the overlay's (one scan of each run's tag column) and sorts them.
-  void AttributeDeletedRuns();
   void BuildFragmentOverlays();
 
   const DocTable& base_;
-  const TagIndex* tag_index_;
+  const TagIndex& tag_index_;
   Overlay ov_;
-  /// Base pre runs [start, start+count) this transaction deleted.
-  std::vector<std::pair<uint64_t, uint64_t>> deleted_runs_;
   uint64_t ops_applied_ = 0;
   bool finished_ = false;
 };

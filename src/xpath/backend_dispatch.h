@@ -226,13 +226,11 @@ class BackendDispatch {
   bool Pooled() const { return Pool() != nullptr; }
 
   /// Whether the image has a fragment index. Pushdown and twig both
-  /// require it; each pool-backed backend only qualifies with its own
-  /// fragment image -- a memory-resident TagIndex would silently bypass
-  /// the buffer pool and charge no faults.
+  /// require it. The memory image always has one (overlaid snapshots
+  /// carry merged fragments too); only a pool image that FromParts
+  /// adopted without its tag fragments lacks it -- a memory-resident
+  /// TagIndex would silently bypass the buffer pool and charge no faults.
   bool HasFragments() const {
-    // Under an overlay the merged per-tag fragments must exist too (they
-    // are built from the resident TagIndex at commit time).
-    if (Overlaid(opt_) && !opt_.overlay->has_fragments()) return false;
     return std::visit([](const auto& img) { return img.tags != nullptr; },
                       opt_.image);
   }

@@ -200,12 +200,12 @@ CompiledPlan Evaluator::Compile(UnionExpr expr) const {
 
 CardinalityEstimator Evaluator::MakeEstimator() const {
   const BackendDispatch dispatch(doc_, options_);
-  const bool has_fragments = dispatch.HasFragments();
+  const bool indexed = dispatch.HasFragments();
   const DocStatistics* stats = options_.doc_stats;
   const uint64_t logical = LogicalSize();
-  auto tag_count = [this, has_fragments, stats, logical](TagId tag) {
+  auto tag_count = [this, indexed, stats, logical](TagId tag) {
     if (tag == kNoTag) return uint64_t{0};
-    if (has_fragments) {
+    if (indexed) {
       // The active fragment index's count -- under an overlay this is
       // the MERGED count (base survivors + delta nodes), which is what
       // gives tags first introduced by an edit their real sizes.

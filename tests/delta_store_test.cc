@@ -178,7 +178,6 @@ void ExpectFragmentsEquivalent(const Database& edited,
   auto snap = edited.CurrentSnapshot();
   ASSERT_NE(snap->overlay(), nullptr);
   const delta::Overlay& overlay = *snap->overlay();
-  ASSERT_TRUE(overlay.has_fragments());
   const DatabaseImages& images = snap->images();
   auto merged = snap->MergedDoc();
   ASSERT_TRUE(merged.ok()) << merged.status();
@@ -618,6 +617,111 @@ TEST(DeltaStoreRandomized, EditScriptsMatchRebuildAcrossBackends) {
     ExpectEquivalent(*db, *reference,
                      "seed " + std::to_string(seed) + " post-compaction");
   }
+}
+
+TEST(DeltaStoreRandomized, EditChainKeepsPatchCountsExact) {
+  // A long chain in the shape of a serving writer: four-op transactions
+  // that insert <wpatch><rec/></wpatch> as the last child of a random
+  // open_auction or delete a random live wpatch, compacting every 32nd
+  // commit. Each transaction plans its targets on the committed state
+  // and applies them highest rank first, so no op shifts a later op's
+  // target. After every commit each backend, with and without the twig
+  // join, must count exactly the live patches.
+  constexpr int kCommits = 256;
+  constexpr int kOpsPerCommit = 4;
+  constexpr int kCompactEvery = 32;
+  constexpr double kTargetLive = 64;
+  xmlgen::XMarkOptions gen;
+  gen.size_mb = 0.2;
+  gen.seed = 1;
+  gen.rich_text = false;
+  auto opened = Database::FromXmark(gen);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  std::unique_ptr<Database> db = std::move(opened).value();
+
+  // Backend-major: memory, paged, compressed, each twig auto then never.
+  std::vector<Session> readers;
+  for (StorageBackend backend :
+       {StorageBackend::kMemory, StorageBackend::kPaged,
+        StorageBackend::kCompressed}) {
+    for (TwigMode twig : {TwigMode::kAuto, TwigMode::kNever}) {
+      SessionOptions options;
+      options.backend = backend;
+      options.hints.twig = twig;
+      auto session = db->CreateSession(options);
+      ASSERT_TRUE(session.ok()) << session.status();
+      readers.push_back(std::move(session).value());
+    }
+  }
+  auto count = [](Session& s, const char* q) -> uint64_t {
+    auto r = s.Run(q);
+    EXPECT_TRUE(r.ok()) << q << ": " << r.status();
+    return r.ok() ? r.value().nodes.size() : ~uint64_t{0};
+  };
+
+  Rng rng(20031);
+  uint64_t live = 0;
+  FragmentCoverage coverage;
+  for (int commit = 1; commit <= kCommits; ++commit) {
+    auto patches = readers[0].Run("/descendant::wpatch");
+    auto parents = readers[0].Run("/descendant::open_auction");
+    ASSERT_TRUE(patches.ok() && parents.ok());
+    const NodeSequence& patch_nodes = patches.value().nodes;
+    const NodeSequence& parent_nodes = parents.value().nodes;
+    ASSERT_FALSE(parent_nodes.empty());
+    std::vector<std::pair<NodeId, bool>> targets;  // (pre, insert?)
+    std::vector<bool> doomed(patch_nodes.size(), false);
+    int inserts = 0;
+    int deletes = 0;
+    for (int op = 0; op < kOpsPerCommit; ++op) {
+      // Deletes grow likelier with the live count, which so hovers near
+      // kTargetLive.
+      const double live_now = static_cast<double>(live + inserts - deletes);
+      if (!patch_nodes.empty() &&
+          rng.NextDouble() < live_now / (2.0 * kTargetLive)) {
+        const size_t k = rng.Below(patch_nodes.size());
+        if (!doomed[k]) {
+          doomed[k] = true;
+          targets.emplace_back(patch_nodes[k], false);
+          ++deletes;
+          continue;
+        }
+      }
+      targets.emplace_back(parent_nodes[rng.Below(parent_nodes.size())], true);
+      ++inserts;
+    }
+    std::sort(targets.begin(), targets.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    EditTxn txn = db->BeginEdit();
+    for (const auto& [pre, insert] : targets) {
+      const Status st =
+          insert ? txn.InsertLastChild(pre, "<wpatch><rec/></wpatch>")
+                 : txn.DeleteSubtree(pre);
+      ASSERT_TRUE(st.ok()) << "commit " << commit << ": " << st;
+    }
+    ASSERT_TRUE(txn.Commit().ok()) << "commit " << commit;
+    live = live + inserts - deletes;
+
+    const std::string label = "commit " + std::to_string(commit);
+    for (size_t i = 0; i < readers.size(); ++i) {
+      EXPECT_EQ(count(readers[i], "/descendant::wpatch"), live)
+          << label << ", reader " << i;
+      EXPECT_EQ(count(readers[i], "/descendant::wpatch/child::rec"), live)
+          << label << ", reader " << i;
+    }
+    if (commit % kCompactEvery == 0) {
+      auto reference = RebuildReference(*db);
+      ASSERT_NE(reference, nullptr);
+      ExpectEquivalent(*db, *reference, label);
+      ExpectFragmentsEquivalent(*db, &coverage);
+      ASSERT_TRUE(db->Compact().ok());
+    }
+    if (::testing::Test::HasFailure()) return;  // don't cascade
+  }
+  // Patches survived compactions as base nodes and were then deleted.
+  EXPECT_GT(coverage.with_delta_entries, 0u);
+  EXPECT_GT(coverage.with_deleted_slots, 0u);
+  EXPECT_GT(coverage.untouched, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "core/tag_view.h"
 #include "core/twig_join.h"
 #include "path_oracle.h"
+#include "storage/compressed_doc.h"
 #include "test_util.h"
 
 namespace sj {
@@ -201,16 +202,19 @@ TEST(TwigJoinTest, IneligibleRunsFallBackToStepAtATime) {
       MustRun(never, "/descendant::t0/descendant::t1/descendant::t2");
   EXPECT_EQ(r.Explain().find("twig join"), std::string::npos) << r.Explain();
   // Without the backend's fragment index there is nothing to leapfrog
-  // over: silent fallback, same answer.
-  DatabaseOptions open;
-  open.build_tag_index = false;
-  open.build_paged = false;
-  open.build_compressed = false;
-  auto bare = Database::FromTable(RandomDocument(11, {.target_nodes = 5000}),
-                                  open)
+  // over: silent fallback, same answer. Only a pool image adopted without
+  // its tag fragments lacks one.
+  std::unique_ptr<DocTable> doc = RandomDocument(11, {.target_nodes = 5000});
+  auto disk = std::make_unique<storage::SimulatedDisk>();
+  auto paged = storage::CompressedDocTable::Create(
+      *doc, disk.get(), storage::ColumnLayout::kRaw);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  auto bare = Database::FromParts(std::move(doc), nullptr, std::move(disk),
+                                  std::move(paged).value(), nullptr, nullptr,
+                                  nullptr)
                   .value();
   Session no_index =
-      MakeSession(*bare, StorageBackend::kMemory, TwigMode::kAuto);
+      MakeSession(*bare, StorageBackend::kPaged, TwigMode::kAuto);
   const QueryResult fallback =
       MustRun(no_index, "/descendant::t0/descendant::t1/descendant::t2");
   EXPECT_EQ(fallback.Explain().find("twig join"), std::string::npos)
